@@ -8,6 +8,12 @@ patch Gram matrix of that packed index, and the input conditional inverts
 the Gram matrix of the conv operator written as an explicit linear map.
 Desk-scale shapes keep both factorizations cheap, so no band-structure
 shortcuts are taken beyond the sparsity that falls out of assembly.
+
+The conv layer's input X[1] is clamped, so the sweep takes its im2col
+patches and the factor of the filter precision from the chain's cache
+(``gibbs.clamped_factor``), built on the first sweep. The filter response
+``conv_mean(W1, X1)`` is computed once per sweep, after the filter draw,
+and serves both the conv-bias and the pool update.
 """
 from __future__ import annotations
 
@@ -97,11 +103,15 @@ class ConvIndexMap:
         cols = flat[:, :, self.patch_index]  # (n, C, P, K)
         return cols.transpose(0, 2, 1, 3).reshape(n, self.out_positions, c * self.filter_size)
 
-    def conv_mean(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Noise-free convolution output, shape (n, C_out, out_h, out_w)."""
+    def conv_mean(self, w: np.ndarray, x: np.ndarray, patches: np.ndarray | None = None) -> np.ndarray:
+        """Noise-free convolution output, shape (n, C_out, out_h, out_w).
+
+        ``patches`` is ``im2col(x)`` when the caller already has it.
+        """
         n = x.shape[0]
         c_out = w.shape[0]
-        patches = self.im2col(x)
+        if patches is None:
+            patches = self.im2col(x)
         out = patches @ w.reshape(c_out, -1).T  # (n, P, C_out)
         return out.transpose(0, 2, 1).reshape(n, c_out, self.out_height, self.out_width)
 
@@ -151,11 +161,6 @@ class PoolMap:
     def discarded_per_channel(self) -> int:
         return self.in_height * self.in_width - self.k * self.out_height * self.out_width
 
-    def discarded_mask(self) -> np.ndarray:
-        mask = np.ones((self.in_height, self.in_width), dtype=bool)
-        mask[: self.retained_height, : self.retained_width] = False
-        return mask
-
     def preimage(self, a: int) -> list[int]:
         """Flat input positions pooled into flat output position a."""
         ay, ax = divmod(a, self.out_width)
@@ -203,17 +208,26 @@ def conv_w_conditional(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Precision and per-output-channel right-hand sides of the filter
     conditional, over packed (channel, filter-position) indices."""
-    n, c_in = x.shape[0], x.shape[1]
-    c_out = z_next.shape[1]
-    patches = imap.im2col(x)  # (n, P, C_in*K)
-    ck = patches.shape[2]
-    flat = patches.reshape(n * imap.out_positions, ck)
-    prec = flat.T @ flat / delta_z + lambda_w * np.eye(ck)
+    flat = _flat_patches(imap, x)
+    return gibbs.ridge_precision(flat, delta_z, lambda_w), _conv_w_rhs(imap, flat, z_next, b, delta_z)
+
+
+def _flat_patches(imap: ConvIndexMap, x: np.ndarray) -> np.ndarray:
+    """im2col patches as rows: (n * out_positions, C_in * filter_size)."""
+    patches = imap.im2col(x)
+    return patches.reshape(-1, patches.shape[2])
+
+
+def _conv_w_rhs(imap: ConvIndexMap, flat: np.ndarray, z_next: np.ndarray, b: np.ndarray | None, delta_z: float) -> np.ndarray:
+    n, c_out = z_next.shape[0], z_next.shape[1]
     resid = z_next.reshape(n, c_out, imap.out_positions)
     if b is not None:
         resid = resid - b[None, :, None]
-    rhs = resid.transpose(1, 0, 2).reshape(c_out, -1) @ flat / delta_z
-    return prec, rhs
+    return resid.transpose(1, 0, 2).reshape(c_out, -1) @ flat / delta_z
+
+
+def _filter_bank(imap: ConvIndexMap, draws: np.ndarray) -> np.ndarray:
+    return draws.reshape(draws.shape[0], -1, imap.filter_height, imap.filter_width)
 
 
 def update_conv_W(
@@ -230,12 +244,8 @@ def update_conv_W(
     The Gram matrix over packed (channel, filter-position) indices is
     shared by all output channels; each channel's filter is one row draw.
     """
-    c_in = x.shape[1]
-    c_out = z_next.shape[1]
     prec, rhs = conv_w_conditional(imap, x, z_next, b, delta_z, lambda_w)
-    draws = gibbs.draw_rows_from_precision(prec, rhs, rng)
-    fh, fw = imap.filter_height, imap.filter_width
-    return draws.reshape(c_out, c_in, fh, fw)
+    return _filter_bank(imap, gibbs.draw_rows_from_precision(prec, rhs, rng))
 
 
 def conv_x_conditional(
@@ -332,9 +342,12 @@ def update_conv_bias(
     rng: RngStream,
 ) -> np.ndarray:
     """Per-channel bias draw; the bias is shared across samples and pixels."""
-    n = x.shape[0]
-    c_out = z_next.shape[1]
-    mean = imap.conv_mean(w, x)
+    return _conv_bias_draw(imap, imap.conv_mean(w, x), z_next, delta_z, lambda_b, rng)
+
+
+def _conv_bias_draw(imap: ConvIndexMap, mean: np.ndarray, z_next: np.ndarray, delta_z: float, lambda_b: float, rng: RngStream) -> np.ndarray:
+    """The bias draw given the filter response ``mean`` = conv_mean(w, x)."""
+    n, c_out = z_next.shape[0], z_next.shape[1]
     resid = (z_next - mean).reshape(n, c_out, imap.out_positions)
     cols = resid.transpose(0, 2, 1).reshape(-1, c_out)
     return gibbs.dense_bias_draw(cols, delta_z, lambda_b, rng)
@@ -417,9 +430,13 @@ def gibbs_sweep_conv(
     imap = ConvIndexMap.for_layer(conv_layer)
     n = state.n
 
-    state.W[1] = update_conv_W(imap, state.X[1], state.Z[2], state.b.get(1), noise.delta_z[2], prior.lambda_w[1], rng)
+    entry = gibbs.clamped_factor(state, spec, noise, prior, design_of=lambda x: _flat_patches(imap, x))
+    rhs = _conv_w_rhs(imap, entry.design, state.Z[2], state.b.get(1), noise.delta_z[2])
+    state.W[1] = _filter_bank(imap, gibbs.draw_rows_from_factor(entry.factor, rhs, rng))
+    patches = entry.design.reshape(n, imap.out_positions, entry.design.shape[1])
+    response = imap.conv_mean(state.W[1], state.X[1], patches)
     if spec.has_bias(1):
-        state.b[1] = update_conv_bias(imap, state.W[1], state.X[1], state.Z[2], noise.delta_z[2], prior.lambda_b[1], rng)
+        state.b[1] = _conv_bias_draw(imap, response, state.Z[2], noise.delta_z[2], prior.lambda_b[1], rng)
 
     # hidden block: X[2] jointly, then the latents feeding it, back to Z[2]
     pre_act = state.P[2] if pool_layer is not None else state.Z[2]
@@ -435,9 +452,9 @@ def gibbs_sweep_conv(
         resid = state.Z[3] - state.X[2].reshape(n, -1) @ state.W[2].T
         state.b[2] = gibbs.dense_bias_draw(resid, noise.delta_z[3], prior.lambda_b[2], rng)
 
-    conv_mean = imap.conv_mean(state.W[1], state.X[1])
+    conv_mean = response
     if state.b.get(1) is not None:
-        conv_mean = conv_mean + state.b[1][None, :, None, None]
+        conv_mean = response + state.b[1][None, :, None, None]
 
     if pool_layer is not None:
         pmap = PoolMap.for_layer(pool_layer)

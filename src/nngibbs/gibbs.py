@@ -3,10 +3,15 @@ schedulers (sequential and phase-parallel).
 
 Every update redraws one variable block from its exact conditional given
 the rest of the chain: rows of X and W are multivariate Gaussians sharing
-one covariance factorization per layer per sweep, pre-activations Z are
-scalar two-branch mixtures of one-sided truncated normals, biases are
-scalar Gaussians, and the probit output layer is a sequential pass of
-truncated normals that preserves the argmax constraint.
+one precision factorization per block, pre-activations Z are scalar
+two-branch mixtures of one-sided truncated normals, biases are scalar
+Gaussians, and the probit output layer is a sequential pass of truncated
+normals that preserves the argmax constraint.
+
+Hidden layers factor their shared precision once per sweep. The
+first-layer weight precision depends on the data only through the clamped
+input X[1], so it is factored once per chain (``clamped_factor``) and
+only its right-hand side is rebuilt each sweep.
 """
 from __future__ import annotations
 
@@ -23,9 +28,11 @@ from .network import Activation, ChainState, NetworkSpec, NoiseSchedule, PriorSp
 __all__ = [
     "SweepSchedule",
     "ZBranchMasses",
+    "ClampedFactor",
     "UnsupportedActivation",
     "z_branch_masses",
     "sample_z_scalar",
+    "clamped_factor",
     "update_X_layer",
     "update_W_layer",
     "update_Z_layer",
@@ -172,17 +179,60 @@ def sample_z_scalar(activation: Activation, wx, x_next, dz: float, dx: float, rn
     return signs * (signs * mu + sd * t)
 
 
-def draw_rows_from_precision(prec: np.ndarray, rhs_rows: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Rows drawn from N(A^-1 h, A^-1) for a shared precision A.
+def draw_rows_from_factor(factor: np.ndarray, rhs_rows: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Rows drawn from N(A^-1 h, A^-1) given the Cholesky factor L of A.
 
-    ``rhs_rows`` holds one h per row; the Cholesky factor of A is computed
-    once and reused for every row. With A = L L^T, the draw is
+    ``rhs_rows`` holds one h per row. With A = L L^T, the draw is
     L^-T (L^-1 h + z), two triangular solves total.
     """
-    factor = kernels.cholesky_factor(prec)
     half = solve_triangular(factor, rhs_rows.T, lower=True)
     z = rng.generator.standard_normal(half.shape)
     return solve_triangular(factor, half + z, trans="T", lower=True).T
+
+
+def draw_rows_from_precision(prec: np.ndarray, rhs_rows: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Rows drawn from N(A^-1 h, A^-1) for a shared precision A, which is
+    factored once and reused for every row."""
+    return draw_rows_from_factor(kernels.cholesky_factor(prec), rhs_rows, rng)
+
+
+def ridge_precision(design: np.ndarray, dz: float, lam: float) -> np.ndarray:
+    """design^T design / dz + lam I: the precision of a weight row whose
+    inputs are the rows of ``design``."""
+    d = design.shape[1]
+    return design.T @ design / dz + lam * np.eye(d)
+
+
+@dataclass(frozen=True)
+class ClampedFactor:
+    """Cholesky factor of the first-layer weight precision, built from the
+    X[1] object ``x`` under ``key`` = (first layer, delta_z[2], lambda_w[1]).
+
+    ``design`` holds the weight rows' inputs (X[1] itself, or its flattened
+    conv patches); ``jitter`` is what ``kernels.cholesky_factor`` had to add.
+    """
+
+    x: np.ndarray
+    key: tuple
+    design: np.ndarray
+    factor: np.ndarray
+    jitter: float
+
+
+def clamped_factor(state: ChainState, spec: NetworkSpec, noise: NoiseSchedule, prior: PriorSpec, design_of=None) -> ClampedFactor:
+    """The chain's cached first-layer weight factor, built on first use.
+
+    The entry is rebuilt whenever X[1] is replaced or its key changes.
+    ``design_of`` maps X[1] to the design matrix (identity when omitted).
+    """
+    x1 = state.X[1]
+    key = (spec.weighted_layers[0], noise.delta_z[2], prior.lambda_w[1])
+    entry = state._clamped
+    if entry is None or entry.x is not x1 or entry.key != key:
+        design = x1 if design_of is None else design_of(x1)
+        factor, jitter = kernels.cholesky_factor(ridge_precision(design, key[1], key[2]), return_jitter=True)
+        entry = state._clamped = ClampedFactor(x1, key, design, factor, jitter)
+    return entry
 
 
 def dense_x_conditional(W: np.ndarray, sigma_prev: np.ndarray, z_next: np.ndarray, dz: float, dx: float):
@@ -193,12 +243,13 @@ def dense_x_conditional(W: np.ndarray, sigma_prev: np.ndarray, z_next: np.ndarra
     return prec, rhs
 
 
+def _dense_w_rhs(X: np.ndarray, z_next: np.ndarray, dz: float) -> np.ndarray:
+    return (X.T @ z_next / dz).T  # one row per output unit
+
+
 def dense_w_conditional(X: np.ndarray, z_next: np.ndarray, dz: float, lam: float):
     """Precision and per-output-row right-hand sides of the weight law."""
-    d = X.shape[1]
-    prec = X.T @ X / dz + lam * np.eye(d)
-    rhs = (X.T @ z_next / dz).T  # one row per output unit
-    return prec, rhs
+    return ridge_precision(X, dz, lam), _dense_w_rhs(X, z_next, dz)
 
 
 def dense_x_draw(W: np.ndarray, sigma_prev: np.ndarray, z_next: np.ndarray, dz: float, dx: float, rng: RngStream) -> np.ndarray:
@@ -239,13 +290,21 @@ def update_W_layer(
     prior: PriorSpec,
     rng: RngStream,
 ) -> np.ndarray:
-    """Redraw all rows of W[l] from their shared-covariance Gaussian."""
+    """Redraw all rows of W[l] from their shared-covariance Gaussian.
+
+    Layer 1 draws from the chain's cached factor (``clamped_factor``).
+    """
     if spec.weighted_layers[l - 1].kind != "dense":
         raise ValueError("dense W update called on a non-dense layer")
     z_next = state.Z[l + 1]
     if state.b.get(l) is not None:
         z_next = z_next - state.b[l]
-    new_w = dense_w_draw(state.X[l], z_next, noise.delta_z[l + 1], prior.lambda_w[l], rng)
+    dz = noise.delta_z[l + 1]
+    if l == 1:
+        entry = clamped_factor(state, spec, noise, prior)
+        new_w = draw_rows_from_factor(entry.factor, _dense_w_rhs(entry.design, z_next, dz), rng)
+    else:
+        new_w = dense_w_draw(state.X[l], z_next, dz, prior.lambda_w[l], rng)
     state.W[l] = new_w
     return new_w
 

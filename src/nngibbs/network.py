@@ -341,6 +341,11 @@ class ChainState:
     the clamped inputs; Z by 2..L+1; P holds pooling outputs where the
     architecture has them. ``labels`` keeps the class indices a probit
     output is constrained to.
+
+    X[1] is clamped: replace it with a new array, never write into it.
+    The first-layer weight factor cached in ``_clamped`` (see
+    ``gibbs.clamped_factor``) is keyed on the X[1] object, so an in-place
+    write would leave a stale factor in use.
     """
 
     W: dict[int, np.ndarray]
@@ -349,6 +354,8 @@ class ChainState:
     Z: dict[int, np.ndarray]
     P: dict[int, np.ndarray] = field(default_factory=dict)
     labels: np.ndarray | None = None
+    # gibbs.ClampedFactor of the first weighted layer; copy() leaves it behind
+    _clamped: object | None = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "ChainState":
         return ChainState(

@@ -8,8 +8,6 @@ with three logarithmically spaced values per decade.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .harness import ExperimentConfig
 
 __all__ = ["PRESETS", "get_preset", "preset_names", "delta_grid"]
@@ -26,11 +24,6 @@ def delta_grid(low_exponent: int, high_exponent: int) -> list[float]:
         grid.append(float(f"{val:.3g}"))
         k += 1
     return grid
-
-
-def _nearest_grid(delta: float) -> float:
-    k = round(-3.0 * np.log10(delta))
-    return 10.0 ** (-k / 3.0)
 
 
 def classical_hmc_params(delta: float) -> dict:

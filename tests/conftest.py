@@ -121,3 +121,15 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
 def ks_critical(n: int, alpha: float = 0.01) -> float:
     """Asymptotic KS critical value at significance alpha."""
     return float(np.sqrt(-0.5 * np.log(alpha / 2.0)) / np.sqrt(n))
+
+
+def assert_bitwise_equal(a, b):
+    """Every sampled array of two chain states holds the same bytes."""
+    for kind in ("W", "b", "X", "Z", "P"):
+        da, db = getattr(a, kind), getattr(b, kind)
+        assert da.keys() == db.keys(), kind
+        for l in da:
+            if da[l] is None:
+                assert db[l] is None, f"{kind}[{l}]"
+            else:
+                assert da[l].shape == db[l].shape and da[l].tobytes() == db[l].tobytes(), f"{kind}[{l}]"

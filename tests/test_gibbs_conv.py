@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import assert_bitwise_equal
 from nngibbs.conv import (
     ConvIndexMap,
     PoolMap,
@@ -362,6 +363,56 @@ class TestConvSweep:
         np.testing.assert_array_equal(s1.W[1], s2.W[1])
         np.testing.assert_array_equal(s1.P[2], s2.P[2])
         np.testing.assert_array_equal(s1.Z[3], s2.Z[3])
+
+    def conv_chain(self, seed):
+        spec = self.cnn_spec()
+        noise = NoiseSchedule.uniform(spec, 0.5)
+        prior = PriorSpec.fan_in(spec)
+        rng = RngStream(seed)
+        gen = rng.generator
+        W = {1: gen.standard_normal((2, 1, 2, 2)), 2: gen.standard_normal((3, 8))}
+        b = {1: gen.standard_normal(2), 2: gen.standard_normal(3)}
+        state, _ = forward_generate(spec, noise, W, b, gen.standard_normal((12, 1, 5, 5)), rng)
+        return spec, noise, prior, state
+
+    def test_cached_sweeps_bitwise_equal_to_uncached(self):
+        def run(empty_cache):
+            spec, noise, prior, state = self.conv_chain(30)
+            rng = RngStream(31)
+            built = []
+            for _ in range(6):
+                if empty_cache:
+                    state._clamped = None
+                gibbs_sweep(state, spec, noise, prior, SweepSchedule(), rng)
+                built.append(state._clamped)
+            return state, built
+
+        cached, built = run(empty_cache=False)
+        fresh, _ = run(empty_cache=True)
+        assert all(entry is built[0] for entry in built)
+        assert_bitwise_equal(cached, fresh)
+
+    def test_sweep_filter_and_bias_draws_equal_public_updates(self):
+        spec, noise, prior, state = self.conv_chain(32)
+        imap = ConvIndexMap.for_layer(spec.layers[0])
+        rng = RngStream(33)
+        w1 = update_conv_W(imap, state.X[1], state.Z[2], state.b[1], noise.delta_z[2], prior.lambda_w[1], rng)
+        b1 = update_conv_bias(imap, w1, state.X[1], state.Z[2], noise.delta_z[2], prior.lambda_b[1], rng)
+        gibbs_sweep(state, spec, noise, prior, SweepSchedule(), RngStream(33))
+        assert state.W[1].tobytes() == w1.tobytes()
+        assert state.b[1].tobytes() == b1.tobytes()
+
+    def test_replacing_x1_rebuilds_patches_and_factor(self):
+        spec, noise, prior, state = self.conv_chain(34)
+        rng = RngStream(35)
+        gibbs_sweep(state, spec, noise, prior, SweepSchedule(), rng)
+        state.X[1] = state.X[1][::-1].copy()
+        fresh = state.copy()
+        gibbs_sweep(state, spec, noise, prior, SweepSchedule(), RngStream(36))
+        gibbs_sweep(fresh, spec, noise, prior, SweepSchedule(), RngStream(36))
+        assert state._clamped.x is state.X[1]
+        assert state.W[1].tobytes() == fresh.W[1].tobytes()
+        assert state.Z[2].tobytes() == fresh.Z[2].tobytes()
 
     def test_informed_start_stays_stationary(self):
         # short informed-start run: first/second half means of the filter

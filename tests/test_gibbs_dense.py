@@ -9,6 +9,7 @@ import pytest
 from scipy import integrate, stats
 
 from conftest import (
+    assert_bitwise_equal,
     branch_log_masses_quadrature,
     z_conditional_rejection,
 )
@@ -26,6 +27,7 @@ from nngibbs.network import (
 from nngibbs.gibbs import (
     SweepSchedule,
     UnsupportedActivation,
+    dense_w_draw,
     gibbs_sweep,
     sample_z_scalar,
     update_bias_layer,
@@ -488,3 +490,119 @@ class TestSweep:
         for l in (1, 2, 3):
             np.testing.assert_array_equal(s1.W[l], s3.W[l])
         np.testing.assert_array_equal(s1.Z[3], s3.Z[3])
+
+
+def probit_chain(seed, depth=2):
+    """A dense probit chain generated from random weights, ready to sweep."""
+    spec = mlp([6] + [4] * (depth - 1) + [3], output="probit")
+    noise = NoiseSchedule.uniform(spec, 0.5)
+    prior = PriorSpec.fan_in(spec)
+    rng = RngStream(seed)
+    gen = rng.generator
+    W = {l: gen.standard_normal(spec.weight_shape(l)) for l in range(1, spec.depth + 1)}
+    b = {l: gen.standard_normal(spec.bias_width(l)) for l in range(1, spec.depth + 1)}
+    state, _ = forward_generate(spec, noise, W, b, gen.standard_normal((30, 6)), rng)
+    return spec, noise, prior, state
+
+
+class TestClampedFactorCache:
+    @pytest.mark.parametrize(
+        "schedule", [SweepSchedule(), SweepSchedule("phase_parallel", worker_count=2)], ids=["sequential", "phase_parallel"]
+    )
+    def test_cached_sweeps_bitwise_equal_to_uncached(self, schedule):
+        def run(empty_cache):
+            spec, noise, prior, state = probit_chain(40)
+            rng = RngStream(41)
+            built = []
+            for _ in range(6):
+                if empty_cache:
+                    state._clamped = None
+                gibbs_sweep(state, spec, noise, prior, schedule, rng)
+                built.append(state._clamped)
+            return state, built
+
+        cached, built = run(empty_cache=False)
+        fresh, _ = run(empty_cache=True)
+        # one factor served every sweep of the cached chain
+        assert all(entry is built[0] for entry in built)
+        assert_bitwise_equal(cached, fresh)
+
+    def test_sweep_layer1_draw_equals_uncached_dense_draw(self):
+        spec, noise, prior, state = probit_chain(42)
+        z_next = state.Z[2] - state.b[1]
+        want = dense_w_draw(state.X[1], z_next, noise.delta_z[2], prior.lambda_w[1], RngStream(43))
+        gibbs_sweep(state, spec, noise, prior, SweepSchedule(), RngStream(43))
+        assert state.W[1].tobytes() == want.tobytes()
+
+    def test_phase_parallel_cache_touched_only_by_layer1_w_task(self, monkeypatch):
+        import threading
+
+        import nngibbs.gibbs as G
+
+        local = threading.local()
+        callers = []
+        update_w, clamped = G.update_W_layer, G.clamped_factor
+
+        def update_w_wrapper(l, *args, **kw):
+            local.layer = l
+            try:
+                return update_w(l, *args, **kw)
+            finally:
+                local.layer = None
+
+        def clamped_wrapper(*args, **kw):
+            callers.append(getattr(local, "layer", None))
+            return clamped(*args, **kw)
+
+        monkeypatch.setattr(G, "update_W_layer", update_w_wrapper)
+        monkeypatch.setattr(G, "clamped_factor", clamped_wrapper)
+        spec, noise, prior, state = probit_chain(44, depth=3)
+        rng = RngStream(45)
+        for _ in range(5):
+            gibbs_sweep(state, spec, noise, prior, SweepSchedule("phase_parallel", worker_count=2), rng)
+        assert callers == [1] * 5
+
+    @pytest.mark.parametrize("change", ["replace_x1", "delta_z", "lambda_w"])
+    def test_change_rebuilds_factor(self, change):
+        spec, noise, prior, state = probit_chain(46)
+        rng = RngStream(47)
+        for _ in range(2):
+            gibbs_sweep(state, spec, noise, prior, SweepSchedule(), rng)
+        stale = state._clamped
+        if change == "replace_x1":
+            state.X[1] = state.X[1] + 0.5
+        elif change == "delta_z":
+            noise = NoiseSchedule(delta_z={**noise.delta_z, 2: 0.25}, delta_x=noise.delta_x)
+        else:
+            prior = PriorSpec(lambda_w={**prior.lambda_w, 1: 3.0}, lambda_b=prior.lambda_b)
+        fresh = state.copy()
+        assert fresh._clamped is None
+        want = update_W_layer(1, fresh, spec, noise, prior, RngStream(48))
+        got = update_W_layer(1, state, spec, noise, prior, RngStream(48))
+        assert state._clamped is not stale
+        assert got.tobytes() == want.tobytes()
+
+    def test_jittered_factor_cached_bitwise(self):
+        # duplicated input columns and a tiny prior make X1^T X1 / dz + lam I
+        # numerically singular, so the factor needs jitter
+        gen = np.random.default_rng(49)
+        base = gen.standard_normal((20, 3))
+        X = np.hstack([base, base])
+        y = gen.standard_normal((20, 1))
+        spec = mlp([6, 1], bias=False)
+        noise = NoiseSchedule(delta_z={2: 0.5}, delta_x={})
+        prior = PriorSpec(lambda_w={1: 1e-20})
+
+        def run(empty_cache):
+            state = ChainState(W={1: np.zeros((1, 6))}, b={1: None}, X={1: X}, Z={2: y})
+            rng = RngStream(50)
+            for _ in range(4):
+                if empty_cache:
+                    state._clamped = None
+                gibbs_sweep(state, spec, noise, prior, SweepSchedule(), rng)
+            return state
+
+        cached, fresh = run(empty_cache=False), run(empty_cache=True)
+        assert cached._clamped.jitter > 0.0
+        assert np.all(np.isfinite(cached.W[1]))
+        assert_bitwise_equal(cached, fresh)
