@@ -7,16 +7,7 @@ the plain output-loss posterior, and thermalization diagnostics built
 around the informed-start merge criterion for synthetic data.
 """
 
-from .kernels import (
-    GaussianParams,
-    NotPositiveDefinite,
-    RngStream,
-    TruncationSide,
-    cholesky_factor,
-    sample_mvn,
-    sample_truncated_normal,
-    stable_branch_probability,
-)
+from .kernels import NotPositiveDefinite, RngStream, cholesky_factor, stable_branch_probability
 from .network import (
     Activation,
     ChainState,

@@ -1,5 +1,4 @@
-"""Conditional-distribution updates for dense networks and the sweep
-schedulers (sequential and phase-parallel).
+"""Conditional-distribution updates for dense networks and the Gibbs sweep.
 
 Every update redraws one variable block from its exact conditional given
 the rest of the chain: rows of X and W are multivariate Gaussians sharing
@@ -15,7 +14,6 @@ only its right-hand side is rebuilt each sweep.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,23 +46,14 @@ class UnsupportedActivation(Exception):
 
 @dataclass(frozen=True)
 class SweepSchedule:
-    """How one Gibbs sweep visits the variable blocks.
+    """The one order in which a Gibbs sweep visits the variable blocks.
 
-    ``sequential`` follows the single-chain update order (first layer's
-    weights, then per layer X, W, Z, then the output Z for probit).
-    ``phase_parallel`` runs three phases -- all X, all W and biases, all
-    Z -- with layers independent inside a phase; per-(phase, layer) RNG
-    substreams make the result independent of worker interleaving.
+    Dense stacks: the first layer's weights and bias, then per layer
+    X, W, bias, Z, then the output Z for probit. The conv pipeline has its
+    own fixed order (``conv.gibbs_sweep_conv``). There is nothing to set:
+    the class is kept because ``gibbs_sweep`` takes it as its ``schedule``
+    argument, and existing callers pass ``SweepSchedule()``.
     """
-
-    mode: str = "sequential"
-    worker_count: int = 1
-
-    def __post_init__(self):
-        if self.mode not in ("sequential", "phase_parallel"):
-            raise ValueError(f"unknown sweep mode {self.mode!r}")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be positive")
 
 
 @dataclass
@@ -385,7 +374,21 @@ def update_probit_output(state: ChainState, spec: NetworkSpec, noise: NoiseSched
     return Z
 
 
-def _sweep_sequential(state, spec, noise, prior, rng):
+def gibbs_sweep(
+    state: ChainState,
+    spec: NetworkSpec,
+    noise: NoiseSchedule,
+    prior: PriorSpec,
+    schedule: SweepSchedule,
+    rng: RngStream,
+) -> ChainState:
+    """Advance the chain by one full sweep; every unclamped block once, in
+    the order ``SweepSchedule`` describes."""
+    if not spec.is_dense:
+        from . import conv
+
+        conv.gibbs_sweep_conv(state, spec, noise, prior, rng)
+        return state
     big_l = spec.depth
     update_W_layer(1, state, spec, noise, prior, rng)
     if spec.has_bias(1):
@@ -398,65 +401,4 @@ def _sweep_sequential(state, spec, noise, prior, rng):
         update_Z_layer(l, state, spec, noise, rng)
     if spec.output == OUTPUT_PROBIT:
         update_probit_output(state, spec, noise, rng)
-
-
-def _sweep_phase_parallel(state, spec, noise, prior, rng, worker_count):
-    big_l = spec.depth
-    sweep_rng = rng.spawn()
-
-    def x_task(l):
-        update_X_layer(l, state, spec, noise, sweep_rng.child(0, l))
-
-    def w_task(l):
-        r = sweep_rng.child(1, l)
-        update_W_layer(l, state, spec, noise, prior, r)
-        if spec.has_bias(l):
-            update_bias_layer(l, state, noise, prior, r)
-
-    def z_task(l):
-        r = sweep_rng.child(2, l)
-        if l == big_l + 1:
-            update_probit_output(state, spec, noise, r)
-        else:
-            update_Z_layer(l, state, spec, noise, r)
-
-    z_layers = list(range(2, big_l + 1))
-    if spec.output == OUTPUT_PROBIT:
-        z_layers.append(big_l + 1)
-    phases = [
-        (x_task, list(range(2, big_l + 1))),
-        (w_task, list(range(1, big_l + 1))),
-        (z_task, z_layers),
-    ]
-    if worker_count > 1:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            for task, layers in phases:
-                # next phase starts only after the barrier of list() joins
-                list(pool.map(task, layers))
-    else:
-        for task, layers in phases:
-            for l in layers:
-                task(l)
-
-
-def gibbs_sweep(
-    state: ChainState,
-    spec: NetworkSpec,
-    noise: NoiseSchedule,
-    prior: PriorSpec,
-    schedule: SweepSchedule,
-    rng: RngStream,
-) -> ChainState:
-    """Advance the chain by one full sweep; every unclamped block once."""
-    if not spec.is_dense:
-        from . import conv
-
-        if schedule.mode != "sequential":
-            raise ValueError("phase-parallel scheduling covers dense stacks only")
-        conv.gibbs_sweep_conv(state, spec, noise, prior, rng)
-        return state
-    if schedule.mode == "sequential":
-        _sweep_sequential(state, spec, noise, prior, rng)
-    else:
-        _sweep_phase_parallel(state, spec, noise, prior, rng, schedule.worker_count)
     return state

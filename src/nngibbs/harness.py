@@ -84,8 +84,6 @@ class SamplerConfig:
     posterior: str
     step_size: float | None = None
     leapfrog_steps: int | None = None
-    schedule_mode: str = "sequential"
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -338,14 +336,17 @@ def _dataset_from_dict(raw: dict) -> DatasetConfig:
 
 
 def _sampler_from_dict(raw: dict) -> SamplerConfig:
-    schedule = raw.get("schedule", {})
+    # saved configs may carry "schedule_mode": "sequential" and "workers": 1;
+    # those load, while any other mode is refused rather than silently run
+    # as the one sweep order there is
+    for field, mode in (("schedule_mode", raw.get("schedule_mode")), ("schedule.mode", raw.get("schedule", {}).get("mode"))):
+        if mode not in (None, "sequential"):
+            raise ConfigError(f"sampler.{field}: the only sweep order is 'sequential', got {mode!r}")
     return SamplerConfig(
         kind=raw.get("kind", "gibbs"),
         posterior=raw.get("posterior", "intermediate"),
         step_size=raw.get("step_size"),
         leapfrog_steps=raw.get("leapfrog_steps"),
-        schedule_mode=raw.get("schedule_mode", schedule.get("mode", "sequential")),
-        workers=int(raw.get("workers", schedule.get("workers", 1))),
     )
 
 
@@ -548,6 +549,11 @@ class _Observer:
             mean = mean + bias
         return mean
 
+    def _log_posterior_grads(self, state: ChainState) -> dict:
+        if self.cfg.sampler.posterior == "intermediate":
+            return posteriors.intermediate_log_posterior(state, self.spec, self.cfg.noise, self.cfg.prior)[1]
+        return posteriors.classical_log_posterior(state.W, state.b, self.dataset, self.spec, self.delta, self.cfg.prior)[1]
+
     def observe_state(self, state: ChainState, acceptance: float | None = None) -> dict[str, float]:
         spec, dataset = self.spec, self.dataset
         out: dict[str, float] = {}
@@ -561,11 +567,7 @@ class _Observer:
         if "test_error" in self.columns:
             out["test_error"] = test_error(spec, state.W, state.b, dataset.test_inputs, dataset.test_labels)
         if "score_U" in self.columns:
-            if self.cfg.sampler.posterior == "intermediate":
-                _, grads = posteriors.intermediate_log_posterior(state, spec, self.cfg.noise, self.cfg.prior)
-            else:
-                _, grads = posteriors.classical_log_posterior(state.W, state.b, dataset, spec, self.delta, self.cfg.prior)
-            out["score_U"] = float(self.delta * np.mean(grads["W"][1]))
+            out["score_U"] = diagnostics.score_statistic(state, self._log_posterior_grads, self.delta)
         if "train_residual" in self.columns:
             resid = state.Z[2] - self._first_layer_mean(state)
             out["train_residual"] = float(np.sum(resid * resid))
@@ -583,12 +585,11 @@ def _chain_label(idx: int, kind: str) -> str:
     return f"chain{idx}_{kind.replace(':', '')}"
 
 
-def _write_trace(path: Path, columns: list[str], rows: list[tuple[int, float, dict]]):
+def _write_trace(path: Path, columns: list[str], run: samplers.ChainRun):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("sweep,wall_s," + ",".join(columns) + "\n")
-        for sweep, wall, values in rows:
-            cells = [str(int(sweep)), f"{wall:.3f}"]
-            cells += [f"{values[c]:.17g}" for c in columns]
+        for sweep, wall, values in zip(run.times.tolist(), run.wall.tolist(), run.values.tolist()):
+            cells = [str(sweep), f"{wall:.3f}"] + [f"{v:.17g}" for v in values]
             fh.write(",".join(cells) + "\n")
 
 
@@ -609,45 +610,34 @@ def read_trace(path) -> dict[str, diagnostics.TraceSeries]:
 
 
 def _run_single_chain(cfg: ExperimentConfig, dataset: Dataset, idx: int, kind: str, deadline: float | None):
+    """Run one chain; the records hold the observer's columns in order."""
     spec = cfg.network
     chain_rng = RngStream(cfg.seed, (idx,))
+    step_rng = chain_rng.child(1)
     observer = _Observer(cfg, dataset)
-    rows: list[tuple[int, float, dict]] = []
-    start = time.monotonic()
-
-    def due(t):
-        return t % cfg.spacing == 0
+    init_state = initialize_chain(kind, dataset, spec, cfg.noise, cfg.prior, chain_rng.child(0))
 
     if cfg.sampler.kind == "gibbs":
-        state = initialize_chain(kind, dataset, spec, cfg.noise, cfg.prior, chain_rng.child(0))
-        sweep_rng = chain_rng.child(1)
-        schedule = gibbs.SweepSchedule(cfg.sampler.schedule_mode, cfg.sampler.workers)
-        rows.append((0, 0.0, observer.observe_state(state)))
-        for t in range(1, cfg.sweeps + 1):
-            gibbs.gibbs_sweep(state, spec, cfg.noise, cfg.prior, schedule, sweep_rng)
-            if due(t):
-                rows.append((t, time.monotonic() - start, observer.observe_state(state)))
-            if deadline is not None and time.monotonic() > deadline:
-                if not due(t):
-                    rows.append((t, time.monotonic() - start, observer.observe_state(state)))
-                break
-        final_state = state
-        acceptance = None
+        schedule = gibbs.SweepSchedule()
+
+        def step(state):
+            gibbs.gibbs_sweep(state, spec, cfg.noise, cfg.prior, schedule, step_rng)
+            return state, True
+
+        position, state_of = init_state, lambda state: state
     else:
         if cfg.sampler.posterior == "classical":
             target, packer = posteriors.make_classical_target(dataset, spec, cfg.noise.output_delta, cfg.prior)
         else:
             target, packer = posteriors.make_intermediate_target(dataset, spec, cfg.noise, cfg.prior)
-        init_state = initialize_chain(kind, dataset, spec, cfg.noise, cfg.prior, chain_rng.child(0))
-        parts = {"W": init_state.W, "b": init_state.b, "X": init_state.X, "Z": init_state.Z, "P": init_state.P}
-        position = packer.pack(parts)
         if cfg.sampler.kind == "hmc":
             settings = samplers.HmcSettings(cfg.sampler.step_size, cfg.sampler.leapfrog_steps)
-            stepper = lambda x, r: samplers.hmc_step(x, target, settings, r)[:2]
+            step = lambda x: samplers.hmc_step(x, target, settings, step_rng)[:2]
         else:
             settings = samplers.MalaSettings(cfg.sampler.step_size)
-            stepper = lambda x, r: samplers.mala_step(x, target, settings, r)
-        step_rng = chain_rng.child(1)
+            step = lambda x: samplers.mala_step(x, target, settings, step_rng)
+        parts = {"W": init_state.W, "b": init_state.b, "X": init_state.X, "Z": init_state.Z, "P": init_state.P}
+        position = packer.pack(parts)
 
         def state_of(vec):
             parts = packer.unpack(vec)
@@ -663,20 +653,12 @@ def _run_single_chain(cfg: ExperimentConfig, dataset: Dataset, idx: int, kind: s
                 st.Z[spec.depth + 1] = _clamped_top(spec, dataset)
             return st
 
-        accepted = 0
-        rows.append((0, 0.0, observer.observe_state(state_of(position), acceptance=0.0)))
-        for t in range(1, cfg.sweeps + 1):
-            position, ok = stepper(position, step_rng)
-            accepted += bool(ok)
-            if due(t):
-                rows.append((t, time.monotonic() - start, observer.observe_state(state_of(position), acceptance=accepted / t)))
-            if deadline is not None and time.monotonic() > deadline:
-                if not due(t):
-                    rows.append((t, time.monotonic() - start, observer.observe_state(state_of(position), acceptance=accepted / t)))
-                break
-        final_state = state_of(position)
-        acceptance = accepted / t
-    return rows, observer.columns, final_state, acceptance
+    def observe(x, rate):
+        out = observer.observe_state(state_of(x), rate)
+        return [out[c] for c in observer.columns]
+
+    run = samplers.run_chain(step, position, cfg.sweeps, observe, cfg.spacing, deadline)
+    return run, observer.columns
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
@@ -706,32 +688,33 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
     summary = {"chains": [], "merge": {}, "config": cfg.to_dict()}
     traces = {}
-    for (idx, kind), (rows, columns, final_state, acceptance) in sorted(results.items()):
+    for (idx, kind), (run, columns) in sorted(results.items()):
         label = _chain_label(idx, kind)
         path = out / f"trace_{label}.csv"
-        _write_trace(path, columns, rows)
-        traces[label] = (kind, path, rows, columns)
+        _write_trace(path, columns, run)
+        traces[label] = (kind, path, run, columns)
         entry = {
             "label": label,
             "initialization": kind,
             "file": path.name,
-            "records": len(rows),
-            "final": {c: rows[-1][2][c] for c in columns},
+            "records": len(run.times),
+            "final": dict(zip(columns, run.values[-1].tolist())),
         }
-        if acceptance is not None:
-            entry["acceptance_rate"] = acceptance
+        if cfg.sampler.kind != "gibbs":
+            entry["acceptance_rate"] = run.acceptance_rate
         summary["chains"].append(entry)
 
     merge_obs = _merge_observable(traces)
     if merge_obs is not None:
         informed_label = next((lab for lab, (kind, *_rest) in traces.items() if kind == "informed"), None)
         if informed_label is not None:
-            informed_series = _series_from_rows(traces[informed_label][2], merge_obs)
+            _kind, _path, informed_run, columns = traces[informed_label]
+            informed_series = _series_of(informed_run, columns, merge_obs)
             log_scaled = merge_obs == "test_mse"
-            for label, (kind, path, rows, columns) in traces.items():
+            for label, (kind, path, run, columns) in traces.items():
                 if label == informed_label:
                     continue
-                series = _series_from_rows(rows, merge_obs)
+                series = _series_of(run, columns, merge_obs)
                 try:
                     when, phi = diagnostics.teacher_student_merge(
                         informed_series,
@@ -756,12 +739,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
 def _merge_observable(traces) -> str | None:
     for obs in ("test_mse", "test_error", "w1_sqnorm"):
-        if all(obs in columns for (_k, _p, _rows, columns) in traces.values()):
+        if all(obs in columns for (_k, _p, _run, columns) in traces.values()):
             return obs
     return None
 
 
-def _series_from_rows(rows, column) -> diagnostics.TraceSeries:
-    times = np.asarray([r[0] for r in rows])
-    values = np.asarray([r[2][column] for r in rows], dtype=float)
-    return diagnostics.TraceSeries(times=times, values=values)
+def _series_of(run: samplers.ChainRun, columns: list[str], column: str) -> diagnostics.TraceSeries:
+    return diagnostics.TraceSeries(times=run.times, values=run.values[:, columns.index(column)])

@@ -1,14 +1,12 @@
 """Stateless numerical primitives shared by all samplers.
 
-Multivariate Gaussian sampling through Cholesky factors with a jitter
-ladder, one-sided truncated-normal generation that stays cheap arbitrarily
-deep in the tail, overflow-free two-branch mass ratios, and reproducible
-counter-based RNG streams.
+Cholesky factors with a jitter ladder, one-sided truncated-normal
+generation that stays cheap arbitrarily deep in the tail, overflow-free
+two-branch mass ratios, and reproducible counter-based RNG streams.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
@@ -16,11 +14,7 @@ from scipy.special import log_ndtr, ndtr, ndtri
 __all__ = [
     "NotPositiveDefinite",
     "RngStream",
-    "GaussianParams",
-    "TruncationSide",
     "cholesky_factor",
-    "sample_mvn",
-    "sample_truncated_normal",
     "std_lower_truncated",
     "trunc_norm_lower",
     "trunc_norm_upper",
@@ -42,13 +36,6 @@ class NotPositiveDefinite(Exception):
     """Covariance could not be factored even after maximum jitter."""
 
 
-class TruncationSide:
-    """Which half-line of the real axis a truncated normal lives on."""
-
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-
-
 class RngStream:
     """A reproducible, addressable random stream.
 
@@ -56,11 +43,11 @@ class RngStream:
     ``stream_id`` tuples give statistically independent streams, and two
     streams constructed from the same ``(seed, stream_id)`` produce
     bitwise-identical draws. Child streams are pure functions of the
-    parent's identity plus the extra ids, so per-layer streams stay
-    reproducible under any parallel scheduling.
+    parent's identity plus the extra ids, so a stream's draws do not depend
+    on which other streams were created or used before it.
     """
 
-    __slots__ = ("seed", "stream_id", "_generator", "_spawned")
+    __slots__ = ("seed", "stream_id", "_generator")
 
     def __init__(self, seed: int, stream_id: int | tuple[int, ...] = ()):
         if isinstance(stream_id, int):
@@ -71,7 +58,6 @@ class RngStream:
         key = tuple(2 * s if s >= 0 else -2 * s - 1 for s in self.stream_id)
         seq = np.random.SeedSequence(self.seed, spawn_key=key)
         self._generator = np.random.Generator(np.random.Philox(seq))
-        self._spawned = 0
 
     @property
     def generator(self) -> np.random.Generator:
@@ -81,38 +67,8 @@ class RngStream:
         """Derive an independent stream addressed by extra id components."""
         return RngStream(self.seed, self.stream_id + ids)
 
-    def spawn(self) -> "RngStream":
-        """Derive the next child in a deterministic sequence of spawns."""
-        out = self.child(self._spawned)
-        self._spawned += 1
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Mean vector and symmetric covariance of a multivariate Gaussian."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.asarray(self.covariance, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ValueError("covariance must be a square matrix")
-        if mean.shape != (cov.shape[0],):
-            raise ValueError("mean and covariance dimensions disagree")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(cov).max())):
-            raise ValueError("covariance must be symmetric")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
 
 
 def cholesky_factor(covariance: np.ndarray, return_jitter: bool = False):
@@ -144,17 +100,6 @@ def cholesky_factor(covariance: np.ndarray, return_jitter: bool = False):
     raise NotPositiveDefinite(
         f"Cholesky failed after {_JITTER_ATTEMPTS} jitter attempts (last jitter {jitter:.3e})"
     )
-
-
-def sample_mvn(params: GaussianParams, rng: RngStream, size: int | None = None) -> np.ndarray:
-    """Exact draw(s) from N(mean, covariance) via mean + L z."""
-    factor = cholesky_factor(params.covariance)
-    gen = rng.generator
-    if size is None:
-        z = gen.standard_normal(params.dim)
-        return params.mean + factor @ z
-    z = gen.standard_normal((size, params.dim))
-    return params.mean + z @ factor.T
 
 
 def std_lower_truncated(a: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -218,17 +163,6 @@ def trunc_norm_upper(mean, var, upper, rng: RngStream) -> np.ndarray:
     mean = np.asarray(mean, dtype=float)
     upper = np.asarray(upper, dtype=float)
     return -trunc_norm_lower(-mean, var, -upper, rng)
-
-
-def sample_truncated_normal(mu: float, var: float, side: str, rng: RngStream) -> float:
-    """One draw from N(mu, var) restricted to the chosen half-line."""
-    if var <= 0.0:
-        raise ValueError("variance must be positive")
-    if side == TruncationSide.POSITIVE:
-        return float(trunc_norm_lower(mu, var, 0.0, rng))
-    if side == TruncationSide.NEGATIVE:
-        return float(-trunc_norm_lower(-mu, var, 0.0, rng))
-    raise ValueError(f"unknown truncation side: {side!r}")
 
 
 def log_gauss_mass_lower(mean, var, bound):

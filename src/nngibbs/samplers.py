@@ -1,13 +1,16 @@
-"""Gradient-based baseline samplers: Hamiltonian Monte Carlo and the
-Metropolis-adjusted Langevin algorithm.
+"""Gradient-based baseline samplers, Hamiltonian Monte Carlo and the
+Metropolis-adjusted Langevin algorithm, and the chain runner every
+sampler (Gibbs included) is iterated by.
 
-Both operate on a flat position vector through a single callable that
-returns the log density and its gradient. No mass-matrix or step-size
-adaptation: hyperparameters are fixed inputs, acceptance is computed in
-log space, and a non-finite proposal density counts as a rejection.
+HMC and MALA operate on a flat position vector through a single callable
+that returns the log density and its gradient. No mass-matrix or
+step-size adaptation: hyperparameters are fixed inputs, acceptance is
+computed in log space, and a non-finite proposal density counts as a
+rejection.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,61 +105,66 @@ def mala_step(position: np.ndarray, target, settings: MalaSettings, rng: RngStre
 
 @dataclass
 class ChainRun:
-    """Recorded trajectory of one MCMC chain."""
+    """Recorded trajectory of one Markov chain.
+
+    ``times`` are the step counts of the records, ``wall`` the seconds
+    from the start of the run to each record, and ``steps`` the steps
+    actually taken.
+    """
 
     times: np.ndarray
+    wall: np.ndarray
     values: np.ndarray
     accepted: int
     steps: int
-    final_position: np.ndarray
+    final_position: object
 
     @property
     def acceptance_rate(self) -> float:
         return self.accepted / self.steps if self.steps else float("nan")
 
 
-def run_chain(
-    kind: str,
-    position: np.ndarray,
-    target,
-    settings,
-    n_steps: int,
-    observer=None,
-    spacing: int = 1,
-    rng: RngStream | None = None,
-) -> ChainRun:
-    """Iterate a sampler, recording the observer every ``spacing`` steps.
+def run_chain(step, position, n_steps: int, observer=None, spacing: int = 1, deadline: float | None = None) -> ChainRun:
+    """Iterate ``step`` from ``position``, recording every ``spacing`` steps.
 
-    The initial state is always recorded; afterwards records land on step
-    multiples of ``spacing``. The accepted/total bookkeeping is exact.
+    ``step`` maps a state to ``(next state, accepted)``; a Gibbs sweep
+    always counts as accepted. ``observer(state, rate)`` also receives the
+    running acceptance rate, 0.0 at t=0. The initial state is always
+    recorded; afterwards records land on step multiples of ``spacing``.
+    Once the ``time.monotonic()`` ``deadline`` has passed, the last step
+    taken is recorded (unless it just was) and the chain stops. The
+    accepted/total bookkeeping is exact.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    if rng is None:
-        raise ValueError("an RngStream is required")
-    if kind == "hmc":
-        step = lambda x: hmc_step(x, target, settings, rng)[:2]
-    elif kind == "mala":
-        step = lambda x: mala_step(x, target, settings, rng)
-    else:
-        raise ValueError(f"unknown sampler kind {kind!r}")
     if observer is None:
-        observer = lambda x: np.asarray([0.0])
+        observer = lambda x, rate: 0.0
+    start = time.monotonic()
+    times, wall, values = [], [], []
 
-    x = np.asarray(position, dtype=float).copy()
-    times = [0]
-    values = [np.atleast_1d(np.asarray(observer(x), dtype=float))]
+    def record(t, x, rate):
+        times.append(t)
+        wall.append(time.monotonic() - start)
+        values.append(observer(x, rate))
+
+    x = position
+    record(0, x, 0.0)
     accepted = 0
     for t in range(1, n_steps + 1):
         x, ok = step(x)
         accepted += bool(ok)
-        if t % spacing == 0:
-            times.append(t)
-            values.append(np.atleast_1d(np.asarray(observer(x), dtype=float)))
+        due = t % spacing == 0
+        if due:
+            record(t, x, accepted / t)
+        if deadline is not None and time.monotonic() > deadline:
+            if not due:
+                record(t, x, accepted / t)
+            break
     return ChainRun(
         times=np.asarray(times),
-        values=np.asarray(values),
+        wall=np.asarray(wall),
+        values=np.asarray(values, dtype=float),
         accepted=accepted,
-        steps=n_steps,
+        steps=t,
         final_position=x,
     )

@@ -443,58 +443,10 @@ class TestSweep:
         se = np.sqrt(np.diag(cov) / len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * se)
 
-    def test_sequential_vs_phase_parallel_agree(self):
-        spec = mlp([4, 3, 3, 1])
-        noise = NoiseSchedule.uniform(spec, 0.3)
-        prior = PriorSpec.fan_in(spec)
-        data_rng = RngStream(34)
-        X = data_rng.generator.standard_normal((40, 4))
-        W = {l: data_rng.generator.standard_normal(spec.weight_shape(l)) for l in (1, 2, 3)}
-        b = {l: data_rng.generator.standard_normal(spec.bias_width(l)) for l in (1, 2, 3)}
-        teacher, _ = forward_generate(spec, noise, W, b, X, data_rng)
 
-        def norms(schedule, seed):
-            state = teacher.copy()
-            rng = RngStream(seed)
-            out = []
-            for t in range(4000):
-                gibbs_sweep(state, spec, noise, prior, schedule, rng)
-                out.append(float(np.sum(state.W[1] ** 2)))
-            return np.asarray(out[500:])
-
-        seq = norms(SweepSchedule("sequential"), 35)
-        par = norms(SweepSchedule("phase_parallel", worker_count=3), 36)
-        from conftest import batch_mean_se
-
-        m1, se1 = batch_mean_se(seq)
-        m2, se2 = batch_mean_se(par)
-        assert abs(m1 - m2) < 3 * np.hypot(se1, se2)
-
-    def test_phase_parallel_independent_of_worker_count(self):
-        spec = mlp([4, 3, 3, 1])
-        noise = NoiseSchedule.uniform(spec, 0.3)
-        prior = PriorSpec.fan_in(spec)
-
-        def run(workers):
-            data_rng = RngStream(37)
-            X = data_rng.generator.standard_normal((10, 4))
-            W = {l: data_rng.generator.standard_normal(spec.weight_shape(l)) for l in (1, 2, 3)}
-            b = {l: data_rng.generator.standard_normal(spec.bias_width(l)) for l in (1, 2, 3)}
-            state, _ = forward_generate(spec, noise, W, b, X, data_rng)
-            rng = RngStream(38)
-            for _ in range(10):
-                gibbs_sweep(state, spec, noise, prior, SweepSchedule("phase_parallel", worker_count=workers), rng)
-            return state
-
-        s1, s3 = run(1), run(3)
-        for l in (1, 2, 3):
-            np.testing.assert_array_equal(s1.W[l], s3.W[l])
-        np.testing.assert_array_equal(s1.Z[3], s3.Z[3])
-
-
-def probit_chain(seed, depth=2):
-    """A dense probit chain generated from random weights, ready to sweep."""
-    spec = mlp([6] + [4] * (depth - 1) + [3], output="probit")
+def probit_chain(seed):
+    """A dense 6-4-3 probit chain generated from random weights, ready to sweep."""
+    spec = mlp([6, 4, 3], output="probit")
     noise = NoiseSchedule.uniform(spec, 0.5)
     prior = PriorSpec.fan_in(spec)
     rng = RngStream(seed)
@@ -506,10 +458,7 @@ def probit_chain(seed, depth=2):
 
 
 class TestClampedFactorCache:
-    @pytest.mark.parametrize(
-        "schedule", [SweepSchedule(), SweepSchedule("phase_parallel", worker_count=2)], ids=["sequential", "phase_parallel"]
-    )
-    def test_cached_sweeps_bitwise_equal_to_uncached(self, schedule):
+    def test_cached_sweeps_bitwise_equal_to_uncached(self):
         def run(empty_cache):
             spec, noise, prior, state = probit_chain(40)
             rng = RngStream(41)
@@ -517,7 +466,7 @@ class TestClampedFactorCache:
             for _ in range(6):
                 if empty_cache:
                     state._clamped = None
-                gibbs_sweep(state, spec, noise, prior, schedule, rng)
+                gibbs_sweep(state, spec, noise, prior, SweepSchedule(), rng)
                 built.append(state._clamped)
             return state, built
 
@@ -533,34 +482,6 @@ class TestClampedFactorCache:
         want = dense_w_draw(state.X[1], z_next, noise.delta_z[2], prior.lambda_w[1], RngStream(43))
         gibbs_sweep(state, spec, noise, prior, SweepSchedule(), RngStream(43))
         assert state.W[1].tobytes() == want.tobytes()
-
-    def test_phase_parallel_cache_touched_only_by_layer1_w_task(self, monkeypatch):
-        import threading
-
-        import nngibbs.gibbs as G
-
-        local = threading.local()
-        callers = []
-        update_w, clamped = G.update_W_layer, G.clamped_factor
-
-        def update_w_wrapper(l, *args, **kw):
-            local.layer = l
-            try:
-                return update_w(l, *args, **kw)
-            finally:
-                local.layer = None
-
-        def clamped_wrapper(*args, **kw):
-            callers.append(getattr(local, "layer", None))
-            return clamped(*args, **kw)
-
-        monkeypatch.setattr(G, "update_W_layer", update_w_wrapper)
-        monkeypatch.setattr(G, "clamped_factor", clamped_wrapper)
-        spec, noise, prior, state = probit_chain(44, depth=3)
-        rng = RngStream(45)
-        for _ in range(5):
-            gibbs_sweep(state, spec, noise, prior, SweepSchedule("phase_parallel", worker_count=2), rng)
-        assert callers == [1] * 5
 
     @pytest.mark.parametrize("change", ["replace_x1", "delta_z", "lambda_w"])
     def test_change_rebuilds_factor(self, change):

@@ -83,6 +83,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sampler"):
             ExperimentConfig.from_dict(base_config(sampler={"kind": "hmc", "posterior": "classical"}))
 
+    def test_saved_sequential_schedule_still_loads(self):
+        # every config saved while the sweep order was selectable carries these
+        old = {"kind": "gibbs", "posterior": "intermediate", "schedule_mode": "sequential", "workers": 1}
+        nested = {"kind": "gibbs", "posterior": "intermediate", "schedule": {"mode": "sequential", "workers": 1}}
+        want = ExperimentConfig.from_dict(base_config())
+        assert ExperimentConfig.from_dict(base_config(sampler=old)) == want
+        assert ExperimentConfig.from_dict(base_config(sampler=nested)) == want
+
+    def test_removed_schedule_mode_rejected(self):
+        flat = {"kind": "gibbs", "posterior": "intermediate", "schedule_mode": "phase_parallel", "workers": 2}
+        with pytest.raises(ConfigError, match=r"sampler\.schedule_mode"):
+            ExperimentConfig.from_dict(base_config(sampler=flat))
+        nested = {"kind": "gibbs", "posterior": "intermediate", "schedule": {"mode": "phase_parallel"}}
+        with pytest.raises(ConfigError, match=r"sampler\.schedule\.mode"):
+            ExperimentConfig.from_dict(base_config(sampler=nested))
+
     def test_sign_activation_blocks_gradient_samplers(self):
         raw = base_config(sampler={"kind": "mala", "posterior": "classical", "step_size": 1e-4})
         raw["network"]["activation"] = "sign"

@@ -1,5 +1,8 @@
 """HMC and MALA transition checks: integrator reversibility, exact
-acceptance bookkeeping, and recovery of Gaussian target moments."""
+acceptance bookkeeping, and recovery of Gaussian target moments; and the
+chain runner's records, spacing and deadline."""
+import time
+
 import numpy as np
 import pytest
 
@@ -157,10 +160,12 @@ class TestMala:
 
 class TestRunChain:
     def test_budget_one_records_initial_plus_one(self):
-        run = run_chain("mala", np.zeros(2), flat_target, MalaSettings(0.1), n_steps=1, rng=RngStream(9))
+        rng = RngStream(9)
+        step = lambda x: mala_step(x, flat_target, MalaSettings(0.1), rng)
+        run = run_chain(step, np.zeros(2), n_steps=1)
         assert list(run.times) == [0, 1]
         with pytest.raises(ValueError):
-            run_chain("mala", np.zeros(2), flat_target, MalaSettings(0.1), n_steps=0, rng=RngStream(9))
+            run_chain(step, np.zeros(2), n_steps=0)
 
     def test_acceptance_bookkeeping_exact(self):
         target = gaussian_target(np.eye(2))
@@ -172,7 +177,7 @@ class TestRunChain:
             return target(x)
 
         rng = RngStream(10)
-        run = run_chain("mala", np.zeros(2), counting_target, MalaSettings(0.9), n_steps=500, rng=rng)
+        run = run_chain(lambda x: mala_step(x, counting_target, MalaSettings(0.9), rng), np.zeros(2), n_steps=500)
         # replay with an identical stream to count acceptances independently
         rng2 = RngStream(10)
         x = np.zeros(2)
@@ -184,7 +189,23 @@ class TestRunChain:
         assert run.acceptance_rate == acc / 500
 
     def test_measurement_spacing(self):
-        obs = lambda x: x
-        run = run_chain("hmc", np.zeros(1), gaussian_target(np.eye(1)), HmcSettings(0.1, 5), n_steps=1000, observer=obs, spacing=100, rng=RngStream(11))
+        obs = lambda x, rate: x
+        rng = RngStream(11)
+        step = lambda x: hmc_step(x, gaussian_target(np.eye(1)), HmcSettings(0.1, 5), rng)[:2]
+        run = run_chain(step, np.zeros(1), n_steps=1000, observer=obs, spacing=100)
         assert list(run.times) == [0, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
         assert run.values.shape == (11, 1)
+
+    def test_past_deadline_records_the_step_taken_and_stops(self):
+        rates = []
+
+        def obs(x, rate):
+            rates.append(rate)
+            return x
+
+        run = run_chain(lambda x: (x + 1.0, True), 0.0, n_steps=1000, observer=obs, spacing=100, deadline=time.monotonic() - 1.0)
+        assert list(run.times) == [0, 1]
+        assert len(run.wall) == 2
+        assert run.steps == 1 and run.final_position == 1.0
+        assert run.accepted == 1 and run.acceptance_rate == 1.0
+        assert rates == [0.0, 1.0]
