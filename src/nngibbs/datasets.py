@@ -47,13 +47,6 @@ class CountMismatch(Exception):
     """Image and label files disagree on the number of records."""
 
 
-def _input_shape(spec: NetworkSpec) -> tuple[int, ...]:
-    first = spec.layers[0]
-    if first.kind == "dense":
-        return (first.in_width,)
-    return (first.channels_in, first.in_height, first.in_width)
-
-
 def sample_prior_weights(spec: NetworkSpec, prior: PriorSpec, rng: RngStream):
     """Draw a full parameter set from the Gaussian prior."""
     gen = rng.generator
@@ -87,7 +80,7 @@ def generate_teacher_student(
     if noise_gen is None and not noiseless:
         raise ValueError("need a generation noise schedule unless noiseless")
     gen = rng.generator
-    shape = _input_shape(spec)
+    shape = spec.layers[0].in_shape
     inputs = gen.standard_normal((n, *shape))
     teacher_W, teacher_b = sample_prior_weights(spec, prior, rng)
     schedule = noise_gen if noise_gen is not None else NoiseSchedule.uniform(spec, 1.0)

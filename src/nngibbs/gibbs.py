@@ -1,16 +1,22 @@
-"""Conditional-distribution updates for dense networks and the Gibbs sweep.
+"""Conditional-distribution updates and the Gibbs sweep.
 
 Every update redraws one variable block from its exact conditional given
 the rest of the chain: rows of X and W are multivariate Gaussians sharing
-one precision factorization per block, pre-activations Z are scalar
-two-branch mixtures of one-sided truncated normals, biases are scalar
-Gaussians, and the probit output layer is a sequential pass of truncated
-normals that preserves the argmax constraint.
+one precision factorization per block (a conv layer's weight rows are its
+filters), pre-activations Z are scalar two-branch mixtures of one-sided
+truncated normals, biases are scalar Gaussians (one per unit, or per conv
+channel), and the probit output layer is a sequential pass of truncated
+normals that preserves the argmax constraint. Where a pool feeds X[l],
+the pooled values P[l] take the two-branch law and Z[l] is redrawn window
+by window (``conv.update_pool_X``).
 
-Hidden layers factor their shared precision once per sweep. The
-first-layer weight precision depends on the data only through the clamped
-input X[1], so it is factored once per chain (``clamped_factor``) and
-only its right-hand side is rebuilt each sweep.
+One sweep walks the weighted layers of any supported stack. Hidden
+layers factor their shared precision once per sweep. The first-layer
+weight precision depends on the data only through the clamped input
+X[1], so it is factored once per chain (``clamped_factor``) and only its
+right-hand side is rebuilt each sweep. Each layer's product W[l]·X[l] is
+computed once per sweep, after its W draw, and serves its bias draw, the
+next Z draw and the probit draw.
 """
 from __future__ import annotations
 
@@ -19,9 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from . import kernels
+from . import conv, kernels
 from .kernels import RngStream, branch_prob_negative, log_gauss_mass_lower, log_gauss_mass_upper
-from .network import Activation, ChainState, NetworkSpec, NoiseSchedule, PriorSpec, OUTPUT_PROBIT
+from .network import (
+    Activation,
+    ChainState,
+    DenseMap,
+    NetworkSpec,
+    NoiseSchedule,
+    PriorSpec,
+    OUTPUT_PROBIT,
+    add_bias,
+    as_rows,
+    sub_bias,
+)
 
 __all__ = [
     "SweepSchedule",
@@ -48,11 +65,12 @@ class UnsupportedActivation(Exception):
 class SweepSchedule:
     """The one order in which a Gibbs sweep visits the variable blocks.
 
-    Dense stacks: the first layer's weights and bias, then per layer
-    X, W, bias, Z, then the output Z for probit. The conv pipeline has its
-    own fixed order (``conv.gibbs_sweep_conv``). There is nothing to set:
-    the class is kept because ``gibbs_sweep`` takes it as its ``schedule``
-    argument, and existing callers pass ``SweepSchedule()``.
+    W[1] and b[1]; then for l = 2..L: X[l], W[l], b[l], P[l] (when a pool
+    feeds X[l]) and Z[l]; then the output Z for probit. The conv+pool
+    classifier therefore runs W1, b1, X2, W2, b2, P2, Z2, probit. There is
+    nothing to set: the class is kept because ``gibbs_sweep`` takes it as
+    its ``schedule`` argument, and existing callers pass
+    ``SweepSchedule()``.
     """
 
 
@@ -197,8 +215,9 @@ class ClampedFactor:
     """Cholesky factor of the first-layer weight precision, built from the
     X[1] object ``x`` under ``key`` = (first layer, delta_z[2], lambda_w[1]).
 
-    ``design`` holds the weight rows' inputs (X[1] itself, or its flattened
-    conv patches); ``jitter`` is what ``kernels.cholesky_factor`` had to add.
+    ``design`` holds the weight rows' inputs (the rows of X[1], or its
+    flattened conv patches); ``jitter`` is what ``kernels.cholesky_factor``
+    had to add.
     """
 
     x: np.ndarray
@@ -208,17 +227,17 @@ class ClampedFactor:
     jitter: float
 
 
-def clamped_factor(state: ChainState, spec: NetworkSpec, noise: NoiseSchedule, prior: PriorSpec, design_of=None) -> ClampedFactor:
+def clamped_factor(state: ChainState, spec: NetworkSpec, noise: NoiseSchedule, prior: PriorSpec) -> ClampedFactor:
     """The chain's cached first-layer weight factor, built on first use.
 
     The entry is rebuilt whenever X[1] is replaced or its key changes.
-    ``design_of`` maps X[1] to the design matrix (identity when omitted).
     """
     x1 = state.X[1]
-    key = (spec.weighted_layers[0], noise.delta_z[2], prior.lambda_w[1])
+    layer = spec.weighted_layers[0]
+    key = (layer, noise.delta_z[2], prior.lambda_w[1])
     entry = state._clamped
     if entry is None or entry.x is not x1 or entry.key != key:
-        design = x1 if design_of is None else design_of(x1)
+        design = layer.op.design(x1)
         factor, jitter = kernels.cholesky_factor(ridge_precision(design, key[1], key[2]), return_jitter=True)
         entry = state._clamped = ClampedFactor(x1, key, design, factor, jitter)
     return entry
@@ -232,13 +251,9 @@ def dense_x_conditional(W: np.ndarray, sigma_prev: np.ndarray, z_next: np.ndarra
     return prec, rhs
 
 
-def _dense_w_rhs(X: np.ndarray, z_next: np.ndarray, dz: float) -> np.ndarray:
-    return (X.T @ z_next / dz).T  # one row per output unit
-
-
 def dense_w_conditional(X: np.ndarray, z_next: np.ndarray, dz: float, lam: float):
     """Precision and per-output-row right-hand sides of the weight law."""
-    return ridge_precision(X, dz, lam), _dense_w_rhs(X, z_next, dz)
+    return ridge_precision(X, dz, lam), DenseMap().w_rhs(X, z_next, dz)
 
 
 def dense_x_draw(W: np.ndarray, sigma_prev: np.ndarray, z_next: np.ndarray, dz: float, dx: float, rng: RngStream) -> np.ndarray:
@@ -258,17 +273,20 @@ def dense_w_draw(X: np.ndarray, z_next: np.ndarray, dz: float, lam: float, rng: 
 
 
 def update_X_layer(l: int, state: ChainState, spec: NetworkSpec, noise: NoiseSchedule, rng: RngStream) -> np.ndarray:
-    """Redraw all rows of X[l] (2 <= l <= L) from their joint Gaussian."""
+    """Redraw all rows of X[l] (2 <= l <= L) from their joint Gaussian.
+
+    X[l] is drawn flattened around the activation of P[l] when a pool
+    feeds it, else of Z[l], and keeps its shape.
+    """
     big_l = spec.depth
     if not 2 <= l <= big_l:
         raise ValueError(f"X update needs 2 <= l <= {big_l}")
-    z_next = state.Z[l + 1]
-    if state.b.get(l) is not None:
-        z_next = z_next - state.b[l]
-    sigma_prev = spec.activation.apply(state.Z[l])
+    z_next = sub_bias(state.Z[l + 1], state.b.get(l))
+    pre = state.P[l] if l in spec.pools else state.Z[l]
+    sigma_prev = as_rows(spec.activation.apply(pre))
     new_x = dense_x_draw(state.W[l], sigma_prev, z_next, noise.delta_z[l + 1], noise.delta_x[l], rng)
-    state.X[l] = new_x
-    return new_x
+    state.X[l] = new_x.reshape(state.X[l].shape)
+    return state.X[l]
 
 
 def update_W_layer(
@@ -281,64 +299,105 @@ def update_W_layer(
 ) -> np.ndarray:
     """Redraw all rows of W[l] from their shared-covariance Gaussian.
 
-    Layer 1 draws from the chain's cached factor (``clamped_factor``).
+    Layer 1 draws from the chain's cached factor (``clamped_factor``); a
+    conv layer's rows are its filters, over packed (channel,
+    filter-position) indices.
     """
-    if spec.weighted_layers[l - 1].kind != "dense":
-        raise ValueError("dense W update called on a non-dense layer")
-    z_next = state.Z[l + 1]
-    if state.b.get(l) is not None:
-        z_next = z_next - state.b[l]
+    z_next = sub_bias(state.Z[l + 1], state.b.get(l))
     dz = noise.delta_z[l + 1]
     if l == 1:
+        layer = spec.weighted_layers[0]
         entry = clamped_factor(state, spec, noise, prior)
-        new_w = draw_rows_from_factor(entry.factor, _dense_w_rhs(entry.design, z_next, dz), rng)
+        rows = draw_rows_from_factor(entry.factor, layer.op.w_rhs(entry.design, z_next, dz), rng)
+        new_w = rows.reshape(layer.weight_shape)
     else:
-        new_w = dense_w_draw(state.X[l], z_next, dz, prior.lambda_w[l], rng)
+        new_w = dense_w_draw(as_rows(state.X[l]), z_next, dz, prior.lambda_w[l], rng)
     state.W[l] = new_w
     return new_w
 
 
-def update_Z_layer(l: int, state: ChainState, spec: NetworkSpec, noise: NoiseSchedule, rng: RngStream) -> np.ndarray:
-    """Redraw every scalar of Z[l] (2 <= l <= L) from the two-branch law."""
+def update_Z_layer(
+    l: int,
+    state: ChainState,
+    spec: NetworkSpec,
+    noise: NoiseSchedule,
+    rng: RngStream,
+    product: np.ndarray | None = None,
+) -> np.ndarray:
+    """Redraw Z[l] (2 <= l <= L) around W[l-1]·X[l-1] + b[l-1].
+
+    Every scalar follows the two-branch law, unless a pool feeds X[l]:
+    then the pooled values P[l] take that law (they see Z[l] through
+    their window average) and Z[l] is redrawn window by window.
+    ``product`` is W[l-1]·X[l-1] when the caller already has it.
+    """
     big_l = spec.depth
     if not 2 <= l <= big_l:
         raise ValueError(f"Z update needs 2 <= l <= {big_l}")
-    wx = state.X[l - 1] @ state.W[l - 1].T
-    if state.b.get(l - 1) is not None:
-        wx = wx + state.b[l - 1]
-    new_z = sample_z_scalar(spec.activation, wx, state.X[l], noise.delta_z[l], noise.delta_x[l], rng)
+    if product is None:
+        product = spec.weighted_layers[l - 2].op.product(state.W[l - 1], state.X[l - 1])
+    mean = add_bias(product, state.b.get(l - 1))
+    pool = spec.pools.get(l)
+    if pool is None:
+        new_z = sample_z_scalar(spec.activation, mean, state.X[l], noise.delta_z[l], noise.delta_x[l], rng)
+    else:
+        state.P[l] = sample_z_scalar(
+            spec.activation, pool.op.pool_mean(state.Z[l]), state.X[l], noise.delta_pool[l], noise.delta_x[l], rng
+        )
+        new_z = conv.update_pool_X(pool.op, mean, state.P[l], noise.delta_z[l], noise.delta_pool[l], rng)
     state.Z[l] = new_z
     return new_z
 
 
-def dense_bias_draw(resid: np.ndarray, dz: float, lam_b: float, rng: RngStream) -> np.ndarray:
-    """Scalar Gaussian bias draw from per-unit residual columns.
+def bias_draw(resid: np.ndarray, dz: float, lam_b: float, rng: RngStream) -> np.ndarray:
+    """Scalar Gaussian bias draw from the residual Z_next - W·X.
 
-    ``resid`` holds Z_next - X W^T with one column per output unit; rows
-    are whatever the bias is shared across (samples, or samples x pixels
-    for a conv channel bias).
+    Axis 1 of ``resid`` holds the units (or conv channels), one bias
+    each; every other axis (samples, and pixels for a conv channel)
+    shares it.
     """
-    n_shared = resid.shape[0]
+    cols = np.moveaxis(resid, 1, -1).reshape(-1, resid.shape[1])
+    n_shared = cols.shape[0]
     denom = n_shared + dz * lam_b
-    mean = resid.sum(axis=0) / denom
+    mean = cols.sum(axis=0) / denom
     sd = np.sqrt(dz / denom)
     return mean + sd * rng.generator.standard_normal(mean.shape)
 
 
-def update_bias_layer(l: int, state: ChainState, noise: NoiseSchedule, prior: PriorSpec, rng: RngStream) -> np.ndarray:
-    """Redraw the bias vector of a dense layer from its scalar Gaussians."""
-    resid = state.Z[l + 1] - state.X[l] @ state.W[l].T
-    new_b = dense_bias_draw(resid, noise.delta_z[l + 1], prior.lambda_b[l], rng)
+def update_bias_layer(
+    l: int,
+    state: ChainState,
+    noise: NoiseSchedule,
+    prior: PriorSpec,
+    rng: RngStream,
+    product: np.ndarray | None = None,
+) -> np.ndarray:
+    """Redraw the bias of layer l: one scalar Gaussian per unit, or per
+    output channel of a conv layer.
+
+    ``product`` is W[l]·X[l] (``op.product`` of the layer spec); when it
+    is omitted the layer is taken as dense and X[l] W[l]^T is computed.
+    """
+    if product is None:
+        product = DenseMap().product(state.W[l], state.X[l])
+    new_b = bias_draw(state.Z[l + 1] - product, noise.delta_z[l + 1], prior.lambda_b[l], rng)
     state.b[l] = new_b
     return new_b
 
 
-def update_probit_output(state: ChainState, spec: NetworkSpec, noise: NoiseSchedule, rng: RngStream) -> np.ndarray:
+def update_probit_output(
+    state: ChainState,
+    spec: NetworkSpec,
+    noise: NoiseSchedule,
+    rng: RngStream,
+    product: np.ndarray | None = None,
+) -> np.ndarray:
     """Sequential coordinate pass over the constrained output scores.
 
     The label coordinate is drawn truncated below at the running maximum
     of the others; every other coordinate truncated above at the label
     coordinate. The argmax constraint holds after every single draw.
+    ``product`` is W[L]·X[L] when the caller already has it.
     """
     if spec.output != OUTPUT_PROBIT:
         raise ValueError("probit update requires a probit output model")
@@ -348,12 +407,9 @@ def update_probit_output(state: ChainState, spec: NetworkSpec, noise: NoiseSched
     if y is None:
         raise ValueError("probit state has no labels")
     n, n_class = Z.shape
-    x_top = state.X[big_l]
-    if x_top.ndim > 2:
-        x_top = x_top.reshape(n, -1)
-    mean = x_top @ state.W[big_l].T
-    if state.b.get(big_l) is not None:
-        mean = mean + state.b[big_l]
+    if product is None:
+        product = spec.weighted_layers[-1].op.product(state.W[big_l], state.X[big_l])
+    mean = add_bias(product, state.b.get(big_l))
     dz = noise.delta_z[big_l + 1]
     rows = np.arange(n)
     label_vals = Z[rows, y]
@@ -384,21 +440,18 @@ def gibbs_sweep(
 ) -> ChainState:
     """Advance the chain by one full sweep; every unclamped block once, in
     the order ``SweepSchedule`` describes."""
-    if not spec.is_dense:
-        from . import conv
-
-        conv.gibbs_sweep_conv(state, spec, noise, prior, rng)
-        return state
-    big_l = spec.depth
-    update_W_layer(1, state, spec, noise, prior, rng)
-    if spec.has_bias(1):
-        update_bias_layer(1, state, noise, prior, rng)
-    for l in range(2, big_l + 1):
-        update_X_layer(l, state, spec, noise, rng)
+    product = {}
+    for l, layer in enumerate(spec.weighted_layers, start=1):
+        if l > 1:
+            update_X_layer(l, state, spec, noise, rng)
         update_W_layer(l, state, spec, noise, prior, rng)
+        # layer 1 reuses the design (conv: im2col patches) cached with its factor
+        design = state._clamped.design if l == 1 else None
+        product[l] = layer.op.product(state.W[l], state.X[l], design)
         if spec.has_bias(l):
-            update_bias_layer(l, state, noise, prior, rng)
-        update_Z_layer(l, state, spec, noise, rng)
+            update_bias_layer(l, state, noise, prior, rng, product[l])
+        if l > 1:
+            update_Z_layer(l, state, spec, noise, rng, product[l - 1])
     if spec.output == OUTPUT_PROBIT:
-        update_probit_output(state, spec, noise, rng)
+        update_probit_output(state, spec, noise, rng, product[spec.depth])
     return state

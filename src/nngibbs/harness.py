@@ -9,6 +9,7 @@ the wall-clock column.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import datasets as ds
 from . import diagnostics, gibbs, posteriors, samplers
-from .conv import ConvIndexMap
 from .kernels import RngStream
 from .network import (
     Activation,
@@ -31,6 +31,7 @@ from .network import (
     NoiseSchedule,
     PoolLayer,
     PriorSpec,
+    add_bias,
     forward_generate,
     predict,
     test_error,
@@ -130,36 +131,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         spec = self.network
-        layers = []
-        for layer in spec.layers:
-            if layer.kind == "dense":
-                layers.append({"kind": "dense", "in_width": layer.in_width, "out_width": layer.out_width, "has_bias": layer.has_bias})
-            elif layer.kind == "conv":
-                layers.append(
-                    {
-                        "kind": "conv",
-                        "channels_in": layer.channels_in,
-                        "channels_out": layer.channels_out,
-                        "in_height": layer.in_height,
-                        "in_width": layer.in_width,
-                        "filter_height": layer.filter_height,
-                        "filter_width": layer.filter_width,
-                        "stride_y": layer.stride_y,
-                        "stride_x": layer.stride_x,
-                        "has_bias": layer.has_bias,
-                    }
-                )
-            else:
-                layers.append(
-                    {
-                        "kind": "pool",
-                        "channels": layer.channels,
-                        "in_height": layer.in_height,
-                        "in_width": layer.in_width,
-                        "window_height": layer.window_height,
-                        "window_width": layer.window_width,
-                    }
-                )
+        layers = [{"kind": layer.kind, **dataclasses.asdict(layer)} for layer in spec.layers]
         d = {
             "seed": self.seed,
             "sweeps": self.sweeps,
@@ -188,14 +160,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        try:
-            spec = _network_from_dict(raw["network"])
-        except KeyError as exc:
-            raise ConfigError(f"network: missing field {exc}") from exc
-        noise = _noise_from_dict(raw.get("noise", {}), spec)
-        prior = _prior_from_dict(raw.get("prior", {}), spec)
-        dataset = _dataset_from_dict(raw.get("dataset", {}))
-        sampler = _sampler_from_dict(raw.get("sampler", {}))
+        if "network" not in raw:
+            raise ConfigError("network: missing field 'network'")
+        spec = _network_from_dict(_section(raw, "network"))
+        noise = _noise_from_dict(_section(raw, "noise"), spec)
+        prior = _prior_from_dict(_section(raw, "prior"), spec)
+        dataset = _dataset_from_dict(_section(raw, "dataset"))
+        sampler = _sampler_from_dict(_section(raw, "sampler"))
         cfg = cls(
             network=spec,
             noise=noise,
@@ -203,12 +174,12 @@ class ExperimentConfig:
             dataset=dataset,
             sampler=sampler,
             initializations=tuple(raw.get("initializations", ())),
-            sweeps=int(raw.get("sweeps", 1)),
-            spacing=int(raw.get("spacing", 1)),
-            seed=int(raw.get("seed", 0)),
+            sweeps=_number(raw, "sweeps", 1, int),
+            spacing=_number(raw, "spacing", 1, int),
+            seed=_number(raw, "seed", 0, int),
             max_seconds=raw.get("max_seconds"),
-            merge_window=int(raw.get("merge_window", 50)),
-            merge_tolerance=float(raw.get("merge_tolerance", 3.0)),
+            merge_window=_number(raw, "merge_window", 50, int),
+            merge_tolerance=_number(raw, "merge_tolerance", 3.0, float),
         )
         cfg.validate()
         return cfg
@@ -233,41 +204,58 @@ def _to_nested_tuple(x):
     return x
 
 
+def _section(raw: dict, key: str, where: str = "") -> dict:
+    """The nested object raw[key] ({} when absent)."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}{key}: expected an object, got {value!r}")
+    return value
+
+
+def _number(raw: dict, key: str, default, kind):
+    """raw[key] (or ``default``) converted by ``kind``."""
+    value = raw.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
+
+
+_LAYER_KINDS = {"dense": DenseLayer, "conv": ConvLayer, "pool": PoolLayer}
+
+
+def _layer_from_dict(where: str, raw) -> DenseLayer | ConvLayer | PoolLayer:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected an object, got {raw!r}")
+    values = dict(raw)
+    kind = values.pop("kind", "dense")
+    cls = _LAYER_KINDS.get(kind)
+    if cls is None:
+        raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for name, value in values.items():
+        if name not in fields:
+            raise ConfigError(f"{where}.{name}: unknown field of a {kind} layer")
+        # field types are "int", except has_bias: "bool"
+        if fields[name].type == "bool":
+            ok = isinstance(value, (bool, np.bool_))
+        else:
+            ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not ok:
+            raise ConfigError(f"{where}.{name}: expected {fields[name].type}, got {value!r}")
+    for name, f in fields.items():
+        if name not in values and f.default is dataclasses.MISSING:
+            raise ConfigError(f"{where}: missing field {name!r}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _network_from_dict(raw: dict) -> NetworkSpec:
-    layers = []
-    for i, ld in enumerate(raw["layers"]):
-        kind = ld.get("kind", "dense")
-        try:
-            if kind == "dense":
-                layers.append(DenseLayer(ld["in_width"], ld["out_width"], ld.get("has_bias", True)))
-            elif kind == "conv":
-                layers.append(
-                    ConvLayer(
-                        channels_in=ld["channels_in"],
-                        channels_out=ld["channels_out"],
-                        in_height=ld["in_height"],
-                        in_width=ld["in_width"],
-                        filter_height=ld["filter_height"],
-                        filter_width=ld["filter_width"],
-                        stride_y=ld.get("stride_y", 1),
-                        stride_x=ld.get("stride_x", 1),
-                        has_bias=ld.get("has_bias", True),
-                    )
-                )
-            elif kind == "pool":
-                layers.append(
-                    PoolLayer(
-                        channels=ld["channels"],
-                        in_height=ld["in_height"],
-                        in_width=ld["in_width"],
-                        window_height=ld["window_height"],
-                        window_width=ld["window_width"],
-                    )
-                )
-            else:
-                raise ConfigError(f"network.layers[{i}].kind: unknown kind {kind!r}")
-        except KeyError as exc:
-            raise ConfigError(f"network.layers[{i}]: missing field {exc}") from exc
+    if "layers" not in raw:
+        raise ConfigError("network: missing field 'layers'")
+    layers = [_layer_from_dict(f"network.layers[{i}]", ld) for i, ld in enumerate(raw["layers"])]
     try:
         return NetworkSpec(
             layers=tuple(layers),
@@ -339,7 +327,8 @@ def _sampler_from_dict(raw: dict) -> SamplerConfig:
     # saved configs may carry "schedule_mode": "sequential" and "workers": 1;
     # those load, while any other mode is refused rather than silently run
     # as the one sweep order there is
-    for field, mode in (("schedule_mode", raw.get("schedule_mode")), ("schedule.mode", raw.get("schedule", {}).get("mode"))):
+    schedule = _section(raw, "schedule", "sampler.")
+    for field, mode in (("schedule_mode", raw.get("schedule_mode")), ("schedule.mode", schedule.get("mode"))):
         if mode not in (None, "sequential"):
             raise ConfigError(f"sampler.{field}: the only sweep order is 'sequential', got {mode!r}")
     return SamplerConfig(
@@ -392,10 +381,7 @@ def build_dataset(cfg: ExperimentConfig, rng: RngStream) -> Dataset:
 
 
 def _shape_inputs(spec: NetworkSpec, flat: np.ndarray) -> np.ndarray:
-    first = spec.layers[0]
-    if first.kind == "conv":
-        return flat.reshape(len(flat), first.channels_in, first.in_height, first.in_width)
-    return flat.reshape(len(flat), -1)
+    return flat.reshape(len(flat), *spec.layers[0].in_shape)
 
 
 # -- chain initialization -------------------------------------------------
@@ -533,21 +519,6 @@ class _Observer:
         if cfg.sampler.kind in ("hmc", "mala"):
             self.columns.append("acceptance_rate")
         self.columns += [f"w{l}_sqnorm" for l in range(1, spec.depth + 1)]
-        self._imap = None
-        if not spec.is_dense:
-            self._imap = ConvIndexMap.for_layer(spec.layers[0])
-
-    def _first_layer_mean(self, state: ChainState) -> np.ndarray:
-        if self.spec.is_dense:
-            mean = state.X[1] @ state.W[1].T
-        else:
-            mean = self._imap.conv_mean(state.W[1], state.X[1])
-        if state.b.get(1) is not None:
-            bias = state.b[1]
-            if not self.spec.is_dense:
-                bias = bias[None, :, None, None]
-            mean = mean + bias
-        return mean
 
     def _log_posterior_grads(self, state: ChainState) -> dict:
         if self.cfg.sampler.posterior == "intermediate":
@@ -569,7 +540,8 @@ class _Observer:
         if "score_U" in self.columns:
             out["score_U"] = diagnostics.score_statistic(state, self._log_posterior_grads, self.delta)
         if "train_residual" in self.columns:
-            resid = state.Z[2] - self._first_layer_mean(state)
+            first = spec.weighted_layers[0].op
+            resid = state.Z[2] - add_bias(first.product(state.W[1], state.X[1]), state.b.get(1))
             out["train_residual"] = float(np.sum(resid * resid))
         if acceptance is not None:
             out["acceptance_rate"] = acceptance

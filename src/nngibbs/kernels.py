@@ -107,9 +107,13 @@ def std_lower_truncated(a: np.ndarray, gen: np.random.Generator) -> np.ndarray:
 
     Inverse-CDF in the body, exponential-proposal rejection beyond
     ``_TAIL_SPLIT`` standard deviations; expected work stays bounded no
-    matter how deep the truncation.
+    matter how deep the truncation. A bound of -inf is no truncation; a
+    NaN or +inf bound (from a NaN input or a zero variance) has no draw
+    and raises ValueError before any random number is used.
     """
     a = np.asarray(a, dtype=float)
+    if not np.all(a < np.inf):
+        raise ValueError("truncation bound is NaN or +inf: NaN mean/bound or zero variance")
     out = np.empty(a.shape, dtype=float)
 
     body = a <= _TAIL_SPLIT

@@ -10,12 +10,21 @@ each of them.
 Layer indexing follows the natural chain convention: weighted layers are
 numbered l = 1..L, layer l maps X[l] to Z[l+1], X[1] is the clamped input
 and Z[L+1] carries the output (clamped to the labels for regression,
-argmax-constrained for probit classification).
+argmax-constrained for probit classification). A pool after layer l
+produces P[l+1], and X[l+1] is the activation of P[l+1] instead of Z[l+1].
+
+Each layer spec owns its arithmetic through ``op``: ``DenseMap`` for a
+dense layer, ``ConvIndexMap`` for a conv layer (both with the same
+product, residual, gradient and weight-design methods) and ``PoolMap``
+for a pool. The generative pass, the posteriors and the Gibbs sweep all
+walk ``spec.weighted_layers`` through these.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +36,12 @@ __all__ = [
     "DenseLayer",
     "ConvLayer",
     "PoolLayer",
+    "DenseMap",
+    "ConvIndexMap",
+    "PoolMap",
+    "as_rows",
+    "add_bias",
+    "sub_bias",
     "NetworkSpec",
     "NoiseSchedule",
     "PriorSpec",
@@ -74,6 +89,220 @@ class NonDifferentiableActivation(Exception):
     """Gradient requested for an activation without one."""
 
 
+def as_rows(x: np.ndarray) -> np.ndarray:
+    """Samples as rows: (n, ...) -> (n, features), also for n = 0."""
+    return x.reshape(len(x), math.prod(x.shape[1:]))
+
+
+def _on_axis1(b: np.ndarray, ndim: int) -> np.ndarray:
+    """A bias shaped to broadcast along axis 1 (units, or conv channels)."""
+    return b.reshape(b.shape + (1,) * (ndim - 2))
+
+
+def add_bias(mean: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    return mean if b is None else mean + _on_axis1(b, mean.ndim)
+
+
+def sub_bias(z: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    return z if b is None else z - _on_axis1(b, z.ndim)
+
+
+class DenseMap:
+    """The linear map of a dense layer: X W^T over the samples as rows.
+
+    ``ConvIndexMap`` has the same methods for a conv layer. ``design`` is
+    what each weight row sees as its inputs; ``w_rhs`` turns it and the
+    bias-free next pre-activation into the weight rows' right-hand sides.
+    """
+
+    def product(self, w: np.ndarray, x: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
+        return (as_rows(x) if design is None else design) @ w.T
+
+    def design(self, x: np.ndarray) -> np.ndarray:
+        return as_rows(x)
+
+    def w_rhs(self, design: np.ndarray, z: np.ndarray, dz: float) -> np.ndarray:
+        return (design.T @ z / dz).T  # one row per output unit
+
+    def residual(self, z: np.ndarray, product: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+        return sub_bias(z - product, b)
+
+    def weight_grad(self, resid: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return resid.T @ as_rows(x)
+
+    def bias_grad(self, resid: np.ndarray) -> np.ndarray:
+        return resid.sum(axis=0)
+
+
+class ConvIndexMap:
+    """Receptive-field index bookkeeping for one conv geometry, and the
+    conv layer's arithmetic (the same methods as ``DenseMap``).
+
+    ``patch_index[a, r]`` is the flat input position covered by filter
+    position r when the output sits at flat position a; a runs row-major
+    over the output grid and r row-major over the filter. The packed
+    weight index is i = channel * filter_size + r.
+    """
+
+    def __init__(self, in_height: int, in_width: int, filter_height: int, filter_width: int, stride_y: int = 1, stride_x: int = 1):
+        self.in_height = in_height
+        self.in_width = in_width
+        self.filter_height = filter_height
+        self.filter_width = filter_width
+        self.stride_y = stride_y
+        self.stride_x = stride_x
+        self.out_height = (in_height - filter_height) // stride_y + 1
+        self.out_width = (in_width - filter_width) // stride_x + 1
+        ys = np.arange(self.out_height)[:, None] * stride_y + np.arange(filter_height)[None, :]
+        xs = np.arange(self.out_width)[:, None] * stride_x + np.arange(filter_width)[None, :]
+        flat = ys[:, None, :, None] * in_width + xs[None, :, None, :]
+        self.patch_index = flat.reshape(self.out_positions, self.filter_size)
+
+    @classmethod
+    def for_layer(cls, layer: ConvLayer) -> ConvIndexMap:
+        return cls(layer.in_height, layer.in_width, layer.filter_height, layer.filter_width, layer.stride_y, layer.stride_x)
+
+    @property
+    def filter_size(self) -> int:
+        return self.filter_height * self.filter_width
+
+    @property
+    def out_positions(self) -> int:
+        return self.out_height * self.out_width
+
+    @property
+    def in_positions(self) -> int:
+        return self.in_height * self.in_width
+
+    def nu(self, a: int, r: int) -> int:
+        """Flat input position of filter coordinate r at output position a."""
+        return int(self.patch_index[a, r])
+
+    def pack(self, channel: int, r: int) -> int:
+        return channel * self.filter_size + r
+
+    def unpack(self, i: int) -> tuple[int, int]:
+        return divmod(i, self.filter_size)
+
+    def im2col(self, x: np.ndarray) -> np.ndarray:
+        """(n, C, H, W) -> (n, out_positions, C * filter_size) patches."""
+        n, c = x.shape[0], x.shape[1]
+        flat = x.reshape(n, c, self.in_positions)
+        cols = flat[:, :, self.patch_index]  # (n, C, P, K)
+        return cols.transpose(0, 2, 1, 3).reshape(n, self.out_positions, c * self.filter_size)
+
+    def conv_mean(self, w: np.ndarray, x: np.ndarray, patches: np.ndarray | None = None) -> np.ndarray:
+        """Noise-free convolution output, shape (n, C_out, out_h, out_w).
+
+        ``patches`` is ``im2col(x)`` when the caller already has it.
+        """
+        n = x.shape[0]
+        c_out = w.shape[0]
+        if patches is None:
+            patches = self.im2col(x)
+        out = patches @ w.reshape(c_out, -1).T  # (n, P, C_out)
+        return out.transpose(0, 2, 1).reshape(n, c_out, self.out_height, self.out_width)
+
+    def operator_matrix(self, w: np.ndarray) -> np.ndarray:
+        """The conv map as a dense matrix G of shape (C_out*P, C_in*d_in)."""
+        c_out, c_in = w.shape[0], w.shape[1]
+        p, d = self.out_positions, self.in_positions
+        w_flat = w.reshape(c_out, c_in, self.filter_size)
+        g = np.zeros((c_out * p, c_in * d))
+        rows = np.arange(p)[:, None]
+        for alpha in range(c_out):
+            for beta in range(c_in):
+                g[alpha * p + rows, beta * d + self.patch_index] = w_flat[alpha, beta][None, :]
+        return g
+
+    def product(self, w: np.ndarray, x: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
+        patches = None if design is None else design.reshape(len(x), self.out_positions, -1)
+        return self.conv_mean(w, x, patches)
+
+    def design(self, x: np.ndarray) -> np.ndarray:
+        """im2col patches as rows: (n * out_positions, C_in * filter_size)."""
+        patches = self.im2col(x)
+        return patches.reshape(-1, patches.shape[2])
+
+    def w_rhs(self, design: np.ndarray, z: np.ndarray, dz: float) -> np.ndarray:
+        """Right-hand sides of the filters, one row per output channel over
+        packed (channel, filter-position) indices."""
+        n, c_out = z.shape[0], z.shape[1]
+        return z.reshape(n, c_out, self.out_positions).transpose(1, 0, 2).reshape(c_out, -1) @ design / dz
+
+    def residual(self, z: np.ndarray, product: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+        return z - add_bias(product, b)
+
+    def weight_grad(self, resid: np.ndarray, x: np.ndarray) -> np.ndarray:
+        n, c_out = resid.shape[0], resid.shape[1]
+        grad = np.einsum("nca,nak->ck", resid.reshape(n, c_out, self.out_positions), self.im2col(x))
+        return grad.reshape(c_out, -1, self.filter_height, self.filter_width)
+
+    def bias_grad(self, resid: np.ndarray) -> np.ndarray:
+        return resid.reshape(resid.shape[0], resid.shape[1], self.out_positions).sum(axis=(0, 2))
+
+
+class PoolMap:
+    """Average-pooling geometry: window blocks, retained region, leftovers.
+
+    Every retained input pixel belongs to exactly one window; trailing
+    rows/columns that do not fill a window are the discarded set and are
+    resampled around their upstream means.
+    """
+
+    def __init__(self, in_height: int, in_width: int, window_height: int, window_width: int):
+        self.in_height = in_height
+        self.in_width = in_width
+        self.window_height = window_height
+        self.window_width = window_width
+        self.out_height = in_height // window_height
+        self.out_width = in_width // window_width
+        self.k = window_height * window_width
+
+    @classmethod
+    def for_layer(cls, layer: PoolLayer) -> PoolMap:
+        return cls(layer.in_height, layer.in_width, layer.window_height, layer.window_width)
+
+    @property
+    def retained_height(self) -> int:
+        return self.out_height * self.window_height
+
+    @property
+    def retained_width(self) -> int:
+        return self.out_width * self.window_width
+
+    @property
+    def discarded_per_channel(self) -> int:
+        return self.in_height * self.in_width - self.k * self.out_height * self.out_width
+
+    def preimage(self, a: int) -> list[int]:
+        """Flat input positions pooled into flat output position a."""
+        ay, ax = divmod(a, self.out_width)
+        out = []
+        for ry in range(self.window_height):
+            for rx in range(self.window_width):
+                out.append((ay * self.window_height + ry) * self.in_width + ax * self.window_width + rx)
+        return out
+
+    def blocks(self, x: np.ndarray) -> np.ndarray:
+        """View leading (..., H, W) as (..., out_h, win_h, out_w, win_w)."""
+        lead = x.shape[:-2]
+        ret = x[..., : self.retained_height, : self.retained_width]
+        return ret.reshape(*lead, self.out_height, self.window_height, self.out_width, self.window_width)
+
+    def pool_mean(self, x: np.ndarray) -> np.ndarray:
+        return self.blocks(x).mean(axis=(-3, -1))
+
+    def spread(self, d: np.ndarray, like: np.ndarray) -> np.ndarray:
+        """Adjoint of ``pool_mean``: each pooled entry split evenly over its
+        window; discarded pixels get zero. The result has the shape and
+        memory layout of ``like``, the pool's input."""
+        out = np.zeros_like(like)
+        full = np.repeat(np.repeat(d, self.window_height, axis=-2), self.window_width, axis=-1)
+        out[..., : self.retained_height, : self.retained_width] = full / self.k
+        return out
+
+
 @dataclass(frozen=True)
 class DenseLayer:
     in_width: int
@@ -87,8 +316,20 @@ class DenseLayer:
             raise ValueError("dense layer widths must be positive")
 
     @property
-    def out_size(self) -> int:
-        return self.out_width
+    def in_shape(self) -> tuple[int, ...]:
+        return (self.in_width,)
+
+    @property
+    def out_shape(self) -> tuple[int, ...]:
+        return (self.out_width,)
+
+    @property
+    def weight_shape(self) -> tuple[int, ...]:
+        return (self.out_width, self.in_width)
+
+    @cached_property
+    def op(self) -> DenseMap:
+        return DenseMap()
 
 
 @dataclass(frozen=True)
@@ -122,12 +363,20 @@ class ConvLayer:
         return (self.in_width - self.filter_width) // self.stride_x + 1
 
     @property
-    def filter_size(self) -> int:
-        return self.filter_height * self.filter_width
+    def in_shape(self) -> tuple[int, ...]:
+        return (self.channels_in, self.in_height, self.in_width)
 
     @property
-    def out_size(self) -> int:
-        return self.channels_out * self.out_height * self.out_width
+    def out_shape(self) -> tuple[int, ...]:
+        return (self.channels_out, self.out_height, self.out_width)
+
+    @property
+    def weight_shape(self) -> tuple[int, ...]:
+        return (self.channels_out, self.channels_in, self.filter_height, self.filter_width)
+
+    @cached_property
+    def op(self) -> ConvIndexMap:
+        return ConvIndexMap.for_layer(self)
 
 
 @dataclass(frozen=True)
@@ -155,8 +404,12 @@ class PoolLayer:
         return self.in_width // self.window_width
 
     @property
-    def out_size(self) -> int:
-        return self.channels * self.out_height * self.out_width
+    def out_shape(self) -> tuple[int, ...]:
+        return (self.channels, self.out_height, self.out_width)
+
+    @cached_property
+    def op(self) -> PoolMap:
+        return PoolMap.for_layer(self)
 
 
 LayerSpec = DenseLayer | ConvLayer | PoolLayer
@@ -169,8 +422,8 @@ OUTPUT_PROBIT = "probit"
 class NetworkSpec:
     """Layer stack, shared activation, and output model.
 
-    Supported stacks: any depth of dense layers, or a single conv layer
-    (optionally followed by one average pool) feeding dense layers.
+    Supported stacks: dense layers of any depth, optionally behind one
+    conv layer at the front, which may be followed by one average pool.
     """
 
     layers: tuple[LayerSpec, ...]
@@ -208,7 +461,7 @@ class NetworkSpec:
                     raise ValueError(
                         f"layer {i}: in_width {layer.in_width} != previous out size {prev_size}"
                     )
-            prev_size = layer.out_size
+            prev_size = math.prod(layer.out_shape)
             prev_kind = layer.kind
 
     @property
@@ -220,20 +473,21 @@ class NetworkSpec:
         """Number of weighted layers L."""
         return len(self.weighted_layers)
 
-    @property
-    def is_dense(self) -> bool:
-        return all(l.kind == "dense" for l in self.layers)
-
-    @property
-    def pool(self) -> PoolLayer | None:
-        for l in self.layers:
-            if l.kind == "pool":
-                return l
-        return None
+    @cached_property
+    def pools(self) -> dict[int, PoolLayer]:
+        """Pools keyed by the index l of the output P[l] they produce; a
+        pool after weighted layer l - 1 feeds X[l]."""
+        pools, l = {}, 1
+        for layer in self.layers:
+            if layer.kind == "pool":
+                pools[l] = layer
+            else:
+                l += 1
+        return pools
 
     @property
     def out_width(self) -> int:
-        return self.weighted_layers[-1].out_size
+        return math.prod(self.weighted_layers[-1].out_shape)
 
     @property
     def n_classes(self) -> int:
@@ -242,26 +496,14 @@ class NetworkSpec:
         return self.out_width
 
     def weight_shape(self, l: int) -> tuple[int, ...]:
-        layer = self.weighted_layers[l - 1]
-        if layer.kind == "dense":
-            return (layer.out_width, layer.in_width)
-        return (layer.channels_out, layer.channels_in, layer.filter_height, layer.filter_width)
+        return self.weighted_layers[l - 1].weight_shape
 
     def bias_width(self, l: int) -> int:
-        layer = self.weighted_layers[l - 1]
-        if layer.kind == "dense":
-            return layer.out_width
-        return layer.channels_out
+        """One bias per output unit (dense) or output channel (conv)."""
+        return self.weight_shape(l)[0]
 
     def has_bias(self, l: int) -> bool:
         return self.weighted_layers[l - 1].has_bias
-
-    def hidden_width(self, l: int) -> int:
-        """Flattened width of X[l] for l in 2..L (pooling shrinks it)."""
-        layer = self.weighted_layers[l - 2]
-        if layer.kind == "conv" and self.pool is not None:
-            return self.pool.out_size
-        return layer.out_size
 
 
 @dataclass(frozen=True)
@@ -289,7 +531,7 @@ class NoiseSchedule:
         big_l = spec.depth
         dz = {l: float(delta) for l in range(2, big_l + 2)}
         dx = {l: float(delta) for l in range(2, big_l + 1)}
-        dpool = {2: float(delta)} if spec.pool is not None else {}
+        dpool = {l: float(delta) for l in spec.pools}
         return cls(delta_z=dz, delta_x=dx, delta_pool=dpool)
 
     @property
@@ -323,10 +565,7 @@ class PriorSpec:
         """lambda = fan-in of each weighted layer, the usual 1/width scaling."""
         lw, lb = {}, {}
         for l, layer in enumerate(spec.weighted_layers, start=1):
-            if layer.kind == "dense":
-                lam = float(layer.in_width)
-            else:
-                lam = float(layer.channels_in * layer.filter_size)
+            lam = float(np.prod(layer.weight_shape[1:]))
             lw[l] = lam
             if layer.has_bias:
                 lb[l] = lam
@@ -401,33 +640,21 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def _bias_term(b: np.ndarray | None):
-    return 0.0 if b is None else b
-
-
-def _dense_stack_forward(
-    spec: NetworkSpec,
-    noise: NoiseSchedule,
-    W: dict[int, np.ndarray],
-    b: dict[int, np.ndarray | None],
-    inputs: np.ndarray,
-    gen,
-    noiseless: bool,
-) -> ChainState:
-    n = inputs.shape[0]
+def _walk(spec: NetworkSpec, noise: NoiseSchedule, W, b, inputs: np.ndarray, gen) -> ChainState:
+    """The generative pass over the weighted layers; noise-free without ``gen``."""
     big_l = spec.depth
-    state = ChainState(W={l: W[l] for l in W}, b={l: b.get(l) for l in range(1, big_l + 1)}, X={1: inputs}, Z={})
-    for l in range(1, big_l + 1):
-        mean = state.X[l] @ W[l].T + _bias_term(b.get(l))
-        z = mean
-        if not noiseless:
-            z = mean + gen.normal(scale=np.sqrt(noise.delta_z[l + 1]), size=mean.shape)
-        state.Z[l + 1] = z
+    state = ChainState(W=dict(W), b={l: b.get(l) for l in range(1, big_l + 1)}, X={1: inputs}, Z={})
+
+    def noisy(mean, var):
+        return mean if gen is None else mean + gen.normal(scale=np.sqrt(var), size=mean.shape)
+
+    for l, layer in enumerate(spec.weighted_layers, start=1):
+        z = state.Z[l + 1] = noisy(add_bias(layer.op.product(W[l], state.X[l]), b.get(l)), noise.delta_z[l + 1])
         if l < big_l:
-            x = spec.activation.apply(z)
-            if not noiseless:
-                x = x + gen.normal(scale=np.sqrt(noise.delta_x[l + 1]), size=x.shape)
-            state.X[l + 1] = x
+            pool = spec.pools.get(l + 1)
+            if pool is not None:
+                z = state.P[l + 1] = noisy(pool.op.pool_mean(z), noise.delta_pool[l + 1])
+            state.X[l + 1] = noisy(spec.activation.apply(z), noise.delta_x[l + 1])
     return state
 
 
@@ -443,24 +670,23 @@ def forward_generate(
     """Run the noisy generative process and return (state, labels).
 
     Each pre-activation is the affine map of the previous post-activation
-    plus N(0, delta_z) noise; each post-activation is the activation of
-    the pre-activation plus N(0, delta_x) noise. With ``noiseless`` the
-    chain collapses to the deterministic network function; the flag exists
-    so zero variances never enter any density.
+    plus N(0, delta_z) noise; a pool output is the window average plus
+    N(0, delta_pool) noise; each post-activation is the activation of the
+    pre-activation (or pool output) plus N(0, delta_x) noise. With
+    ``noiseless`` the chain collapses to the deterministic network
+    function; the flag exists so zero variances never enter any density.
     """
     inputs = np.asarray(inputs, dtype=float)
+    want = spec.layers[0].in_shape
+    if inputs.shape[1:] != want:
+        raise ShapeMismatch(f"inputs have shape {inputs.shape}, the first layer wants (n, {', '.join(map(str, want))})")
     for l in range(1, spec.depth + 1):
         if W[l].shape != spec.weight_shape(l):
             raise ShapeMismatch(f"W[{l}] has shape {W[l].shape}, expected {spec.weight_shape(l)}")
     gen = rng.generator if rng is not None else None
     if gen is None and not noiseless:
         raise ValueError("rng is required unless noiseless")
-    if spec.is_dense:
-        state = _dense_stack_forward(spec, noise, W, b, inputs, gen, noiseless)
-    else:
-        from . import conv
-
-        state = conv.forward_generate_conv(spec, noise, W, b, inputs, gen, noiseless)
+    state = _walk(spec, noise, W, b, inputs, None if noiseless else gen)
     top = state.Z[spec.depth + 1]
     if spec.output == OUTPUT_PROBIT:
         labels = np.argmax(top, axis=1)
@@ -472,14 +698,7 @@ def forward_generate(
 
 def predict(spec: NetworkSpec, W: dict[int, np.ndarray], b: dict[int, np.ndarray | None], inputs: np.ndarray) -> np.ndarray:
     """Noiseless forward pass; returns the output scores (n, d_out)."""
-    dummy = NoiseSchedule.uniform(spec, 1.0)
-    state = None
-    if spec.is_dense:
-        state = _dense_stack_forward(spec, dummy, W, b, np.asarray(inputs, float), None, True)
-    else:
-        from . import conv
-
-        state = conv.forward_generate_conv(spec, dummy, W, b, np.asarray(inputs, float), None, True)
+    state = _walk(spec, NoiseSchedule.uniform(spec, 1.0), W, b, np.asarray(inputs, float), None)
     return state.Z[spec.depth + 1]
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import ConvIndexMap, PoolMap
 from .network import (
     Activation,
     ChainState,
@@ -22,6 +21,7 @@ from .network import (
     PriorSpec,
     OUTPUT_PROBIT,
     OUTPUT_REGRESSION,
+    add_bias,
 )
 
 __all__ = [
@@ -54,80 +54,34 @@ def _prior_terms(W, b, spec, prior):
 
 
 def _forward_caches(spec, W, b, inputs):
-    """Noiseless forward pass keeping every stage needed for backprop."""
-    caches = {"inputs": inputs}
-    if spec.is_dense:
-        x = inputs
-        xs, zs = [x], []
-        for l in range(1, spec.depth + 1):
-            z = x @ W[l].T
-            if b.get(l) is not None:
-                z = z + b[l]
-            zs.append(z)
-            if l < spec.depth:
-                x = spec.activation.apply(z)
-                xs.append(x)
-        caches["xs"], caches["zs"] = xs, zs
-        return zs[-1], caches
-    if spec.depth != 2:
-        raise ValueError("conv stacks support exactly one conv and one dense layer")
-    conv_layer = spec.layers[0]
-    imap = ConvIndexMap.for_layer(conv_layer)
-    caches["imap"] = imap
-    z1 = imap.conv_mean(W[1], inputs)
-    if b.get(1) is not None:
-        z1 = z1 + b[1][None, :, None, None]
-    caches["z1"] = z1
-    cur = z1
-    if spec.pool is not None:
-        pmap = PoolMap.for_layer(spec.pool)
-        caches["pmap"] = pmap
-        cur = pmap.pool_mean(cur)
-        caches["pooled"] = cur
-    hidden = spec.activation.apply(cur)
-    caches["pre_act"] = cur
-    flat = hidden.reshape(inputs.shape[0], -1)
-    caches["hidden_flat"] = flat
-    out = flat @ W[2].T
-    if b.get(2) is not None:
-        out = out + b[2]
-    return out, caches
+    """Noiseless forward pass keeping what backprop needs: every layer's
+    input X[l] and output Z[l+1], and every hidden pre-activation (the pool
+    output P[l] where a pool feeds X[l])."""
+    xs, zs, pres = {1: inputs}, {}, {}
+    for l, layer in enumerate(spec.weighted_layers, start=1):
+        z = zs[l + 1] = add_bias(layer.op.product(W[l], xs[l]), b.get(l))
+        if l < spec.depth:
+            pool = spec.pools.get(l + 1)
+            pres[l + 1] = z if pool is None else pool.op.pool_mean(z)
+            xs[l + 1] = spec.activation.apply(pres[l + 1])
+    return z, {"xs": xs, "zs": zs, "pres": pres}
 
 
 def _backward_from_output(spec, W, b, caches, d_out):
     """Propagate a gradient at the network output back to all parameters."""
+    xs, pres = caches["xs"], caches["pres"]
     grad_w, grad_b = {}, {}
-    if spec.is_dense:
-        xs, zs = caches["xs"], caches["zs"]
-        delta = d_out
-        for l in range(spec.depth, 0, -1):
-            grad_w[l] = delta.T @ xs[l - 1]
-            if b.get(l) is not None:
-                grad_b[l] = delta.sum(axis=0)
-            if l > 1:
-                delta = (delta @ W[l]) * spec.activation.derivative(zs[l - 2])
-        return grad_w, grad_b
-    imap = caches["imap"]
-    n = caches["inputs"].shape[0]
-    grad_w[2] = d_out.T @ caches["hidden_flat"]
-    if b.get(2) is not None:
-        grad_b[2] = d_out.sum(axis=0)
-    d_hidden = (d_out @ W[2]).reshape(n, *caches["pre_act"].shape[1:])
-    d_pre = d_hidden * spec.activation.derivative(caches["pre_act"])
-    if spec.pool is not None:
-        pmap = caches["pmap"]
-        d_z1 = np.zeros_like(caches["z1"])
-        spread = np.repeat(np.repeat(d_pre, pmap.window_height, axis=-2), pmap.window_width, axis=-1)
-        d_z1[..., : pmap.retained_height, : pmap.retained_width] = spread / pmap.k
-    else:
-        d_z1 = d_pre
-    c_out = W[1].shape[0]
-    patches = imap.im2col(caches["inputs"])  # (n, P, C_in*K)
-    d_z1_flat = d_z1.reshape(n, c_out, imap.out_positions)
-    grad_flat = np.einsum("nca,nak->ck", d_z1_flat, patches)
-    grad_w[1] = grad_flat.reshape(W[1].shape)
-    if b.get(1) is not None:
-        grad_b[1] = d_z1_flat.sum(axis=(0, 2))
+    delta = d_out
+    for l in range(spec.depth, 0, -1):
+        op = spec.weighted_layers[l - 1].op
+        grad_w[l] = op.weight_grad(delta, xs[l])
+        if b.get(l) is not None:
+            grad_b[l] = op.bias_grad(delta)
+        if l > 1:
+            pre = pres[l]
+            delta = (delta @ W[l]).reshape(pre.shape) * spec.activation.derivative(pre)
+            if l in spec.pools:
+                delta = spec.pools[l].op.spread(delta, caches["zs"][l])
     return grad_w, grad_b
 
 
@@ -196,10 +150,39 @@ def intermediate_log_posterior(
     logp, grad_w, grad_b = _prior_terms(state.W, state.b, spec, prior)
     grads = {"W": grad_w, "b": grad_b, "X": {}, "Z": {}, "P": {}}
 
-    if spec.is_dense:
-        logp = _dense_intermediate(state, spec, noise, logp, grads, want_grad)
-    else:
-        logp = _conv_intermediate(state, spec, noise, logp, grads, want_grad)
+    big_l = spec.depth
+    act = spec.activation
+    gx, gz, gp = grads["X"], grads["Z"], grads["P"]
+    for l, layer in enumerate(spec.weighted_layers, start=1):
+        x = state.X[l]
+        resid = layer.op.residual(state.Z[l + 1], layer.op.product(state.W[l], x), state.b.get(l))
+        dz = noise.delta_z[l + 1]
+        logp -= float(np.sum(resid * resid)) / (2.0 * dz)
+        if want_grad:
+            grads["W"][l] = grads["W"][l] + layer.op.weight_grad(resid, x) / dz
+            if state.b.get(l) is not None:
+                grads["b"][l] = grads["b"][l] + layer.op.bias_grad(resid) / dz
+            if l >= 2:
+                gx[l] = gx.get(l, 0.0) + (resid @ state.W[l]).reshape(x.shape) / dz
+            if l < big_l or spec.output == OUTPUT_PROBIT:
+                gz[l + 1] = gz.get(l + 1, 0.0) - resid / dz
+    for l in range(2, big_l + 1):
+        pre, g_pre = state.Z[l], gz
+        pool = spec.pools.get(l)
+        if pool is not None:
+            dpool = noise.delta_pool[l]
+            rp = state.P[l] - pool.op.pool_mean(state.Z[l])
+            logp -= float(np.sum(rp * rp)) / (2.0 * dpool)
+            if want_grad:
+                gp[l] = gp.get(l, 0.0) - rp / dpool
+                gz[l] = gz.get(l, 0.0) + pool.op.spread(rp, state.Z[l]) / dpool
+            pre, g_pre = state.P[l], gp
+        dx = noise.delta_x[l]
+        mismatch = state.X[l] - act.apply(pre)
+        logp -= float(np.sum(mismatch * mismatch)) / (2.0 * dx)
+        if want_grad:
+            gx[l] = gx.get(l, 0.0) - mismatch / dx
+            g_pre[l] = g_pre.get(l, 0.0) + mismatch * act.derivative(pre) / dx
 
     if spec.output == OUTPUT_PROBIT:
         top = state.Z[spec.depth + 1]
@@ -208,98 +191,6 @@ def intermediate_log_posterior(
     if not want_grad:
         return logp, None
     return logp, grads
-
-
-def _dense_intermediate(state, spec, noise, logp, grads, want_grad):
-    big_l = spec.depth
-    act = spec.activation
-    for l in range(1, big_l + 1):
-        x = state.X[l]
-        resid = state.Z[l + 1] - x @ state.W[l].T
-        if state.b.get(l) is not None:
-            resid = resid - state.b[l]
-        dz = noise.delta_z[l + 1]
-        logp -= float(np.sum(resid * resid)) / (2.0 * dz)
-        if want_grad:
-            grads["W"][l] = grads["W"][l] + resid.T @ x / dz
-            if state.b.get(l) is not None:
-                grads["b"][l] = grads["b"][l] + resid.sum(axis=0) / dz
-            if l >= 2:
-                grads["X"][l] = grads["X"].get(l, 0.0) + resid @ state.W[l] / dz
-            if l + 1 <= big_l or spec.output == OUTPUT_PROBIT:
-                grads["Z"][l + 1] = grads["Z"].get(l + 1, 0.0) - resid / dz
-    for l in range(2, big_l + 1):
-        dx = noise.delta_x[l]
-        mismatch = state.X[l] - act.apply(state.Z[l])
-        logp -= float(np.sum(mismatch * mismatch)) / (2.0 * dx)
-        if want_grad:
-            grads["X"][l] = grads["X"].get(l, 0.0) - mismatch / dx
-            grads["Z"][l] = grads["Z"].get(l, 0.0) + mismatch * act.derivative(state.Z[l]) / dx
-    return logp
-
-
-def _conv_intermediate(state, spec, noise, logp, grads, want_grad):
-    conv_layer = spec.layers[0]
-    imap = ConvIndexMap.for_layer(conv_layer)
-    act = spec.activation
-    n = state.n
-    c_out = conv_layer.channels_out
-
-    conv_mean = imap.conv_mean(state.W[1], state.X[1])
-    if state.b.get(1) is not None:
-        conv_mean = conv_mean + state.b[1][None, :, None, None]
-    r1 = state.Z[2] - conv_mean
-    dz2 = noise.delta_z[2]
-    logp -= float(np.sum(r1 * r1)) / (2.0 * dz2)
-    if want_grad:
-        r1_flat = r1.reshape(n, c_out, imap.out_positions)
-        patches = imap.im2col(state.X[1])
-        grads["W"][1] = grads["W"][1] + np.einsum(
-            "nca,nak->ck", r1_flat, patches
-        ).reshape(state.W[1].shape) / dz2
-        if state.b.get(1) is not None:
-            grads["b"][1] = grads["b"][1] + r1_flat.sum(axis=(0, 2)) / dz2
-        grads["Z"][2] = grads["Z"].get(2, 0.0) - r1 / dz2
-
-    pre_act = state.Z[2]
-    if spec.pool is not None:
-        pmap = PoolMap.for_layer(spec.pool)
-        dpool = noise.delta_pool[2]
-        rp = state.P[2] - pmap.pool_mean(state.Z[2])
-        logp -= float(np.sum(rp * rp)) / (2.0 * dpool)
-        pre_act = state.P[2]
-        if want_grad:
-            grads["P"][2] = grads["P"].get(2, 0.0) - rp / dpool
-            back = np.zeros_like(state.Z[2])
-            spread = np.repeat(np.repeat(rp, pmap.window_height, axis=-2), pmap.window_width, axis=-1)
-            back[..., : pmap.retained_height, : pmap.retained_width] = spread / pmap.k
-            grads["Z"][2] = grads["Z"][2] + back / dpool
-
-    dx2 = noise.delta_x[2]
-    mismatch = state.X[2] - act.apply(pre_act)
-    logp -= float(np.sum(mismatch * mismatch)) / (2.0 * dx2)
-    if want_grad:
-        grads["X"][2] = grads["X"].get(2, 0.0) - mismatch / dx2
-        pulled = mismatch * act.derivative(pre_act) / dx2
-        if spec.pool is not None:
-            grads["P"][2] = grads["P"][2] + pulled
-        else:
-            grads["Z"][2] = grads["Z"][2] + pulled
-
-    x2_flat = state.X[2].reshape(n, -1)
-    r2 = state.Z[3] - x2_flat @ state.W[2].T
-    if state.b.get(2) is not None:
-        r2 = r2 - state.b[2]
-    dz3 = noise.delta_z[3]
-    logp -= float(np.sum(r2 * r2)) / (2.0 * dz3)
-    if want_grad:
-        grads["W"][2] = grads["W"][2] + r2.T @ x2_flat / dz3
-        if state.b.get(2) is not None:
-            grads["b"][2] = grads["b"][2] + r2.sum(axis=0) / dz3
-        grads["X"][2] = grads["X"][2] + (r2 @ state.W[2]).reshape(state.X[2].shape) / dz3
-        if spec.output == OUTPUT_PROBIT:
-            grads["Z"][3] = grads["Z"].get(3, 0.0) - r2 / dz3
-    return logp
 
 
 class FlatPacker:
@@ -326,22 +217,18 @@ class FlatPacker:
 
     @classmethod
     def for_intermediate(cls, spec: NetworkSpec, n: int) -> "FlatPacker":
-        packer = cls.for_classical(spec)
-        blocks = list(packer.blocks)
-        if spec.is_dense:
-            for l in range(2, spec.depth + 1):
-                blocks.append(("X", l, (n, spec.hidden_width(l))))
-                blocks.append(("Z", l, (n, spec.hidden_width(l))))
-        else:
-            conv_layer = spec.layers[0]
-            z2_shape = (n, conv_layer.channels_out, conv_layer.out_height, conv_layer.out_width)
-            blocks.append(("Z", 2, z2_shape))
-            if spec.pool is not None:
-                p = spec.pool
-                blocks.append(("P", 2, (n, p.channels, p.out_height, p.out_width)))
-                blocks.append(("X", 2, (n, p.channels, p.out_height, p.out_width)))
+        blocks = list(cls.for_classical(spec).blocks)
+        for l in range(2, spec.depth + 1):
+            layer = spec.weighted_layers[l - 2]
+            z_shape = (n, *layer.out_shape)
+            # a conv output keeps its Z, (P,) X block order
+            if layer.kind == "dense":
+                blocks += [("X", l, z_shape), ("Z", l, z_shape)]
+            elif l in spec.pools:
+                p_shape = (n, *spec.pools[l].out_shape)
+                blocks += [("Z", l, z_shape), ("P", l, p_shape), ("X", l, p_shape)]
             else:
-                blocks.append(("X", 2, z2_shape))
+                blocks += [("Z", l, z_shape), ("X", l, z_shape)]
         if spec.output == OUTPUT_PROBIT:
             blocks.append(("Z", spec.depth + 1, (n, spec.out_width)))
         return cls(blocks)

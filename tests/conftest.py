@@ -133,3 +133,20 @@ def assert_bitwise_equal(a, b):
                 assert db[l] is None, f"{kind}[{l}]"
             else:
                 assert da[l].shape == db[l].shape and da[l].tobytes() == db[l].tobytes(), f"{kind}[{l}]"
+
+
+def sweep_by_public_updates(state, spec, noise, prior, rng):
+    """One sweep in ``gibbs_sweep``'s block order through the public updates
+    alone: every update computes its own W·X product instead of sharing one."""
+    from nngibbs import gibbs
+
+    for l, layer in enumerate(spec.weighted_layers, start=1):
+        if l > 1:
+            gibbs.update_X_layer(l, state, spec, noise, rng)
+        gibbs.update_W_layer(l, state, spec, noise, prior, rng)
+        if spec.has_bias(l):
+            gibbs.update_bias_layer(l, state, noise, prior, rng, layer.op.product(state.W[l], state.X[l]))
+        if l > 1:
+            gibbs.update_Z_layer(l, state, spec, noise, rng)
+    if spec.output == "probit":
+        gibbs.update_probit_output(state, spec, noise, rng)

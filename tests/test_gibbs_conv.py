@@ -9,15 +9,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import assert_bitwise_equal
+from conftest import assert_bitwise_equal, sweep_by_public_updates
 from nngibbs.conv import (
     ConvIndexMap,
     PoolMap,
-    conv_forward,
     conv_w_conditional,
     conv_x_conditional,
-    forward_generate_conv,
-    gibbs_sweep_conv,
     update_conv_W,
     update_conv_X,
     update_conv_bias,
@@ -79,6 +76,14 @@ class TestIndexMap:
         x = gen.standard_normal((2, 3, 5, 6))
         imap = ConvIndexMap(5, 6, 2, 2, stride_y=1, stride_x=2)
         np.testing.assert_array_equal(imap.im2col(x), unroll_patches(x, imap))
+
+
+def conv_forward(layer, w, b, x, delta_z, rng):
+    """One noisy conv layer through ``forward_generate`` on a one-layer stack."""
+    spec = NetworkSpec(layers=(layer,))
+    noise = NoiseSchedule(delta_z={2: delta_z}, delta_x={})
+    state, _ = forward_generate(spec, noise, {1: w}, {1: b}, x, rng)
+    return state.Z[2]
 
 
 class TestConvForward:
@@ -337,43 +342,55 @@ class TestConvBias:
         assert draws.var() == pytest.approx(var_q, rel=0.1)
 
 
+def random_chain(spec, noise, rng):
+    """Standard-normal weights and biases, and the chain they generate from
+    twelve standard-normal 1x5x5 inputs."""
+    gen = rng.generator
+    W = {l: gen.standard_normal(spec.weight_shape(l)) for l in range(1, spec.depth + 1)}
+    b = {l: gen.standard_normal(spec.bias_width(l)) for l in range(1, spec.depth + 1)}
+    state, _ = forward_generate(spec, noise, W, b, gen.standard_normal((12, 1, 5, 5)), rng)
+    return state
+
+
 class TestConvSweep:
-    def cnn_spec(self):
+    def cnn_spec(self, deep=False):
+        """conv -> pool -> dense probit; ``deep`` adds a second dense layer."""
         conv = ConvLayer(1, 2, in_height=5, in_width=5, filter_height=2, filter_width=2, stride_y=1, stride_x=1)
         pool = PoolLayer(2, 4, 4, 2, 2)
-        return NetworkSpec(layers=(conv, pool, DenseLayer(8, 3)), activation=Activation.RELU, output="probit")
+        dense = (DenseLayer(8, 4), DenseLayer(4, 3)) if deep else (DenseLayer(8, 3),)
+        return NetworkSpec(layers=(conv, pool, *dense), activation=Activation.RELU, output="probit")
 
-    def test_sweep_deterministic_and_feasible(self):
-        spec = self.cnn_spec()
+    @pytest.mark.parametrize("deep", [False, True], ids=["conv-pool-dense", "conv-pool-dense-dense"])
+    def test_sweep_deterministic_and_feasible(self, deep):
+        spec = self.cnn_spec(deep)
         noise = NoiseSchedule.uniform(spec, 0.5)
         prior = PriorSpec.fan_in(spec)
 
         def run():
             rng = RngStream(27)
-            gen = rng.generator
-            W = {1: gen.standard_normal((2, 1, 2, 2)), 2: gen.standard_normal((3, 8))}
-            b = {1: gen.standard_normal(2), 2: gen.standard_normal(3)}
-            state, _ = forward_generate(spec, noise, W, b, gen.standard_normal((12, 1, 5, 5)), rng)
+            state = random_chain(spec, noise, rng)
             for _ in range(10):
                 gibbs_sweep(state, spec, noise, prior, SweepSchedule(), rng)
                 state.validate(spec)
             return state
 
-        s1, s2 = run(), run()
-        np.testing.assert_array_equal(s1.W[1], s2.W[1])
-        np.testing.assert_array_equal(s1.P[2], s2.P[2])
-        np.testing.assert_array_equal(s1.Z[3], s2.Z[3])
+        assert_bitwise_equal(run(), run())
 
-    def conv_chain(self, seed):
-        spec = self.cnn_spec()
+    def conv_chain(self, seed, deep=False):
+        spec = self.cnn_spec(deep)
         noise = NoiseSchedule.uniform(spec, 0.5)
         prior = PriorSpec.fan_in(spec)
-        rng = RngStream(seed)
-        gen = rng.generator
-        W = {1: gen.standard_normal((2, 1, 2, 2)), 2: gen.standard_normal((3, 8))}
-        b = {1: gen.standard_normal(2), 2: gen.standard_normal(3)}
-        state, _ = forward_generate(spec, noise, W, b, gen.standard_normal((12, 1, 5, 5)), rng)
-        return spec, noise, prior, state
+        return spec, noise, prior, random_chain(spec, noise, RngStream(seed))
+
+    @pytest.mark.parametrize("deep", [False, True], ids=["conv-pool-dense", "conv-pool-dense-dense"])
+    def test_shared_product_bitwise_equal_to_public_updates(self, deep):
+        spec, noise, prior, shared = self.conv_chain(37, deep)
+        separate = shared.copy()
+        rng_a, rng_b = RngStream(38), RngStream(38)
+        for _ in range(4):
+            gibbs_sweep(shared, spec, noise, prior, SweepSchedule(), rng_a)
+            sweep_by_public_updates(separate, spec, noise, prior, rng_b)
+        assert_bitwise_equal(shared, separate)
 
     def test_cached_sweeps_bitwise_equal_to_uncached(self):
         def run(empty_cache):

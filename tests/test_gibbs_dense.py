@@ -11,6 +11,7 @@ from scipy import integrate, stats
 from conftest import (
     assert_bitwise_equal,
     branch_log_masses_quadrature,
+    sweep_by_public_updates,
     z_conditional_rejection,
 )
 from nngibbs.kernels import RngStream, branch_prob_negative
@@ -392,6 +393,22 @@ class TestSweep:
             np.testing.assert_array_equal(s1.W[l], s2.W[l])
         np.testing.assert_array_equal(s1.X[2], s2.X[2])
         np.testing.assert_array_equal(s1.Z[2], s2.Z[2])
+
+    def test_shared_product_bitwise_equal_to_public_updates(self):
+        spec = mlp([5, 4, 3, 3], output="probit")
+        noise = NoiseSchedule.uniform(spec, 0.4)
+        prior = PriorSpec.fan_in(spec)
+        rng = RngStream(34)
+        gen = rng.generator
+        W = {l: gen.standard_normal(spec.weight_shape(l)) for l in (1, 2, 3)}
+        b = {l: gen.standard_normal(spec.bias_width(l)) for l in (1, 2, 3)}
+        shared, _ = forward_generate(spec, noise, W, b, gen.standard_normal((20, 5)), rng)
+        separate = shared.copy()
+        rng_a, rng_b = RngStream(35), RngStream(35)
+        for _ in range(4):
+            gibbs_sweep(shared, spec, noise, prior, SweepSchedule(), rng_a)
+            sweep_by_public_updates(separate, spec, noise, prior, rng_b)
+        assert_bitwise_equal(shared, separate)
 
     def test_each_block_touched_once_per_sweep(self, monkeypatch):
         import nngibbs.gibbs as G

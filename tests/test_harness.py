@@ -99,6 +99,38 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"sampler\.schedule\.mode"):
             ExperimentConfig.from_dict(base_config(sampler=nested))
 
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("sampler", "schedule"), "sequential", r"sampler\.schedule:"),
+            (("sweeps",), "many", r"sweeps:"),
+            (("network", "layers", 0, "in_width"), "6", r"network\.layers\[0\]\.in_width:"),
+            (("network", "layers", 1, "bias"), True, r"network\.layers\[1\]\.bias:"),
+        ],
+        ids=["schedule-not-object", "sweeps-not-int", "width-not-int", "unknown-layer-key"],
+    )
+    def test_malformed_field_is_config_error(self, path, value, field):
+        raw = base_config()
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_dict(raw)
+
+    def test_layers_serialize_as_their_fields(self):
+        conv = {
+            "kind": "conv", "channels_in": 1, "channels_out": 2, "in_height": 6, "in_width": 6,
+            "filter_height": 2, "filter_width": 2, "stride_y": 1, "stride_x": 1, "has_bias": True,
+        }
+        pool = {"kind": "pool", "channels": 2, "in_height": 5, "in_width": 5, "window_height": 2, "window_width": 2}
+        dense = {"kind": "dense", "in_width": 8, "out_width": 1, "has_bias": False}
+        raw = base_config(initializations=["zero"])
+        raw["network"]["layers"] = [conv, pool, dense]
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.to_dict()["network"]["layers"] == [conv, pool, dense]
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
     def test_sign_activation_blocks_gradient_samplers(self):
         raw = base_config(sampler={"kind": "mala", "posterior": "classical", "step_size": 1e-4})
         raw["network"]["activation"] = "sign"
@@ -316,6 +348,12 @@ class TestCli:
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(base_config(sampler={"kind": "gibbs", "posterior": "classical"})), encoding="utf-8")
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+
+    def test_malformed_config_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(base_config(sampler={"kind": "gibbs", "schedule": "sequential"})), encoding="utf-8")
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert "sampler.schedule" in capsys.readouterr().err
 
     def test_informed_start_stationary_end_to_end(self, tmp_path):
         # CLI-run informed chain: no first-half/second-half drift in any

@@ -131,6 +131,21 @@ class TestTruncatedNormal:
         draws = trunc_norm_lower(np.full(10_000, -40.0), 1.0, 0.0, RngStream(10))
         assert np.all(draws >= 0.0)
 
+    @pytest.mark.parametrize(
+        "var, lower", [(1.0, np.nan), (0.0, 1.0), (1.0, np.inf)], ids=["nan-bound", "zero-variance", "inf-bound"]
+    )
+    def test_undrawable_bound_raises_before_drawing(self, var, lower):
+        # each of these once sent the rejection loop round forever
+        rng = RngStream(11)
+        with pytest.raises(ValueError, match=r"NaN or \+inf"):
+            trunc_norm_lower([0.0], var, [lower], rng)
+        assert rng.generator.uniform() == RngStream(11).generator.uniform()
+
+    def test_minus_inf_bound_is_no_truncation(self):
+        draws = trunc_norm_lower(np.zeros(50_000), 1.0, np.full(50_000, -np.inf), RngStream(12))
+        assert abs(draws.mean()) < 0.02
+        assert abs(draws.var() - 1.0) < 0.03
+
 
 class TestBranchProbability:
     def test_equal_masses(self):

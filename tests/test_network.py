@@ -123,6 +123,12 @@ class TestForwardGenerate:
         with pytest.raises(ShapeMismatch):
             forward_generate(spec, noise, {1: np.zeros((3, 4))}, {1: None}, np.zeros((5, 4)), RngStream(0))
 
+    def test_input_width_mismatch(self):
+        spec = mlp([4, 2], bias=False)
+        noise = NoiseSchedule.uniform(spec, 1.0)
+        with pytest.raises(ShapeMismatch, match="first layer"):
+            forward_generate(spec, noise, {1: np.zeros((2, 4))}, {1: None}, np.zeros((5, 3)), RngStream(0))
+
 
 class TestMetrics:
     def setup_method(self):

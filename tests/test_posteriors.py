@@ -121,17 +121,22 @@ class TestIntermediatePosterior:
         scale = np.maximum(np.abs(num), 1.0)
         assert np.max(np.abs(grad - num) / scale) < 1e-5
 
-    def test_conv_gradient_matches_finite_differences(self):
+    @pytest.mark.parametrize(
+        "dense_tail",
+        [(DenseLayer(2, 1),), (DenseLayer(2, 3), DenseLayer(3, 1))],
+        ids=["conv-pool-dense", "conv-pool-dense-dense"],
+    )
+    def test_conv_gradient_matches_finite_differences(self, dense_tail):
         conv = ConvLayer(1, 2, in_height=4, in_width=4, filter_height=2, filter_width=2)
         pool = PoolLayer(2, 3, 3, 2, 2)
-        spec = NetworkSpec(layers=(conv, pool, DenseLayer(2, 1)), activation=Activation.RELU)
+        spec = NetworkSpec(layers=(conv, pool, *dense_tail), activation=Activation.RELU)
         noise = NoiseSchedule.uniform(spec, 0.2)
         prior = PriorSpec.fan_in(spec)
         rng = RngStream(5)
         gen = rng.generator
         X = gen.standard_normal((3, 1, 4, 4))
-        W = {1: gen.standard_normal((2, 1, 2, 2)), 2: gen.standard_normal((1, 2))}
-        b = {1: gen.standard_normal(2), 2: gen.standard_normal(1)}
+        W = {l: gen.standard_normal(spec.weight_shape(l)) for l in range(1, spec.depth + 1)}
+        b = {l: gen.standard_normal(spec.bias_width(l)) for l in range(1, spec.depth + 1)}
         state, labels = forward_generate(spec, noise, W, b, X, rng)
         dataset = Dataset(inputs=X, labels=labels)
         target, packer = make_intermediate_target(dataset, spec, noise, prior)
