@@ -108,19 +108,9 @@ def _cmd_diagnose(args) -> int:
             report["rhat_blocks"] = {"error": str(exc)}
 
     if args.informed is not None:
-        informed = series_by_file[args.informed]
-        log_scaled = args.observable == "test_mse"
-        report["merge"] = {}
-        for path, series in series_by_file.items():
-            if path == args.informed:
-                continue
-            try:
-                when, phi = diagnostics.teacher_student_merge(
-                    informed, series, window=args.window, tolerance_sigmas=args.tolerance, log_values=log_scaled
-                )
-                report["merge"][str(path)] = {"merge_time": None if when is None else int(when), "equilibrium": phi}
-            except diagnostics.InformedNotStationary as exc:
-                report["merge"][str(path)] = {"error": str(exc)}
+        if args.informed not in series_by_file:
+            raise SystemExit(f"--informed {args.informed}: not one of the trace files")
+        report["merge"] = diagnostics.merge_verdicts(series_by_file, args.informed, args.observable, args.window, args.tolerance)
 
     text = json.dumps(report, indent=2, default=float)
     print(text)

@@ -83,8 +83,7 @@ def generate_teacher_student(
     shape = spec.layers[0].in_shape
     inputs = gen.standard_normal((n, *shape))
     teacher_W, teacher_b = sample_prior_weights(spec, prior, rng)
-    schedule = noise_gen if noise_gen is not None else NoiseSchedule.uniform(spec, 1.0)
-    state, labels = forward_generate(spec, schedule, teacher_W, teacher_b, inputs, rng, noiseless=noiseless)
+    state, labels = forward_generate(spec, noise_gen, teacher_W, teacher_b, inputs, rng, noiseless=noiseless)
 
     test_inputs = test_labels = None
     if n_test > 0:
@@ -132,6 +131,9 @@ def load_idx(images_path, labels_path, subset: int | None = None):
     return images, labels
 
 
+_TEACHER_BLOCKS = ("W", "b", "X", "Z", "P")
+
+
 def save_dataset(path, dataset: Dataset) -> None:
     """Persist a dataset (and any teacher state) as one .npz archive."""
     arrays = {"inputs": dataset.inputs, "labels": dataset.labels}
@@ -140,17 +142,10 @@ def save_dataset(path, dataset: Dataset) -> None:
         arrays["test_labels"] = dataset.test_labels
     t = dataset.teacher
     if t is not None:
-        for l, w in t.W.items():
-            arrays[f"teacher_W_{l}"] = w
-        for l, v in t.b.items():
-            if v is not None:
-                arrays[f"teacher_b_{l}"] = v
-        for l, x in t.X.items():
-            arrays[f"teacher_X_{l}"] = x
-        for l, z in t.Z.items():
-            arrays[f"teacher_Z_{l}"] = z
-        for l, p in t.P.items():
-            arrays[f"teacher_P_{l}"] = p
+        for kind in _TEACHER_BLOCKS:
+            for l, arr in getattr(t, kind).items():
+                if arr is not None:
+                    arrays[f"teacher_{kind}_{l}"] = arr
         if t.labels is not None:
             arrays["teacher_labels"] = t.labels
     np.savez(path, **arrays)
@@ -164,20 +159,13 @@ def load_dataset(path) -> Dataset:
         test_labels = data["test_labels"] if "test_labels" in data else None
         teacher = None
         if any(k.startswith("teacher_W_") for k in data.files):
-            W, b, X, Z, P = {}, {}, {}, {}, {}
+            blocks = {kind: {} for kind in _TEACHER_BLOCKS}
             for key in data.files:
-                if key.startswith("teacher_W_"):
-                    W[int(key.rsplit("_", 1)[1])] = data[key]
-                elif key.startswith("teacher_b_"):
-                    b[int(key.rsplit("_", 1)[1])] = data[key]
-                elif key.startswith("teacher_X_"):
-                    X[int(key.rsplit("_", 1)[1])] = data[key]
-                elif key.startswith("teacher_Z_"):
-                    Z[int(key.rsplit("_", 1)[1])] = data[key]
-                elif key.startswith("teacher_P_"):
-                    P[int(key.rsplit("_", 1)[1])] = data[key]
-            for l in W:
-                b.setdefault(l, None)
+                head, _, l = key.rpartition("_")
+                kind = head.removeprefix("teacher_")
+                if head.startswith("teacher_") and kind in blocks:
+                    blocks[kind][int(l)] = data[key]
+            blocks["b"] = {l: blocks["b"].get(l) for l in blocks["W"]}
             t_labels = data["teacher_labels"] if "teacher_labels" in data else None
-            teacher = ChainState(W=W, b=b, X=X, Z=Z, P=P, labels=t_labels)
+            teacher = ChainState(**blocks, labels=t_labels)
     return Dataset(inputs=inputs, labels=labels, test_inputs=test_inputs, test_labels=test_labels, teacher=teacher)

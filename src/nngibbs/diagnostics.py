@@ -25,6 +25,7 @@ __all__ = [
     "score_statistic",
     "stationarity_onset",
     "teacher_student_merge",
+    "merge_verdicts",
 ]
 
 
@@ -239,3 +240,28 @@ def teacher_student_merge(
         if dev <= _range_threshold(tolerance_sigmas, se, len(m)):
             return test_series.times[start * window], phi_bar
     return None, phi_bar
+
+
+def merge_verdicts(series: dict, informed, observable: str, window: int, tolerance_sigmas: float) -> dict:
+    """``teacher_student_merge`` of every series against ``series[informed]``.
+
+    Each other key maps to ``{"merge_time", "equilibrium"}``, or to
+    ``{"error"}`` when the informed series never settles or a series is too
+    short for two windows. ``test_mse`` is compared on a log scale.
+    """
+    verdicts = {}
+    for key, test in series.items():
+        if key == informed:
+            continue
+        try:
+            when, phi = teacher_student_merge(
+                series[informed],
+                test,
+                window=window,
+                tolerance_sigmas=tolerance_sigmas,
+                log_values=observable == "test_mse",
+            )
+            verdicts[key] = {"merge_time": None if when is None else int(when), "equilibrium": phi}
+        except (InformedNotStationary, ValueError) as exc:
+            verdicts[key] = {"error": str(exc)}
+    return verdicts

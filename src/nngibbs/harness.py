@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -173,11 +174,11 @@ class ExperimentConfig:
             prior=prior,
             dataset=dataset,
             sampler=sampler,
-            initializations=tuple(raw.get("initializations", ())),
+            initializations=_initializations(raw),
             sweeps=_number(raw, "sweeps", 1, int),
             spacing=_number(raw, "spacing", 1, int),
             seed=_number(raw, "seed", 0, int),
-            max_seconds=raw.get("max_seconds"),
+            max_seconds=_optional_number(raw, "max_seconds"),
             merge_window=_number(raw, "merge_window", 50, int),
             merge_tolerance=_number(raw, "merge_tolerance", 3.0, float),
         )
@@ -212,13 +213,30 @@ def _section(raw: dict, key: str, where: str = "") -> dict:
     return value
 
 
-def _number(raw: dict, key: str, default, kind):
+def _number(raw: dict, key: str, default, kind, where: str = ""):
     """raw[key] (or ``default``) converted by ``kind``."""
     value = raw.get(key, default)
     try:
         return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
+        raise ConfigError(f"{where}{key}: expected {kind.__name__}, got {value!r}") from None
+
+
+def _optional_number(raw: dict, key: str, where: str = "", integral: bool = False):
+    """raw[key] unconverted (None when absent), after checking it is a
+    number (an integer when ``integral``)."""
+    value = raw.get(key)
+    kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
+    if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+        raise ConfigError(f"{where}{key}: expected {what}, got {value!r}")
+    return value
+
+
+def _initializations(raw: dict) -> tuple[str, ...]:
+    kinds = raw.get("initializations", ())
+    if not isinstance(kinds, (list, tuple)) or not all(isinstance(kind, str) for kind in kinds):
+        raise ConfigError(f"initializations: expected a list of kind names, got {kinds!r}")
+    return tuple(kinds)
 
 
 _LAYER_KINDS = {"dense": DenseLayer, "conv": ConvLayer, "pool": PoolLayer}
@@ -308,7 +326,7 @@ def _dataset_from_dict(raw: dict) -> DatasetConfig:
     return DatasetConfig(
         source=source,
         n=raw.get("n"),
-        n_test=int(raw.get("n_test", 0)),
+        n_test=_number(raw, "n_test", 0, int, "dataset."),
         delta_gen=raw.get("delta_gen"),
         noiseless=bool(raw.get("noiseless", False)),
         images=raw.get("images"),
@@ -334,8 +352,8 @@ def _sampler_from_dict(raw: dict) -> SamplerConfig:
     return SamplerConfig(
         kind=raw.get("kind", "gibbs"),
         posterior=raw.get("posterior", "intermediate"),
-        step_size=raw.get("step_size"),
-        leapfrog_steps=raw.get("leapfrog_steps"),
+        step_size=_optional_number(raw, "step_size", "sampler."),
+        leapfrog_steps=_optional_number(raw, "leapfrog_steps", "sampler.", integral=True),
     )
 
 
@@ -387,16 +405,6 @@ def _shape_inputs(spec: NetworkSpec, flat: np.ndarray) -> np.ndarray:
 # -- chain initialization -------------------------------------------------
 
 
-def _clamped_top(spec: NetworkSpec, dataset: Dataset) -> np.ndarray:
-    y = np.asarray(dataset.labels)
-    if spec.output == OUTPUT_REGRESSION:
-        y = y.astype(float)
-        if y.ndim == 1:
-            y = y.reshape(-1, 1)
-        return y.copy()
-    return y.astype(int)
-
-
 def _repair_probit_top(z_top: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Swap each row's maximum into the label slot so the argmax holds."""
     z = z_top.copy()
@@ -426,68 +434,37 @@ def initialize_chain(
     random draws parameters from the prior and latents from a fresh pass
     of the generative process; gaussian:s draws everything i.i.d. N(0, s^2).
     """
-    n = dataset.n
-    big_l = spec.depth
+    frame = posteriors.clamped_frame(spec, dataset)
+    top = spec.depth + 1
     if kind == "informed":
         if dataset.teacher is None:
             raise MissingTeacher("informed initialization needs a dataset with a stored teacher")
         state = dataset.teacher.copy()
-        state.X[1] = np.asarray(dataset.inputs, dtype=float)
-        if spec.output == OUTPUT_PROBIT:
-            state.labels = np.asarray(dataset.labels, dtype=int)
-        else:
-            state.Z[big_l + 1] = _clamped_top(spec, dataset)
-        return state
-
-    packer = posteriors.FlatPacker.for_intermediate(spec, n)
-    shapes = {key: shp for key, (sl, shp) in packer.slices.items()}
-
-    if kind == "random":
+    elif kind == "random":
         W, b = ds.sample_prior_weights(spec, prior, rng)
-        state, _ = forward_generate(spec, noise, W, b, np.asarray(dataset.inputs, dtype=float), rng)
+        state, _ = forward_generate(spec, noise, W, b, frame.X[1], rng)
         if spec.output == OUTPUT_PROBIT:
-            y = np.asarray(dataset.labels, dtype=int)
-            state.Z[big_l + 1] = _repair_probit_top(state.Z[big_l + 1], y)
-            state.labels = y
-        else:
-            state.Z[big_l + 1] = _clamped_top(spec, dataset)
-        return state
-
-    if kind == "zero":
-        make = lambda shape: np.zeros(shape)
-    elif kind.startswith("gaussian:"):
-        scale = float(kind.split(":", 1)[1])
-        gen = rng.generator
-        make = lambda shape: gen.normal(scale=scale, size=shape)
+            state.Z[top] = _repair_probit_top(state.Z[top], frame.labels)
     else:
-        raise ValueError(f"unknown initialization kind {kind!r}")
-
-    state = ChainState(W={}, b={}, X={1: np.asarray(dataset.inputs, dtype=float)}, Z={}, P={})
-    for (vk, l), shape in shapes.items():
-        block = make(shape)
-        if vk == "W":
-            state.W[l] = block
-        elif vk == "b":
-            state.b[l] = block
-        elif vk == "X":
-            state.X[l] = block
-        elif vk == "P":
-            state.P[l] = block
-        elif vk == "Z" and l <= big_l:
-            state.Z[l] = block
-    for l in range(1, big_l + 1):
-        state.b.setdefault(l, None)
-    if spec.output == OUTPUT_PROBIT:
-        y = np.asarray(dataset.labels, dtype=int)
-        top = make((n, spec.out_width))
         if kind == "zero":
-            top[np.arange(n), y] = 1.0
+            make = np.zeros
+        elif kind.startswith("gaussian:"):
+            scale = float(kind.split(":", 1)[1])
+            make = lambda size: rng.generator.normal(scale=scale, size=size)
         else:
-            top = _repair_probit_top(top, y)
-        state.Z[big_l + 1] = top
-        state.labels = y
-    else:
-        state.Z[big_l + 1] = _clamped_top(spec, dataset)
+            raise ValueError(f"unknown initialization kind {kind!r}")
+        packer = posteriors.FlatPacker.for_intermediate(spec, dataset.n)
+        state = packer.state(make(packer.size), frame)
+        if spec.output == OUTPUT_PROBIT:
+            # drawn after the packed vector and put in place of its output block
+            scores = make((dataset.n, spec.out_width))
+            if kind == "zero":
+                scores[np.arange(dataset.n), frame.labels] = 1.0
+            else:
+                scores = _repair_probit_top(scores, frame.labels)
+            state.Z[top] = scores
+    state.X[1], state.labels = frame.X[1], frame.labels
+    state.Z.update(frame.Z)
     return state
 
 
@@ -608,22 +585,8 @@ def _run_single_chain(cfg: ExperimentConfig, dataset: Dataset, idx: int, kind: s
         else:
             settings = samplers.MalaSettings(cfg.sampler.step_size)
             step = lambda x: samplers.mala_step(x, target, settings, step_rng)
-        parts = {"W": init_state.W, "b": init_state.b, "X": init_state.X, "Z": init_state.Z, "P": init_state.P}
-        position = packer.pack(parts)
-
-        def state_of(vec):
-            parts = packer.unpack(vec)
-            st = ChainState(
-                W=parts["W"],
-                b={l: parts.get("b", {}).get(l) for l in range(1, spec.depth + 1)},
-                X={1: np.asarray(dataset.inputs, dtype=float), **parts.get("X", {})},
-                Z=dict(parts.get("Z", {})),
-                P=dict(parts.get("P", {})),
-                labels=init_state.labels,
-            )
-            if (spec.depth + 1) not in st.Z:
-                st.Z[spec.depth + 1] = _clamped_top(spec, dataset)
-            return st
+        frame = posteriors.clamped_frame(spec, dataset)
+        position, state_of = packer.pack(vars(init_state)), lambda vec: packer.state(vec, frame)
 
     def observe(x, rate):
         out = observer.observe_state(state_of(x), rate)
@@ -677,31 +640,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         summary["chains"].append(entry)
 
     merge_obs = _merge_observable(traces)
-    if merge_obs is not None:
-        informed_label = next((lab for lab, (kind, *_rest) in traces.items() if kind == "informed"), None)
-        if informed_label is not None:
-            _kind, _path, informed_run, columns = traces[informed_label]
-            informed_series = _series_of(informed_run, columns, merge_obs)
-            log_scaled = merge_obs == "test_mse"
-            for label, (kind, path, run, columns) in traces.items():
-                if label == informed_label:
-                    continue
-                series = _series_of(run, columns, merge_obs)
-                try:
-                    when, phi = diagnostics.teacher_student_merge(
-                        informed_series,
-                        series,
-                        window=cfg.merge_window,
-                        tolerance_sigmas=cfg.merge_tolerance,
-                        log_values=log_scaled,
-                    )
-                    summary["merge"][label] = {
-                        "observable": merge_obs,
-                        "merge_time": None if when is None else int(when),
-                        "equilibrium": phi,
-                    }
-                except (diagnostics.InformedNotStationary, ValueError) as exc:
-                    summary["merge"][label] = {"observable": merge_obs, "error": str(exc)}
+    informed_label = next((lab for lab, (kind, *_rest) in traces.items() if kind == "informed"), None)
+    if merge_obs is not None and informed_label is not None:
+        series = {label: _series_of(run, columns, merge_obs) for label, (_k, _p, run, columns) in traces.items()}
+        verdicts = diagnostics.merge_verdicts(series, informed_label, merge_obs, cfg.merge_window, cfg.merge_tolerance)
+        summary["merge"] = {label: {"observable": merge_obs, **verdict} for label, verdict in verdicts.items()}
 
     with open(out / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=float)

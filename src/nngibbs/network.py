@@ -48,6 +48,7 @@ __all__ = [
     "ChainState",
     "Dataset",
     "forward_generate",
+    "noiseless_pass",
     "predict",
     "test_mse",
     "test_error",
@@ -184,12 +185,16 @@ class ConvIndexMap:
     def unpack(self, i: int) -> tuple[int, int]:
         return divmod(i, self.filter_size)
 
+    def _patch_columns(self, channels: int) -> np.ndarray:
+        """Flat (channel, position) input index of every patch entry, shape
+        (out_positions, channels * filter_size) in packed weight order."""
+        index = np.arange(channels)[None, :, None] * self.in_positions + self.patch_index[:, None, :]
+        return index.reshape(self.out_positions, -1)
+
     def im2col(self, x: np.ndarray) -> np.ndarray:
-        """(n, C, H, W) -> (n, out_positions, C * filter_size) patches."""
+        """(n, C, H, W) -> (n, out_positions, C * filter_size) patches, C-ordered."""
         n, c = x.shape[0], x.shape[1]
-        flat = x.reshape(n, c, self.in_positions)
-        cols = flat[:, :, self.patch_index]  # (n, C, P, K)
-        return cols.transpose(0, 2, 1, 3).reshape(n, self.out_positions, c * self.filter_size)
+        return np.take(x.reshape(n, c * self.in_positions), self._patch_columns(c), axis=1)
 
     def conv_mean(self, w: np.ndarray, x: np.ndarray, patches: np.ndarray | None = None) -> np.ndarray:
         """Noise-free convolution output, shape (n, C_out, out_h, out_w).
@@ -234,8 +239,12 @@ class ConvIndexMap:
         return z - add_bias(product, b)
 
     def weight_grad(self, resid: np.ndarray, x: np.ndarray) -> np.ndarray:
-        n, c_out = resid.shape[0], resid.shape[1]
-        grad = np.einsum("nca,nak->ck", resid.reshape(n, c_out, self.out_positions), self.im2col(x))
+        n, c_out, c_in = resid.shape[0], resid.shape[1], x.shape[1]
+        # einsum's summation order follows its operands' memory layout; fancy
+        # indexing lays these patches out sample-fastest, as single-channel
+        # patches always were, so recorded conv gradient traces keep their bits
+        patches = x.reshape(n, c_in * self.in_positions)[:, self._patch_columns(c_in)]
+        grad = np.einsum("nca,nak->ck", resid.reshape(n, c_out, self.out_positions), patches)
         return grad.reshape(c_out, -1, self.filter_height, self.filter_width)
 
     def bias_grad(self, resid: np.ndarray) -> np.ndarray:
@@ -640,27 +649,32 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def _walk(spec: NetworkSpec, noise: NoiseSchedule, W, b, inputs: np.ndarray, gen) -> ChainState:
+def _walk(spec: NetworkSpec, W, b, inputs: np.ndarray, noise: NoiseSchedule | None = None, gen=None) -> ChainState:
     """The generative pass over the weighted layers; noise-free without ``gen``."""
     big_l = spec.depth
     state = ChainState(W=dict(W), b={l: b.get(l) for l in range(1, big_l + 1)}, X={1: inputs}, Z={})
 
-    def noisy(mean, var):
-        return mean if gen is None else mean + gen.normal(scale=np.sqrt(var), size=mean.shape)
+    def noisy(mean, table, l):
+        return mean if gen is None else mean + gen.normal(scale=np.sqrt(getattr(noise, table)[l]), size=mean.shape)
 
     for l, layer in enumerate(spec.weighted_layers, start=1):
-        z = state.Z[l + 1] = noisy(add_bias(layer.op.product(W[l], state.X[l]), b.get(l)), noise.delta_z[l + 1])
+        z = state.Z[l + 1] = noisy(add_bias(layer.op.product(W[l], state.X[l]), b.get(l)), "delta_z", l + 1)
         if l < big_l:
             pool = spec.pools.get(l + 1)
             if pool is not None:
-                z = state.P[l + 1] = noisy(pool.op.pool_mean(z), noise.delta_pool[l + 1])
-            state.X[l + 1] = noisy(spec.activation.apply(z), noise.delta_x[l + 1])
+                z = state.P[l + 1] = noisy(pool.op.pool_mean(z), "delta_pool", l + 1)
+            state.X[l + 1] = noisy(spec.activation.apply(z), "delta_x", l + 1)
     return state
+
+
+def noiseless_pass(spec: NetworkSpec, W, b, inputs: np.ndarray) -> ChainState:
+    """The network function on ``inputs``, keeping every layer's X, Z and P."""
+    return _walk(spec, W, b, inputs)
 
 
 def forward_generate(
     spec: NetworkSpec,
-    noise: NoiseSchedule,
+    noise: NoiseSchedule | None,
     W: dict[int, np.ndarray],
     b: dict[int, np.ndarray | None],
     inputs: np.ndarray,
@@ -686,7 +700,7 @@ def forward_generate(
     gen = rng.generator if rng is not None else None
     if gen is None and not noiseless:
         raise ValueError("rng is required unless noiseless")
-    state = _walk(spec, noise, W, b, inputs, None if noiseless else gen)
+    state = _walk(spec, W, b, inputs, noise, None if noiseless else gen)
     top = state.Z[spec.depth + 1]
     if spec.output == OUTPUT_PROBIT:
         labels = np.argmax(top, axis=1)
@@ -698,8 +712,7 @@ def forward_generate(
 
 def predict(spec: NetworkSpec, W: dict[int, np.ndarray], b: dict[int, np.ndarray | None], inputs: np.ndarray) -> np.ndarray:
     """Noiseless forward pass; returns the output scores (n, d_out)."""
-    state = _walk(spec, NoiseSchedule.uniform(spec, 1.0), W, b, np.asarray(inputs, float), None)
-    return state.Z[spec.depth + 1]
+    return noiseless_pass(spec, W, b, np.asarray(inputs, float)).Z[spec.depth + 1]
 
 
 def test_mse(

@@ -21,13 +21,14 @@ from .network import (
     PriorSpec,
     OUTPUT_PROBIT,
     OUTPUT_REGRESSION,
-    add_bias,
+    noiseless_pass,
 )
 
 __all__ = [
     "classical_log_posterior",
     "intermediate_log_posterior",
     "FlatPacker",
+    "clamped_frame",
     "make_classical_target",
     "make_intermediate_target",
 ]
@@ -53,35 +54,21 @@ def _prior_terms(W, b, spec, prior):
     return logp, grad_w, grad_b
 
 
-def _forward_caches(spec, W, b, inputs):
-    """Noiseless forward pass keeping what backprop needs: every layer's
-    input X[l] and output Z[l+1], and every hidden pre-activation (the pool
-    output P[l] where a pool feeds X[l])."""
-    xs, zs, pres = {1: inputs}, {}, {}
-    for l, layer in enumerate(spec.weighted_layers, start=1):
-        z = zs[l + 1] = add_bias(layer.op.product(W[l], xs[l]), b.get(l))
-        if l < spec.depth:
-            pool = spec.pools.get(l + 1)
-            pres[l + 1] = z if pool is None else pool.op.pool_mean(z)
-            xs[l + 1] = spec.activation.apply(pres[l + 1])
-    return z, {"xs": xs, "zs": zs, "pres": pres}
-
-
-def _backward_from_output(spec, W, b, caches, d_out):
-    """Propagate a gradient at the network output back to all parameters."""
-    xs, pres = caches["xs"], caches["pres"]
+def _backward_from_output(spec, fwd: ChainState, d_out):
+    """Propagate a gradient at the network output back to all parameters
+    through the noiseless pass ``fwd``."""
     grad_w, grad_b = {}, {}
     delta = d_out
     for l in range(spec.depth, 0, -1):
         op = spec.weighted_layers[l - 1].op
-        grad_w[l] = op.weight_grad(delta, xs[l])
-        if b.get(l) is not None:
+        grad_w[l] = op.weight_grad(delta, fwd.X[l])
+        if fwd.b[l] is not None:
             grad_b[l] = op.bias_grad(delta)
         if l > 1:
-            pre = pres[l]
-            delta = (delta @ W[l]).reshape(pre.shape) * spec.activation.derivative(pre)
+            pre = fwd.P[l] if l in spec.pools else fwd.Z[l]
+            delta = (delta @ fwd.W[l]).reshape(pre.shape) * spec.activation.derivative(pre)
             if l in spec.pools:
-                delta = spec.pools[l].op.spread(delta, caches["zs"][l])
+                delta = spec.pools[l].op.spread(delta, fwd.Z[l])
     return grad_w, grad_b
 
 
@@ -101,7 +88,8 @@ def classical_log_posterior(
     prediction-time device). ReLU uses the zero subgradient at the kink.
     """
     inputs = np.asarray(dataset.inputs, dtype=float)
-    out, caches = _forward_caches(spec, W, b, inputs)
+    fwd = noiseless_pass(spec, W, b, inputs)
+    out = fwd.Z[spec.depth + 1]
     logp, grad_w, grad_b = _prior_terms(W, b, spec, prior)
 
     n = inputs.shape[0]
@@ -122,7 +110,7 @@ def classical_log_posterior(
     if not want_grad:
         return logp, None
     if n > 0:
-        gw, gb = _backward_from_output(spec, W, b, caches, d_out)
+        gw, gb = _backward_from_output(spec, fwd, d_out)
         for l in gw:
             grad_w[l] = grad_w[l] + gw[l]
         for l in gb:
@@ -245,6 +233,40 @@ class FlatPacker:
             out.setdefault(kind, {})[l] = vec[sl].reshape(shape)
         return out
 
+    def state(self, vec: np.ndarray, frame: ChainState) -> ChainState:
+        """The chain state at ``vec``: every packed block is a view into
+        ``vec``, and what the data clamps comes from ``frame``
+        (see ``clamped_frame``)."""
+        parts = self.unpack(vec)
+        return ChainState(
+            W=parts["W"],
+            b={**frame.b, **parts.get("b", {})},
+            X={**frame.X, **parts.get("X", {})},
+            Z={**frame.Z, **parts.get("Z", {})},
+            P=parts.get("P", {}),
+            labels=frame.labels,
+        )
+
+
+def clamped_frame(spec: NetworkSpec, dataset: Dataset) -> ChainState:
+    """The part of every chain state that the data fixes: the inputs X[1],
+    the labels as the output Z[L+1] (regression, shaped (n, d_out)) or as
+    the probit classes, and b[l] = None for layers without a bias. It has
+    no sampled block; ``FlatPacker.state`` adds those."""
+    top, labels = {}, None
+    if spec.output == OUTPUT_REGRESSION:
+        y = np.asarray(dataset.labels, dtype=float)
+        top[spec.depth + 1] = y.reshape(-1, 1) if y.ndim == 1 else y
+    else:
+        labels = np.asarray(dataset.labels, dtype=int)
+    return ChainState(
+        W={},
+        b={l: None for l in range(1, spec.depth + 1) if not spec.has_bias(l)},
+        X={1: np.asarray(dataset.inputs, dtype=float)},
+        Z=top,
+        labels=labels,
+    )
+
 
 def make_classical_target(dataset: Dataset, spec: NetworkSpec, delta: float, prior: PriorSpec):
     """(flat position) -> (log density, flat gradient) for the loss posterior."""
@@ -267,40 +289,11 @@ def make_intermediate_target(dataset: Dataset, spec: NetworkSpec, noise: NoiseSc
     for probit the output scores are part of the position and the hard
     constraint shows up as a -inf density outside the feasible cone.
     """
-    packer = FlatPacker.for_intermediate(spec, np.asarray(dataset.inputs).shape[0])
-    inputs = np.asarray(dataset.inputs, dtype=float)
-    big_l = spec.depth
-    if spec.output == OUTPUT_REGRESSION:
-        top = np.asarray(dataset.labels, dtype=float)
-        if top.ndim == 1:
-            top = top.reshape(-1, 1)
-        labels = None
-    else:
-        top = None
-        labels = np.asarray(dataset.labels, dtype=int)
+    packer = FlatPacker.for_intermediate(spec, dataset.n)
+    frame = clamped_frame(spec, dataset)
 
     def target(vec: np.ndarray):
-        parts = packer.unpack(vec)
-        state = ChainState(
-            W=parts["W"],
-            b=parts.get("b", {}),
-            X={1: inputs, **parts.get("X", {})},
-            Z=dict(parts.get("Z", {})),
-            P=dict(parts.get("P", {})),
-            labels=labels,
-        )
-        if spec.output == OUTPUT_REGRESSION:
-            state.Z[big_l + 1] = top
-        logp, grads = intermediate_log_posterior(state, spec, noise, prior)
-        flat_grads = {}
-        for kind in ("W", "b", "X", "Z", "P"):
-            flat_grads[kind] = grads.get(kind, {})
-        # clamped blocks are not in the packer, so stray keys are dropped
-        gvec = np.zeros(packer.size)
-        for (kind, l), (sl, shape) in packer.slices.items():
-            g = flat_grads.get(kind, {}).get(l)
-            if g is not None:
-                gvec[sl] = np.asarray(g).ravel()
-        return logp, gvec
+        logp, grads = intermediate_log_posterior(packer.state(vec, frame), spec, noise, prior)
+        return logp, packer.pack(grads)
 
     return target, packer

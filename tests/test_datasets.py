@@ -17,9 +17,11 @@ from nngibbs.datasets import (
 from nngibbs.kernels import RngStream
 from nngibbs.network import (
     Activation,
+    ConvLayer,
     DenseLayer,
     NetworkSpec,
     NoiseSchedule,
+    PoolLayer,
     PriorSpec,
     parameter_count,
     predict,
@@ -67,8 +69,15 @@ class TestTeacherStudent:
         clean = predict(spec, data.teacher.W, data.teacher.b, data.inputs)
         np.testing.assert_array_equal(data.labels, clean)
 
-    def test_round_trip_persistence(self, tmp_path):
-        spec = mlp([6, 3, 1])
+    @pytest.mark.parametrize("teacher", ["dense-regression", "conv-pool-probit"])
+    def test_round_trip_persistence(self, tmp_path, teacher):
+        from conftest import assert_bitwise_equal
+
+        if teacher == "dense-regression":
+            spec = mlp([6, 3, 1])
+        else:
+            conv = ConvLayer(1, 2, in_height=5, in_width=5, filter_height=2, filter_width=2)
+            spec = NetworkSpec(layers=(conv, PoolLayer(2, 4, 4, 2, 2), DenseLayer(8, 3)), output="probit")
         noise = NoiseSchedule.uniform(spec, 1e-2)
         prior = PriorSpec.fan_in(spec)
         data = generate_teacher_student(spec, prior, 12, 6, RngStream(3), noise_gen=noise)
@@ -78,8 +87,11 @@ class TestTeacherStudent:
         np.testing.assert_array_equal(loaded.inputs, data.inputs)
         np.testing.assert_array_equal(loaded.labels, data.labels)
         np.testing.assert_array_equal(loaded.test_inputs, data.test_inputs)
-        np.testing.assert_array_equal(loaded.teacher.W[2], data.teacher.W[2])
-        np.testing.assert_array_equal(loaded.teacher.Z[2], data.teacher.Z[2])
+        assert_bitwise_equal(loaded.teacher, data.teacher)
+        if spec.output == "probit":
+            np.testing.assert_array_equal(loaded.teacher.labels, data.teacher.labels)
+        else:
+            assert loaded.teacher.labels is None
 
 
 def write_idx_pair(tmp_path, images, labels, prefix=""):

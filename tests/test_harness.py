@@ -106,8 +106,25 @@ class TestConfig:
             (("sweeps",), "many", r"sweeps:"),
             (("network", "layers", 0, "in_width"), "6", r"network\.layers\[0\]\.in_width:"),
             (("network", "layers", 1, "bias"), True, r"network\.layers\[1\]\.bias:"),
+            (("initializations",), "zero", r"initializations: expected a list"),
+            (("initializations",), 3, r"initializations: expected a list"),
+            (("max_seconds",), "soon", r"max_seconds: expected a number"),
+            (("dataset", "n_test"), "many", r"dataset\.n_test: expected int"),
+            (("sampler", "step_size"), "big", r"sampler\.step_size: expected a number"),
+            (("sampler",), {"kind": "hmc", "step_size": 1e-3, "leapfrog_steps": 2.5}, r"sampler\.leapfrog_steps: expected an integer"),
         ],
-        ids=["schedule-not-object", "sweeps-not-int", "width-not-int", "unknown-layer-key"],
+        ids=[
+            "schedule-not-object",
+            "sweeps-not-int",
+            "width-not-int",
+            "unknown-layer-key",
+            "initializations-string",
+            "initializations-not-list",
+            "max-seconds-not-number",
+            "n-test-not-int",
+            "step-size-not-number",
+            "leapfrog-steps-not-int",
+        ],
     )
     def test_malformed_field_is_config_error(self, path, value, field):
         raw = base_config()
@@ -343,6 +360,18 @@ class TestCli:
         assert "rhat_blocks" in report
         assert informed in report["files"]
         assert zero in report["merge"]
+
+    def test_diagnose_informed_on_short_traces(self, tmp_path, capsys):
+        # three records cannot fill two windows of 50
+        run_experiment(ExperimentConfig.from_dict(base_config(sweeps=4, spacing=2)), tmp_path)
+        informed = str(tmp_path / "trace_chain0_informed.csv")
+        zero = str(tmp_path / "trace_chain1_zero.csv")
+        rc = cli_main(["diagnose", informed, zero, "--window", "50", "--informed", informed, "--out", str(tmp_path)])
+        assert rc == 0
+        report = json.loads((tmp_path / "diagnosis.json").read_text())
+        assert report["merge"] == {zero: {"error": "series must cover at least two windows"}}
+        with pytest.raises(SystemExit, match="--informed"):
+            cli_main(["diagnose", zero, "--informed", informed])
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

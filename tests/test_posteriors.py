@@ -23,6 +23,7 @@ from nngibbs.network import (
 )
 from nngibbs.posteriors import (
     FlatPacker,
+    clamped_frame,
     classical_log_posterior,
     intermediate_log_posterior,
     make_classical_target,
@@ -211,3 +212,35 @@ class TestFlatPacker:
         vec = gen.standard_normal(packer.size)
         parts = packer.unpack(vec)
         np.testing.assert_array_equal(packer.pack(parts), vec)
+
+    @pytest.mark.parametrize("stack", ["dense-regression", "dense-probit", "conv-pool-probit"])
+    def test_state_is_a_view_of_the_vector_over_the_frame(self, stack):
+        gen = np.random.default_rng(11)
+        n = 5
+        if stack == "conv-pool-probit":
+            conv = ConvLayer(1, 2, in_height=5, in_width=5, filter_height=2, filter_width=2)
+            spec = NetworkSpec(layers=(conv, PoolLayer(2, 4, 4, 2, 2), DenseLayer(8, 3)), output="probit")
+        else:
+            spec = mlp([4, 3, 2], output=stack.split("-")[1], bias=False)
+        inputs = gen.standard_normal((n, *spec.layers[0].in_shape))
+        labels = gen.integers(0, 2, size=n) if spec.output == "probit" else gen.standard_normal((n, 2))
+        frame = clamped_frame(spec, Dataset(inputs=inputs, labels=labels))
+        packer = FlatPacker.for_intermediate(spec, n)
+        vec = gen.standard_normal(packer.size)
+        state = packer.state(vec, frame)
+        assert packer.pack(vars(state)).tobytes() == vec.tobytes()
+        for kind, l in packer.slices:
+            assert np.shares_memory(getattr(state, kind)[l], vec), (kind, l)
+        top = spec.depth + 1
+        assert state.X[1] is frame.X[1] and state.labels is frame.labels
+        if spec.output == "regression":
+            assert state.Z[top] is frame.Z[top]
+        else:
+            assert frame.Z == {} and np.shares_memory(state.Z[top], vec)
+        assert all(state.b[l] is None for l in range(1, spec.depth + 1) if not spec.has_bias(l))
+
+    def test_frame_shapes_one_dimensional_regression_labels(self):
+        spec = mlp([4, 3, 1])
+        frame = clamped_frame(spec, Dataset(inputs=np.zeros((6, 4)), labels=np.arange(6)))
+        assert frame.Z[3].shape == (6, 1) and frame.Z[3].dtype == float
+        assert frame.labels is None and frame.W == {}
