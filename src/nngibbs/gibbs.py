@@ -2,7 +2,7 @@
 
 Every update redraws one variable block from its exact conditional given
 the rest of the chain: rows of X and W are multivariate Gaussians sharing
-one precision factorization per block (a conv layer's weight rows are its
+one inverse Cholesky factor per block (a conv layer's weight rows are its
 filters), pre-activations Z are scalar two-branch mixtures of one-sided
 truncated normals, biases are scalar Gaussians (one per unit, or per conv
 channel), and the probit output layer is a sequential pass of truncated
@@ -11,19 +11,20 @@ the pooled values P[l] take the two-branch law and Z[l] is redrawn window
 by window (``conv.update_pool_X``).
 
 One sweep walks the weighted layers of any supported stack. Hidden
-layers factor their shared precision once per sweep. The first-layer
-weight precision depends on the data only through the clamped input
-X[1], so it is factored once per chain (``clamped_factor``) and only its
-right-hand side is rebuilt each sweep. Each layer's product W[l]·X[l] is
-computed once per sweep, after its W draw, and serves its bias draw, the
-next Z draw and the probit draw.
+layers factor and invert their shared precision once per sweep; a row
+draw is then two matrix products, so every linear-algebra call of the
+sweep runs in numpy's BLAS and no second thread pool competes for the
+CPUs. The first-layer weight precision depends on the data only through
+the clamped input X[1], so its inverse factor is built once per chain
+(``clamped_factor``) and only its right-hand side is rebuilt each sweep.
+Each layer's product W[l]·X[l] is computed once per sweep, after its W
+draw, and serves its bias draw, the next Z draw and the probit draw.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import conv, kernels
 from .kernels import RngStream, branch_prob_negative, log_gauss_mass_lower, log_gauss_mass_upper
@@ -186,21 +187,23 @@ def sample_z_scalar(activation: Activation, wx, x_next, dz: float, dx: float, rn
     return signs * (signs * mu + sd * t)
 
 
-def draw_rows_from_factor(factor: np.ndarray, rhs_rows: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Rows drawn from N(A^-1 h, A^-1) given the Cholesky factor L of A.
+def draw_rows_from_factor(inv_factor: np.ndarray, rhs_rows: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Rows drawn from N(A^-1 h, A^-1) given R = L^-1 for the Cholesky
+    factor L of A.
 
-    ``rhs_rows`` holds one h per row. With A = L L^T, the draw is
-    L^-T (L^-1 h + z), two triangular solves total.
+    ``rhs_rows`` holds one h per row. With A = L L^T, A^-1 = R^T R and the
+    draw is R^T (R h + z): two matrix products in numpy's BLAS, so a sweep
+    never wakes a second library's thread pool.
     """
-    half = solve_triangular(factor, rhs_rows.T, lower=True)
+    half = inv_factor @ rhs_rows.T
     z = rng.generator.standard_normal(half.shape)
-    return solve_triangular(factor, half + z, trans="T", lower=True).T
+    return (inv_factor.T @ (half + z)).T
 
 
 def draw_rows_from_precision(prec: np.ndarray, rhs_rows: np.ndarray, rng: RngStream) -> np.ndarray:
     """Rows drawn from N(A^-1 h, A^-1) for a shared precision A, which is
-    factored once and reused for every row."""
-    return draw_rows_from_factor(kernels.cholesky_factor(prec), rhs_rows, rng)
+    factored and inverted once and reused for every row."""
+    return draw_rows_from_factor(np.linalg.inv(kernels.cholesky_factor(prec)), rhs_rows, rng)
 
 
 def ridge_precision(design: np.ndarray, dz: float, lam: float) -> np.ndarray:
@@ -212,8 +215,9 @@ def ridge_precision(design: np.ndarray, dz: float, lam: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClampedFactor:
-    """Cholesky factor of the first-layer weight precision, built from the
-    X[1] object ``x`` under ``key`` = (first layer, delta_z[2], lambda_w[1]).
+    """Inverse Cholesky factor R = L^-1 of the first-layer weight
+    precision, built from the X[1] object ``x`` under ``key`` = (first
+    layer, delta_z[2], lambda_w[1]).
 
     ``design`` holds the weight rows' inputs (the rows of X[1], or its
     flattened conv patches); ``jitter`` is what ``kernels.cholesky_factor``
@@ -223,7 +227,7 @@ class ClampedFactor:
     x: np.ndarray
     key: tuple
     design: np.ndarray
-    factor: np.ndarray
+    inv_factor: np.ndarray
     jitter: float
 
 
@@ -239,7 +243,7 @@ def clamped_factor(state: ChainState, spec: NetworkSpec, noise: NoiseSchedule, p
     if entry is None or entry.x is not x1 or entry.key != key:
         design = layer.op.design(x1)
         factor, jitter = kernels.cholesky_factor(ridge_precision(design, key[1], key[2]), return_jitter=True)
-        entry = state._clamped = ClampedFactor(x1, key, design, factor, jitter)
+        entry = state._clamped = ClampedFactor(x1, key, design, np.linalg.inv(factor), jitter)
     return entry
 
 
@@ -308,7 +312,7 @@ def update_W_layer(
     if l == 1:
         layer = spec.weighted_layers[0]
         entry = clamped_factor(state, spec, noise, prior)
-        rows = draw_rows_from_factor(entry.factor, layer.op.w_rhs(entry.design, z_next, dz), rng)
+        rows = draw_rows_from_factor(entry.inv_factor, layer.op.w_rhs(entry.design, z_next, dz), rng)
         new_w = rows.reshape(layer.weight_shape)
     else:
         new_w = dense_w_draw(as_rows(state.X[l]), z_next, dz, prior.lambda_w[l], rng)

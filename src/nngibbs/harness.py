@@ -323,11 +323,14 @@ def _dataset_from_dict(raw: dict) -> DatasetConfig:
         raise ConfigError("dataset: idx source needs images and labels paths")
     if source == "inline" and ("inline_inputs" not in raw or "inline_labels" not in raw):
         raise ConfigError("dataset: inline source needs inline_inputs and inline_labels")
+    n = raw.get("n")
+    if n != "4x_params":
+        n = _optional_number(raw, "n", "dataset.", integral=True)
     return DatasetConfig(
         source=source,
-        n=raw.get("n"),
+        n=n,
         n_test=_number(raw, "n_test", 0, int, "dataset."),
-        delta_gen=raw.get("delta_gen"),
+        delta_gen=_optional_number(raw, "delta_gen", "dataset."),
         noiseless=bool(raw.get("noiseless", False)),
         images=raw.get("images"),
         labels=raw.get("labels"),

@@ -239,13 +239,10 @@ class ConvIndexMap:
         return z - add_bias(product, b)
 
     def weight_grad(self, resid: np.ndarray, x: np.ndarray) -> np.ndarray:
-        n, c_out, c_in = resid.shape[0], resid.shape[1], x.shape[1]
-        # einsum's summation order follows its operands' memory layout; fancy
-        # indexing lays these patches out sample-fastest, as single-channel
-        # patches always were, so recorded conv gradient traces keep their bits
-        patches = x.reshape(n, c_in * self.in_positions)[:, self._patch_columns(c_in)]
-        grad = np.einsum("nca,nak->ck", resid.reshape(n, c_out, self.out_positions), patches)
-        return grad.reshape(c_out, -1, self.filter_height, self.filter_width)
+        # the filters' right-hand side at unit variance: one matmul over the
+        # C-ordered im2col patches
+        grad = self.w_rhs(self.design(x), resid, 1.0)
+        return grad.reshape(resid.shape[1], -1, self.filter_height, self.filter_width)
 
     def bias_grad(self, resid: np.ndarray) -> np.ndarray:
         return resid.reshape(resid.shape[0], resid.shape[1], self.out_positions).sum(axis=(0, 2))
@@ -473,7 +470,7 @@ class NetworkSpec:
             prev_size = math.prod(layer.out_shape)
             prev_kind = layer.kind
 
-    @property
+    @cached_property
     def weighted_layers(self) -> tuple[LayerSpec, ...]:
         return tuple(l for l in self.layers if l.kind != "pool")
 

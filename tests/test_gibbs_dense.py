@@ -4,9 +4,18 @@ Each block conditional is compared against an oracle that knows nothing
 about the update formulas: rejection sampling from the raw unnormalized
 density, numerical quadrature, or a hand-derived conjugate closed form.
 """
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.linalg import solve_triangular
+
+import nngibbs
 
 from conftest import (
     assert_bitwise_equal,
@@ -14,7 +23,7 @@ from conftest import (
     sweep_by_public_updates,
     z_conditional_rejection,
 )
-from nngibbs.kernels import RngStream, branch_prob_negative
+from nngibbs.kernels import RngStream, branch_prob_negative, cholesky_factor
 from nngibbs.network import (
     Activation,
     ChainState,
@@ -28,8 +37,11 @@ from nngibbs.network import (
 from nngibbs.gibbs import (
     SweepSchedule,
     UnsupportedActivation,
+    clamped_factor,
     dense_w_draw,
+    draw_rows_from_factor,
     gibbs_sweep,
+    ridge_precision,
     sample_z_scalar,
     update_bias_layer,
     update_probit_output,
@@ -461,6 +473,20 @@ class TestSweep:
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * se)
 
 
+def jittered_chain():
+    """A single-layer chain whose first-layer factor needs jitter:
+    duplicated input columns and the prior lambda_w = 1e-20 make
+    X1^T X1 / dz + lam I numerically singular."""
+    gen = np.random.default_rng(49)
+    base = gen.standard_normal((20, 3))
+    X, y = np.hstack([base, base]), gen.standard_normal((20, 1))
+    spec = mlp([6, 1], bias=False)
+    noise = NoiseSchedule(delta_z={2: 0.5}, delta_x={})
+    prior = PriorSpec(lambda_w={1: 1e-20})
+    state = ChainState(W={1: np.zeros((1, 6))}, b={1: None}, X={1: X}, Z={2: y})
+    return spec, noise, prior, state
+
+
 def probit_chain(seed):
     """A dense 6-4-3 probit chain generated from random weights, ready to sweep."""
     spec = mlp([6, 4, 3], output="probit")
@@ -521,18 +547,8 @@ class TestClampedFactorCache:
         assert got.tobytes() == want.tobytes()
 
     def test_jittered_factor_cached_bitwise(self):
-        # duplicated input columns and a tiny prior make X1^T X1 / dz + lam I
-        # numerically singular, so the factor needs jitter
-        gen = np.random.default_rng(49)
-        base = gen.standard_normal((20, 3))
-        X = np.hstack([base, base])
-        y = gen.standard_normal((20, 1))
-        spec = mlp([6, 1], bias=False)
-        noise = NoiseSchedule(delta_z={2: 0.5}, delta_x={})
-        prior = PriorSpec(lambda_w={1: 1e-20})
-
         def run(empty_cache):
-            state = ChainState(W={1: np.zeros((1, 6))}, b={1: None}, X={1: X}, Z={2: y})
+            spec, noise, prior, state = jittered_chain()
             rng = RngStream(50)
             for _ in range(4):
                 if empty_cache:
@@ -544,3 +560,69 @@ class TestClampedFactorCache:
         assert cached._clamped.jitter > 0.0
         assert np.all(np.isfinite(cached.W[1]))
         assert_bitwise_equal(cached, fresh)
+
+
+class TestDrawRowsFromFactor:
+    @staticmethod
+    def precision(case):
+        if case == "jittered":
+            _, noise, prior, state = jittered_chain()
+            return ridge_precision(state.X[1], noise.delta_z[2], prior.lambda_w[1])
+        # 500 samples: at d = 784 the Gram is rank-deficient, as the MNIST one is
+        X = np.random.default_rng(51).standard_normal((500, int(case)))
+        return ridge_precision(X, 1e-3, 1.0)
+
+    @pytest.mark.parametrize("case", ["2", "50", "784", "jittered"])
+    def test_matches_triangular_solves(self, case):
+        prec = self.precision(case)
+        d = len(prec)
+        L, jitter = cholesky_factor(prec, return_jitter=True)
+        assert (jitter > 0.0) == (case == "jittered")
+        h = np.random.default_rng(52).standard_normal((7, d)) * 10.0
+        got = draw_rows_from_factor(np.linalg.inv(L), h, RngStream(53))
+        z = RngStream(53).generator.standard_normal((d, len(h)))
+        want = solve_triangular(L, solve_triangular(L, h.T, lower=True) + z, trans="T", lower=True).T
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-12
+
+    @pytest.mark.parametrize("make_chain", [lambda: probit_chain(54), jittered_chain], ids=["probit", "jittered"])
+    def test_clamped_inverse_factor_inverts_the_factor(self, make_chain):
+        spec, noise, prior, state = make_chain()
+        entry = clamped_factor(state, spec, noise, prior)
+        prec = ridge_precision(entry.design, noise.delta_z[2], prior.lambda_w[1])
+        L = cholesky_factor(prec + entry.jitter * np.eye(len(prec)))
+        # a computed inverse misses the identity by about eps * cond(L):
+        # ~3e-11 for the jittered factor, whose cond(L) is ~2e6
+        atol = max(1e-12, np.finfo(float).eps * np.linalg.cond(L))
+        np.testing.assert_allclose(entry.inv_factor @ L, np.eye(len(L)), rtol=0.0, atol=atol)
+
+    def test_sweep_loads_no_scipy_linalg(self):
+        # a second BLAS pool (scipy's) spinning next to numpy's takes the CPUs
+        # from it; the sweep keeps to numpy, so scipy.linalg is never imported
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from nngibbs import (
+                DenseLayer, NetworkSpec, NoiseSchedule, PriorSpec, RngStream, SweepSchedule,
+                forward_generate, gibbs_sweep,
+            )
+
+            spec = NetworkSpec(layers=(DenseLayer(6, 4), DenseLayer(4, 3)), activation="relu", output="probit")
+            noise = NoiseSchedule.uniform(spec, 0.5)
+            prior = PriorSpec.fan_in(spec)
+            rng = RngStream(0)
+            gen = rng.generator
+            W = {l: gen.standard_normal(spec.weight_shape(l)) for l in (1, 2)}
+            b = {l: gen.standard_normal(spec.bias_width(l)) for l in (1, 2)}
+            state, _ = forward_generate(spec, noise, W, b, gen.standard_normal((30, 6)), rng)
+            for _ in range(2):
+                gibbs_sweep(state, spec, noise, prior, SweepSchedule(), rng)
+            assert np.all(np.isfinite(state.W[1]))
+            print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+            """
+        )
+        src = str(Path(nngibbs.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

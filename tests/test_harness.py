@@ -110,6 +110,8 @@ class TestConfig:
             (("initializations",), 3, r"initializations: expected a list"),
             (("max_seconds",), "soon", r"max_seconds: expected a number"),
             (("dataset", "n_test"), "many", r"dataset\.n_test: expected int"),
+            (("dataset", "n"), "many", r"dataset\.n: expected an integer"),
+            (("dataset", "delta_gen"), "tiny", r"dataset\.delta_gen: expected a number"),
             (("sampler", "step_size"), "big", r"sampler\.step_size: expected a number"),
             (("sampler",), {"kind": "hmc", "step_size": 1e-3, "leapfrog_steps": 2.5}, r"sampler\.leapfrog_steps: expected an integer"),
         ],
@@ -122,6 +124,8 @@ class TestConfig:
             "initializations-not-list",
             "max-seconds-not-number",
             "n-test-not-int",
+            "n-not-int",
+            "delta-gen-not-number",
             "step-size-not-number",
             "leapfrog-steps-not-int",
         ],
