@@ -137,15 +137,17 @@ def update_pool_X(
     shift = shrink * (pooled - field_avg)
     mean = up_blocks + shift[..., :, None, :, None]
 
-    z = gen.normal(scale=np.sqrt(var_in), size=up_blocks.shape)
+    sd = np.sqrt(var_in)
+    z = gen.normal(scale=sd, size=up_blocks.shape)
     zbar = z - q * z.sum(axis=(-3, -1), keepdims=True)
     drawn = mean + zbar
 
-    out = upstream_mean + gen.normal(scale=np.sqrt(var_in), size=upstream_mean.shape)
-    lead = upstream_mean.shape[:-2]
-    out[..., : pmap.retained_height, : pmap.retained_width] = drawn.reshape(
-        *lead, pmap.retained_height, pmap.retained_width
-    )
+    out = upstream_mean.copy()
+    rh, rw = pmap.retained_height, pmap.retained_width
+    out[..., :rh, :rw] = drawn.reshape(*upstream_mean.shape[:-2], rh, rw)
+    # only the border slabs outside the windows get plain upstream noise
+    for border in (out[..., rh:, :], out[..., :rh, rw:]):
+        border += gen.normal(scale=sd, size=border.shape)
     return out
 
 

@@ -5,10 +5,11 @@ the rest of the chain: rows of X and W are multivariate Gaussians sharing
 one inverse Cholesky factor per block (a conv layer's weight rows are its
 filters), pre-activations Z are scalar two-branch mixtures of one-sided
 truncated normals, biases are scalar Gaussians (one per unit, or per conv
-channel), and the probit output layer is a sequential pass of truncated
-normals that preserves the argmax constraint. Where a pool feeds X[l],
-the pooled values P[l] take the two-branch law and Z[l] is redrawn window
-by window (``conv.update_pool_X``).
+channel), and the probit output scores are two blocks of truncated
+normals that keep the argmax constraint: every label score given the
+other scores, then every other score given the label score. Where a
+pool feeds X[l], the pooled values P[l] take the two-branch law and Z[l]
+is redrawn window by window (``conv.update_pool_X``).
 
 One sweep walks the weighted layers of any supported stack. Hidden
 layers factor and invert their shared precision once per sweep; a row
@@ -67,11 +68,12 @@ class SweepSchedule:
     """The one order in which a Gibbs sweep visits the variable blocks.
 
     W[1] and b[1]; then for l = 2..L: X[l], W[l], b[l], P[l] (when a pool
-    feeds X[l]) and Z[l]; then the output Z for probit. The conv+pool
-    classifier therefore runs W1, b1, X2, W2, b2, P2, Z2, probit. There is
-    nothing to set: the class is kept because ``gibbs_sweep`` takes it as
-    its ``schedule`` argument, and existing callers pass
-    ``SweepSchedule()``.
+    feeds X[l]) and Z[l]; then, for probit, the output Z in two blocks:
+    the label scores, then all other scores. The conv+pool classifier
+    therefore runs W1, b1, X2, W2, b2, P2, Z2, probit labels, probit
+    others. There is nothing to set: the class is kept because
+    ``gibbs_sweep`` takes it as its ``schedule`` argument, and existing
+    callers pass ``SweepSchedule()``.
     """
 
 
@@ -81,7 +83,10 @@ class ZBranchMasses:
 
     Masses integrate the unnormalized conditional density itself (both
     Gaussian factors evaluated exactly), so the normalized branch split
-    is free of any shared constant.
+    is free of any shared constant. ``log_tail_pos``/``log_tail_neg`` are
+    the log_ndtr terms of those masses: the log probability that each
+    branch's Gaussian lands on its own half-line, which is the survival
+    mass the truncated draw inverts.
     """
 
     log_mass_pos: np.ndarray
@@ -90,6 +95,8 @@ class ZBranchMasses:
     var_pos: np.ndarray | float
     mean_neg: np.ndarray
     var_neg: np.ndarray | float
+    log_tail_pos: np.ndarray
+    log_tail_neg: np.ndarray
 
 
 
@@ -110,49 +117,56 @@ def z_branch_masses(activation: Activation, wx, x_next, dz: float, dx: float) ->
     if activation is Activation.RELU:
         v = dz * dx / (dz + dx)
         mean_pos = (dx * wx + dz * x_next) / (dz + dx)
+        tail_pos = log_gauss_mass_upper(mean_pos, v, 0.0)
         log_pos = (
             -((wx - x_next) ** 2) / (2.0 * (dz + dx))
             + 0.5 * np.log(2.0 * np.pi * v)
-            + log_gauss_mass_upper(mean_pos, v, 0.0)
+            + tail_pos
         )
         # below zero the activation contributes a z-free factor only
         mean_neg = wx
+        tail_neg = log_gauss_mass_lower(wx, dz, 0.0)
         log_neg = (
             -(x_next**2) / (2.0 * dx)
             + 0.5 * np.log(2.0 * np.pi * dz)
-            + log_gauss_mass_lower(wx, dz, 0.0)
+            + tail_neg
         )
-        return ZBranchMasses(log_pos, log_neg, mean_pos, v, np.broadcast_to(mean_neg, log_neg.shape), dz)
+        mean_neg = np.broadcast_to(mean_neg, log_neg.shape)
+        return ZBranchMasses(log_pos, log_neg, mean_pos, v, mean_neg, dz, tail_pos, tail_neg)
 
     if activation is Activation.SIGN:
+        tail_pos = log_gauss_mass_upper(wx, dz, 0.0)
+        tail_neg = log_gauss_mass_lower(wx, dz, 0.0)
         log_pos = (
             -((1.0 - x_next) ** 2) / (2.0 * dx)
             + 0.5 * np.log(2.0 * np.pi * dz)
-            + log_gauss_mass_upper(wx, dz, 0.0)
+            + tail_pos
         )
         log_neg = (
             -((1.0 + x_next) ** 2) / (2.0 * dx)
             + 0.5 * np.log(2.0 * np.pi * dz)
-            + log_gauss_mass_lower(wx, dz, 0.0)
+            + tail_neg
         )
         m = np.broadcast_to(wx, log_pos.shape)
-        return ZBranchMasses(log_pos, log_neg, m, dz, m, dz)
+        return ZBranchMasses(log_pos, log_neg, m, dz, m, dz, tail_pos, tail_neg)
 
     if activation is Activation.ABS:
         v = dz * dx / (dz + dx)
         mean_pos = (dx * wx + dz * x_next) / (dz + dx)
         mean_neg = (dx * wx - dz * x_next) / (dz + dx)
+        tail_pos = log_gauss_mass_upper(mean_pos, v, 0.0)
+        tail_neg = log_gauss_mass_lower(mean_neg, v, 0.0)
         log_pos = (
             -((wx - x_next) ** 2) / (2.0 * (dz + dx))
             + 0.5 * np.log(2.0 * np.pi * v)
-            + log_gauss_mass_upper(mean_pos, v, 0.0)
+            + tail_pos
         )
         log_neg = (
             -((wx + x_next) ** 2) / (2.0 * (dz + dx))
             + 0.5 * np.log(2.0 * np.pi * v)
-            + log_gauss_mass_lower(mean_neg, v, 0.0)
+            + tail_neg
         )
-        return ZBranchMasses(log_pos, log_neg, mean_pos, v, mean_neg, v)
+        return ZBranchMasses(log_pos, log_neg, mean_pos, v, mean_neg, v, tail_pos, tail_neg)
 
     raise UnsupportedActivation(f"no two-branch decomposition for {activation.value} activation")
 
@@ -178,12 +192,14 @@ def sample_z_scalar(activation: Activation, wx, x_next, dz: float, dx: float, rn
     take_neg = gen.uniform(size=p_neg.shape) < p_neg
 
     # one standardized truncated pass serves both branches: the negative
-    # branch is the mirrored positive one
+    # branch is the mirrored positive one, and the chosen branch's tail
+    # mass is exp of its log_ndtr term, Phi(-bound)
     mu = np.where(take_neg, masses.mean_neg, masses.mean_pos)
     sd = np.sqrt(np.where(take_neg, masses.var_neg, masses.var_pos))
     signs = np.where(take_neg, -1.0, 1.0)
     bound = -signs * mu / sd
-    t = kernels.std_lower_truncated(bound, gen)
+    surv = np.exp(np.where(take_neg, masses.log_tail_neg, masses.log_tail_pos))
+    t = kernels.std_lower_truncated(bound, surv, gen)
     return signs * (signs * mu + sd * t)
 
 
@@ -396,40 +412,33 @@ def update_probit_output(
     rng: RngStream,
     product: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sequential coordinate pass over the constrained output scores.
+    """Two exact blocks over the constrained output scores.
 
-    The label coordinate is drawn truncated below at the running maximum
-    of the others; every other coordinate truncated above at the label
-    coordinate. The argmax constraint holds after every single draw.
-    ``product`` is W[L]·X[L] when the caller already has it.
+    Under argmax = label the non-label scores are conditionally
+    independent given the label score. So every row's label score is
+    drawn first, truncated below at the maximum of its other scores; then
+    every non-label score at once, truncated above at the new label
+    score. Each block is one truncated-normal call, and the argmax
+    constraint holds after each. ``product`` is W[L]·X[L] when the caller
+    already has it.
     """
     if spec.output != OUTPUT_PROBIT:
         raise ValueError("probit update requires a probit output model")
     big_l = spec.depth
-    Z = state.Z[big_l + 1]
     y = state.labels
     if y is None:
         raise ValueError("probit state has no labels")
-    n, n_class = Z.shape
     if product is None:
         product = spec.weighted_layers[-1].op.product(state.W[big_l], state.X[big_l])
     mean = add_bias(product, state.b.get(big_l))
     dz = noise.delta_z[big_l + 1]
-    rows = np.arange(n)
-    label_vals = Z[rows, y]
-    for alpha in range(n_class):
-        is_label = y == alpha
-        if is_label.any():
-            block = Z[is_label].copy()
-            block[:, alpha] = -np.inf
-            floor = block.max(axis=1)
-            draw = kernels.trunc_norm_lower(mean[is_label, alpha], dz, floor, rng)
-            Z[is_label, alpha] = draw
-            label_vals[is_label] = draw
-        other = ~is_label
-        if other.any():
-            cap = label_vals[other]
-            Z[other, alpha] = kernels.trunc_norm_upper(mean[other, alpha], dz, cap, rng)
+    others = state.Z[big_l + 1].copy()
+    rows = np.arange(len(others))
+    others[rows, y] = -np.inf
+    label = kernels.trunc_norm_lower(mean[rows, y], dz, others.max(axis=1), rng)
+    # the label column is drawn too, then replaced
+    Z = kernels.trunc_norm_upper(mean, dz, label[:, None], rng)
+    Z[rows, y] = label
     state.Z[big_l + 1] = Z
     return Z
 

@@ -102,14 +102,16 @@ def cholesky_factor(covariance: np.ndarray, return_jitter: bool = False):
     )
 
 
-def std_lower_truncated(a: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+def std_lower_truncated(a: np.ndarray, surv: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Standard normal conditioned on being >= a, elementwise over ``a``.
 
-    Inverse-CDF in the body, exponential-proposal rejection beyond
-    ``_TAIL_SPLIT`` standard deviations; expected work stays bounded no
-    matter how deep the truncation. A bound of -inf is no truncation; a
-    NaN or +inf bound (from a NaN input or a zero variance) has no draw
-    and raises ValueError before any random number is used.
+    ``surv`` is the survival mass Phi(-a) of each bound, which the Z
+    kernel already holds from its branch masses. Inverse-CDF in the body,
+    exponential-proposal rejection beyond ``_TAIL_SPLIT`` standard
+    deviations; expected work stays bounded no matter how deep the
+    truncation. A bound of -inf is no truncation; a NaN or +inf bound
+    (from a NaN input or a zero variance) has no draw and raises
+    ValueError before any random number is used.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(a < np.inf):
@@ -119,19 +121,14 @@ def std_lower_truncated(a: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     body = a <= _TAIL_SPLIT
     if body.any():
         ab = a[body]
+        sb = np.broadcast_to(surv, a.shape)[body]
         u = gen.uniform(size=ab.shape)
-        left = ab <= 0.0
-        res = np.empty(ab.shape, dtype=float)
-        if left.any():
-            al = ab[left]
-            # CDF-side inversion is well conditioned when the bound is left of 0
-            res[left] = ndtri(ndtr(al) + u[left] * ndtr(-al))
-        right = ~left
-        if right.any():
-            ar = ab[right]
-            # survival-side inversion keeps the small tail mass representable
-            res[right] = -ndtri(u[right] * ndtr(-ar))
-        out[body] = res
+        # right of 0 invert on the survival side, which keeps a small tail
+        # mass representable: -ndtri(u s); left of 0 the CDF side
+        # ndtri((1 - s) + u s) is well conditioned
+        right = ab > 0.0
+        r = ndtri(np.where(right, 0.0, 1.0 - sb) + u * sb)
+        out[body] = np.where(right, -r, r)
 
     tail = ~body
     if tail.any():
@@ -159,7 +156,7 @@ def trunc_norm_lower(mean, var, lower, rng: RngStream) -> np.ndarray:
     lower = np.asarray(lower, dtype=float)
     mean, sd, lower = np.broadcast_arrays(mean, sd, lower)
     a = (lower - mean) / sd
-    return mean + sd * std_lower_truncated(a, rng.generator)
+    return mean + sd * std_lower_truncated(a, ndtr(-a), rng.generator)
 
 
 def trunc_norm_upper(mean, var, upper, rng: RngStream) -> np.ndarray:

@@ -16,6 +16,7 @@ from scipy import integrate, stats
 from scipy.linalg import solve_triangular
 
 import nngibbs
+from nngibbs import kernels
 
 from conftest import (
     assert_bitwise_equal,
@@ -318,13 +319,14 @@ class TestBiasUpdate:
 
 
 class TestProbitUpdate:
-    def build(self, n=1, c=3, seed=20, delta=0.7):
+    def build(self, n=1, c=3, seed=20, delta=0.7, labels=None):
         spec = mlp([2, c], output="probit", bias=False)
         noise = NoiseSchedule(delta_z={2: delta}, delta_x={})
         gen = np.random.default_rng(seed)
         X = gen.standard_normal((n, 2))
         W = {1: gen.standard_normal((c, 2))}
-        labels = gen.integers(0, c, size=n)
+        if labels is None:
+            labels = gen.integers(0, c, size=n)
         z0 = gen.standard_normal((n, c))
         rows = np.arange(n)
         z0[rows, labels] = np.abs(z0).max(axis=1) + 0.5
@@ -380,6 +382,54 @@ class TestProbitUpdate:
         for j in range(3):
             _, p = stats.ks_2samp(draws[:, j], oracle[:, j])
             assert p > 0.01, f"coordinate {j}: p={p}"
+
+    def test_ten_class_rejection_oracle(self):
+        # one row per label, every (row, coordinate) marginal against
+        # rejection from the unconstrained Gaussian
+        c = 10
+        spec, noise, state = self.build(n=c, c=c, seed=40, labels=np.arange(c))
+        # shrink the means so every label keeps an acceptance of >= 1%
+        state.W[1] *= 0.3
+        mean = state.X[1] @ state.W[1].T
+        sd = np.sqrt(noise.delta_z[2])
+        rng = RngStream(43)
+        for _ in range(100):
+            update_probit_output(state, spec, noise, rng)
+        draws = []
+        for t in range(30_000):
+            update_probit_output(state, spec, noise, rng)
+            if t % 10 == 0:
+                draws.append(state.Z[2].copy())
+        draws = np.array(draws)
+        m = len(draws)
+
+        gen = np.random.default_rng(44)
+        for row in range(c):
+            oracle = []
+            while len(oracle) < m:
+                z = mean[row] + sd * gen.standard_normal((20_000, c))
+                oracle.extend(z[z.argmax(axis=1) == row].tolist())
+            oracle = np.array(oracle[:m])
+            for j in range(c):
+                _, p = stats.ks_2samp(draws[:, row, j], oracle[:, j])
+                # Bonferroni over the c * c marginals
+                assert p > 0.01 / c**2, f"row {row}, coordinate {j}: p={p}"
+
+    @pytest.mark.parametrize("c", [3, 10])
+    def test_two_kernel_calls_per_pass(self, c, monkeypatch):
+        spec, noise, state = self.build(n=200, c=c, seed=45)
+        assert set(state.labels) == set(range(c))
+        calls = []
+        original = kernels.std_lower_truncated
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "std_lower_truncated", counted)
+        update_probit_output(state, spec, noise, RngStream(46))
+        state.validate(spec)
+        assert len(calls) == 2
 
 
 class TestSweep:

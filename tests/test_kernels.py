@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.stats import norm
+from scipy.special import log_ndtr
+from scipy.stats import norm, truncnorm
 
 from nngibbs.gibbs import draw_rows_from_precision
 from nngibbs.kernels import (
@@ -16,6 +17,7 @@ from nngibbs.kernels import (
     branch_prob_negative,
     cholesky_factor,
     stable_branch_probability,
+    std_lower_truncated,
     trunc_norm_lower,
     trunc_norm_upper,
 )
@@ -132,14 +134,27 @@ class TestTruncatedNormal:
         assert np.all(draws >= 0.0)
 
     @pytest.mark.parametrize(
-        "var, lower", [(1.0, np.nan), (0.0, 1.0), (1.0, np.inf)], ids=["nan-bound", "zero-variance", "inf-bound"]
+        "var, lower",
+        [(1.0, [np.nan]), (0.0, [1.0]), (1.0, [np.inf]), (1.0, [0.5, np.nan])],
+        ids=["nan-bound", "zero-variance", "inf-bound", "nan-beside-drawable"],
     )
     def test_undrawable_bound_raises_before_drawing(self, var, lower):
-        # each of these once sent the rejection loop round forever
+        # each of these once sent the rejection loop round forever; a
+        # drawable body bound next to an undrawable one gets no draw either
         rng = RngStream(11)
         with pytest.raises(ValueError, match=r"NaN or \+inf"):
-            trunc_norm_lower([0.0], var, [lower], rng)
+            trunc_norm_lower(np.zeros(len(lower)), var, lower, rng)
         assert rng.generator.uniform() == RngStream(11).generator.uniform()
+
+    @pytest.mark.parametrize("a", [-8.0, -2.0, 0.0, 1.5, 3.9, 6.0])
+    def test_caller_given_survival_mass(self, a):
+        # the Z kernel hands over Phi(-a) as exp of a log_ndtr it already
+        # holds; 6 lies past the inverse-CDF body, in the rejection tail
+        n = 10_000
+        bound = np.full(n, a)
+        draws = std_lower_truncated(bound, np.exp(log_ndtr(-bound)), RngStream(13, (int(10 * a),)).generator)
+        assert np.all(draws >= a)
+        assert ks_distance(draws, truncnorm(a, np.inf).cdf) < ks_critical(n, alpha=0.01)
 
     def test_minus_inf_bound_is_no_truncation(self):
         draws = trunc_norm_lower(np.zeros(50_000), 1.0, np.full(50_000, -np.inf), RngStream(12))
