@@ -24,6 +24,8 @@ def _load_config(args) -> ExperimentConfig:
     if args.config is not None and args.preset is not None:
         raise ConfigError("pass either --config or --preset, not both")
     if args.config is not None:
+        if args.delta is not None:
+            raise ConfigError("--delta applies to --preset only")
         cfg = ExperimentConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
     elif args.preset is not None:
         cfg = presets.get_preset(args.preset, delta=args.delta)
@@ -78,7 +80,10 @@ def _cmd_run(args) -> int:
 def _cmd_diagnose(args) -> int:
     series_by_file = {}
     for path in args.traces:
-        table = read_trace(path)
+        try:
+            table = read_trace(path)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
         if args.observable not in table:
             raise SystemExit(f"{path}: no observable named {args.observable!r} (have {sorted(table)})")
         series_by_file[path] = table[args.observable]

@@ -9,10 +9,15 @@ the wall-clock column.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import enum
 import json
+import math
 import numbers
 import time
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,12 +30,10 @@ from .kernels import RngStream
 from .network import (
     Activation,
     ChainState,
-    ConvLayer,
     Dataset,
-    DenseLayer,
+    LayerSpec,
     NetworkSpec,
     NoiseSchedule,
-    PoolLayer,
     PriorSpec,
     add_bias,
     forward_generate,
@@ -64,8 +67,8 @@ class MissingTeacher(Exception):
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    source: str
-    n: int | str | None = None
+    source: typing.Literal["synthetic", "idx", "inline"]
+    n: typing.Literal["4x_params"] | int | None = None
     n_test: int = 0
     delta_gen: float | None = None
     noiseless: bool = False
@@ -82,8 +85,8 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    kind: str
-    posterior: str
+    kind: typing.Literal["gibbs", "hmc", "mala"] = "gibbs"
+    posterior: typing.Literal["intermediate", "classical"] = "intermediate"
     step_size: float | None = None
     leapfrog_steps: int | None = None
 
@@ -95,23 +98,27 @@ class ExperimentConfig:
     prior: PriorSpec
     dataset: DatasetConfig
     sampler: SamplerConfig
-    initializations: tuple[str, ...]
-    sweeps: int
-    spacing: int
-    seed: int
+    initializations: tuple[str, ...] = ()
+    sweeps: int = 1
+    spacing: int = 1
+    seed: int = 0
     max_seconds: float | None = None
     merge_window: int = 50
     merge_tolerance: float = 3.0
 
     def validate(self):
-        if self.sweeps < 1:
-            raise ConfigError("sweeps: must be >= 1")
-        if self.spacing < 1:
-            raise ConfigError("spacing: must be >= 1")
-        if self.sampler.kind not in ("gibbs", "hmc", "mala"):
-            raise ConfigError(f"sampler.kind: unknown sampler {self.sampler.kind!r}")
-        if self.sampler.posterior not in ("intermediate", "classical"):
-            raise ConfigError(f"sampler.posterior: unknown posterior {self.sampler.posterior!r}")
+        for name, low in (("sweeps", 1), ("spacing", 1), ("seed", 0), ("merge_window", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name}: must be >= {low}, got {getattr(self, name)}")
+        for name, value in (("merge_tolerance", self.merge_tolerance), ("dataset.delta_gen", self.dataset.delta_gen)):
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name}: must be > 0, got {value}")
+        # the uniform tables hold exactly the layers each table must cover
+        for section, full in (("noise", NoiseSchedule.uniform(self.network, 1.0)), ("prior", PriorSpec.uniform(self.network, 1.0))):
+            for name, layers in vars(full).items():
+                for l in sorted(set(getattr(getattr(self, section), name)) ^ set(layers)):
+                    problem = "missing" if l in layers else "no such layer"
+                    raise ConfigError(f"{section}.{name}[{l}]: {problem}; this network needs layers {sorted(layers)}")
         if self.sampler.kind == "gibbs" and self.sampler.posterior == "classical":
             raise ConfigError("sampler.posterior: the Gibbs sampler runs on the intermediate posterior only")
         if self.sampler.kind == "hmc" and (self.sampler.step_size is None or self.sampler.leapfrog_steps is None):
@@ -123,7 +130,10 @@ class ExperimentConfig:
         for init in self.initializations:
             if init == "informed" and self.dataset.source != "synthetic":
                 raise ConfigError("initializations: informed requires a synthetic dataset with a stored teacher")
-            if not (init in ("informed", "zero", "random") or init.startswith("gaussian:")):
+            if init.startswith("gaussian:"):
+                if not 0 < _parsed(float, init.removeprefix("gaussian:"), math.nan) < math.inf:
+                    raise ConfigError(f"initializations: {init!r} needs a finite positive scale")
+            elif init not in ("informed", "zero", "random"):
                 raise ConfigError(f"initializations: unknown kind {init!r}")
         if not self.initializations:
             raise ConfigError("initializations: need at least one chain")
@@ -133,7 +143,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         spec = self.network
         layers = [{"kind": layer.kind, **dataclasses.asdict(layer)} for layer in spec.layers]
-        d = {
+        return {
             "seed": self.seed,
             "sweeps": self.sweeps,
             "spacing": self.spacing,
@@ -141,46 +151,26 @@ class ExperimentConfig:
             "merge_window": self.merge_window,
             "merge_tolerance": self.merge_tolerance,
             "network": {"activation": spec.activation.value, "output": spec.output, "layers": layers},
-            "noise": {
-                "delta_z": {str(k): v for k, v in sorted(self.noise.delta_z.items())},
-                "delta_x": {str(k): v for k, v in sorted(self.noise.delta_x.items())},
-                "delta_pool": {str(k): v for k, v in sorted(self.noise.delta_pool.items())},
-            },
-            "prior": {
-                "lambda_w": {str(k): v for k, v in sorted(self.prior.lambda_w.items())},
-                "lambda_b": {str(k): v for k, v in sorted(self.prior.lambda_b.items())},
-            },
+            "noise": {name: {str(k): v for k, v in sorted(t.items())} for name, t in vars(self.noise).items()},
+            "prior": {name: {str(k): v for k, v in sorted(t.items())} for name, t in vars(self.prior).items()},
             "dataset": {k: v for k, v in vars(self.dataset).items() if v is not None and v is not False},
             "sampler": {k: v for k, v in vars(self.sampler).items() if v is not None},
             "initializations": list(self.initializations),
         }
-        if self.dataset.inline_inputs is not None:
-            d["dataset"]["inline_inputs"] = _to_nested_list(self.dataset.inline_inputs)
-            d["dataset"]["inline_labels"] = _to_nested_list(self.dataset.inline_labels)
-        return d
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if "network" not in raw:
-            raise ConfigError("network: missing field 'network'")
-        spec = _network_from_dict(_section(raw, "network"))
-        noise = _noise_from_dict(_section(raw, "noise"), spec)
-        prior = _prior_from_dict(_section(raw, "prior"), spec)
-        dataset = _dataset_from_dict(_section(raw, "dataset"))
-        sampler = _sampler_from_dict(_section(raw, "sampler"))
-        cfg = cls(
+        raw = _object(raw, "config")
+        spec = _typed(NetworkSpec, _section(raw, "network"), "network")
+        cfg = _typed(
+            cls,
+            raw,
+            "",
             network=spec,
-            noise=noise,
-            prior=prior,
-            dataset=dataset,
-            sampler=sampler,
-            initializations=_initializations(raw),
-            sweeps=_number(raw, "sweeps", 1, int),
-            spacing=_number(raw, "spacing", 1, int),
-            seed=_number(raw, "seed", 0, int),
-            max_seconds=_optional_number(raw, "max_seconds"),
-            merge_window=_number(raw, "merge_window", 50, int),
-            merge_tolerance=_number(raw, "merge_tolerance", 3.0, float),
+            noise=_noise_from_dict(_section(raw, "noise"), spec),
+            prior=_prior_from_dict(_section(raw, "prior"), spec),
+            dataset=_dataset_from_dict(_section(raw, "dataset")),
+            sampler=_sampler_from_dict(_section(raw, "sampler")),
         )
         cfg.validate()
         return cfg
@@ -193,171 +183,167 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(text))
 
 
-def _to_nested_list(x):
-    if isinstance(x, (list, tuple)):
-        return [_to_nested_list(v) for v in x]
-    return x
+def _parsed(kind, text: str, fallback):
+    """kind(text), or ``fallback`` when the text does not parse."""
+    try:
+        return kind(text)
+    except ValueError:
+        return fallback
 
 
-def _to_nested_tuple(x):
-    if isinstance(x, (list, tuple)):
-        return tuple(_to_nested_tuple(v) for v in x)
-    return x
+# -- config parsing: one typed walk over the dataclass fields -------------
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {value!r}")
+    return value
 
 
 def _section(raw: dict, key: str, where: str = "") -> dict:
     """The nested object raw[key] ({} when absent)."""
-    value = raw.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}{key}: expected an object, got {value!r}")
-    return value
+    return _object(raw.get(key, {}), where + key)
 
 
-def _number(raw: dict, key: str, default, kind, where: str = ""):
-    """raw[key] (or ``default``) converted by ``kind``."""
-    value = raw.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}{key}: expected {kind.__name__}, got {value!r}") from None
-
-
-def _optional_number(raw: dict, key: str, where: str = "", integral: bool = False):
-    """raw[key] unconverted (None when absent), after checking it is a
-    number (an integer when ``integral``)."""
-    value = raw.get(key)
-    kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
-    if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-        raise ConfigError(f"{where}{key}: expected {what}, got {value!r}")
-    return value
-
-
-def _initializations(raw: dict) -> tuple[str, ...]:
-    kinds = raw.get("initializations", ())
-    if not isinstance(kinds, (list, tuple)) or not all(isinstance(kind, str) for kind in kinds):
-        raise ConfigError(f"initializations: expected a list of kind names, got {kinds!r}")
-    return tuple(kinds)
-
-
-_LAYER_KINDS = {"dense": DenseLayer, "conv": ConvLayer, "pool": PoolLayer}
-
-
-def _layer_from_dict(where: str, raw) -> DenseLayer | ConvLayer | PoolLayer:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected an object, got {raw!r}")
-    values = dict(raw)
-    kind = values.pop("kind", "dense")
-    cls = _LAYER_KINDS.get(kind)
-    if cls is None:
-        raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    for name, value in values.items():
-        if name not in fields:
-            raise ConfigError(f"{where}.{name}: unknown field of a {kind} layer")
-        # field types are "int", except has_bias: "bool"
-        if fields[name].type == "bool":
-            ok = isinstance(value, (bool, np.bool_))
-        else:
-            ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not ok:
-            raise ConfigError(f"{where}.{name}: expected {fields[name].type}, got {value!r}")
-    for name, f in fields.items():
-        if name not in values and f.default is dataclasses.MISSING:
-            raise ConfigError(f"{where}: missing field {name!r}")
+def _typed(cls, raw: dict, where: str, **given):
+    """``cls`` built from the object ``raw``: every key must name a field,
+    and its value is checked against that field's type hint. ``given``
+    holds fields the caller has already built; a key of the same name in
+    ``raw`` is what it was built from."""
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    unknown = [key for key in raw if key not in names]
+    if unknown:
+        raise ConfigError("; ".join(f"{_join(where, key)}: unknown field" for key in unknown))
+    hints = typing.get_type_hints(cls)
+    values = dict(given)
+    for f in fields:
+        if f.name in given:
+            continue
+        if f.name in raw:
+            values[f.name] = _check(raw[f.name], hints[f.name], _join(where, f.name))
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"{_join(where, f.name)}: missing field")
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{where or 'config'}: {exc}") from exc
 
 
-def _network_from_dict(raw: dict) -> NetworkSpec:
-    if "layers" not in raw:
-        raise ConfigError("network: missing field 'layers'")
-    layers = [_layer_from_dict(f"network.layers[{i}]", ld) for i, ld in enumerate(raw["layers"])]
+def _join(where: str, name: str) -> str:
+    return f"{where}.{name}" if where else name
+
+
+# scalar hint -> (accepted types, refused types, what the error calls it);
+# the stored value is hint(value), so an integer given to a float is a float
+_SCALARS = {
+    int: ((int, np.integer), bool, "an integer"),
+    float: (numbers.Real, (bool, np.bool_), "a number"),
+    bool: ((bool, np.bool_), (), "true or false"),
+    str: (str, (), "a string"),
+}
+
+
+def _check(value, hint, path: str):
+    """``value`` checked against the type hint ``hint`` of the field at ``path``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint == LayerSpec:
+        return _layer_from_dict(path, value)
+    if origin in (types.UnionType, typing.Union):
+        if value is None and type(None) in args:
+            return None
+        *first, last = [a for a in args if a is not type(None)]
+        for member in first:
+            with contextlib.suppress(ConfigError):
+                return _check(value, member, path)
+        return _check(value, last, path)
+    if origin is typing.Literal:
+        if value in args:
+            return value
+        raise ConfigError(f"{path}: expected {' or '.join(map(repr, args))}, got {value!r}")
+    if hint in _SCALARS:
+        accepted, refused, what = _SCALARS[hint]
+        if isinstance(value, accepted) and not isinstance(value, refused):
+            return hint(value)
+        raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    if isinstance(hint, enum.EnumMeta):
+        return hint(_check(value, typing.Literal[tuple(member.value for member in hint)], path))
+    if hint is tuple or origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        # a bare tuple is inline data: lists of numbers, nested to any depth
+        nested = lambda v: tuple if isinstance(v, (list, tuple)) else float
+        return tuple(_check(v, args[0] if args else nested(v), f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        # the int-keyed tables of noise and prior; JSON keys are strings
+        key_hint, value_hint = args
+        table = {}
+        for key, v in _object(value, path).items():
+            key = _check(_parsed(int, key, key) if isinstance(key, str) else key, key_hint, f"{path}[{key!r}]")
+            table[key] = _check(v, value_hint, f"{path}[{key}]")
+        return table
+    raise TypeError(f"{path}: no config rule for type {hint!r}")
+
+
+def _layer_from_dict(where: str, raw) -> LayerSpec:
+    raw = _object(raw, where)
+    kind = raw.get("kind", "dense")
+    cls = next((c for c in typing.get_args(LayerSpec) if c.kind == kind), None)
+    if cls is None:
+        raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
+    return _typed(cls, {k: v for k, v in raw.items() if k != "kind"}, where)
+
+
+def _shorthand(raw: dict, where: str, key: str, hint, build):
+    """The section that the one key ``raw[key]`` stands for; it sets every
+    table, so no other key may come with it."""
+    others = [k for k in raw if k != key]
+    if others:
+        raise ConfigError(f"{_join(where, others[0])}: cannot be combined with {where}.{key}")
+    value = _check(raw[key], hint, f"{where}.{key}")
     try:
-        return NetworkSpec(
-            layers=tuple(layers),
-            activation=Activation(raw.get("activation", "relu")),
-            output=raw.get("output", OUTPUT_REGRESSION),
-        )
+        return build(value)
     except ValueError as exc:
-        raise ConfigError(f"network: {exc}") from exc
+        raise ConfigError(f"{where}.{key}: {exc}") from exc
 
 
 def _noise_from_dict(raw: dict, spec: NetworkSpec) -> NoiseSchedule:
     if "delta" in raw:
-        return NoiseSchedule.uniform(spec, float(raw["delta"]))
-    try:
-        return NoiseSchedule(
-            delta_z={int(k): float(v) for k, v in raw["delta_z"].items()},
-            delta_x={int(k): float(v) for k, v in raw.get("delta_x", {}).items()},
-            delta_pool={int(k): float(v) for k, v in raw.get("delta_pool", {}).items()},
-        )
-    except KeyError as exc:
-        raise ConfigError(f"noise: missing field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
+        return _shorthand(raw, "noise", "delta", float, lambda delta: NoiseSchedule.uniform(spec, delta))
+    return _typed(NoiseSchedule, raw, "noise")
 
 
 def _prior_from_dict(raw: dict, spec: NetworkSpec) -> PriorSpec:
-    if raw.get("mode") == "fan_in":
-        return PriorSpec.fan_in(spec)
+    if "mode" in raw:
+        return _shorthand(raw, "prior", "mode", typing.Literal["fan_in"], lambda _mode: PriorSpec.fan_in(spec))
     if "lambda" in raw:
-        return PriorSpec.uniform(spec, float(raw["lambda"]))
-    try:
-        return PriorSpec(
-            lambda_w={int(k): float(v) for k, v in raw["lambda_w"].items()},
-            lambda_b={int(k): float(v) for k, v in raw.get("lambda_b", {}).items()},
-        )
-    except KeyError as exc:
-        raise ConfigError(f"prior: missing field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"prior: {exc}") from exc
+        return _shorthand(raw, "prior", "lambda", float, lambda lam: PriorSpec.uniform(spec, lam))
+    return _typed(PriorSpec, raw, "prior")
 
 
 def _dataset_from_dict(raw: dict) -> DatasetConfig:
-    source = raw.get("source")
-    if source not in ("synthetic", "idx", "inline"):
-        raise ConfigError(f"dataset.source: expected synthetic/idx/inline, got {source!r}")
-    if source == "idx" and ("images" not in raw or "labels" not in raw):
-        raise ConfigError("dataset: idx source needs images and labels paths")
-    if source == "inline" and ("inline_inputs" not in raw or "inline_labels" not in raw):
-        raise ConfigError("dataset: inline source needs inline_inputs and inline_labels")
-    n = raw.get("n")
-    if n != "4x_params":
-        n = _optional_number(raw, "n", "dataset.", integral=True)
-    return DatasetConfig(
-        source=source,
-        n=n,
-        n_test=_number(raw, "n_test", 0, int, "dataset."),
-        delta_gen=_optional_number(raw, "delta_gen", "dataset."),
-        noiseless=bool(raw.get("noiseless", False)),
-        images=raw.get("images"),
-        labels=raw.get("labels"),
-        test_images=raw.get("test_images"),
-        test_labels=raw.get("test_labels"),
-        subset=raw.get("subset"),
-        test_subset=raw.get("test_subset"),
-        inline_inputs=_to_nested_tuple(raw["inline_inputs"]) if source == "inline" else None,
-        inline_labels=_to_nested_tuple(raw["inline_labels"]) if source == "inline" else None,
-        path=raw.get("path"),
-    )
+    dc = _typed(DatasetConfig, raw, "dataset")
+    needs = {"idx": ("images", "labels"), "inline": ("inline_inputs", "inline_labels")}.get(dc.source, ())
+    if any(getattr(dc, key) is None for key in needs):
+        raise ConfigError(f"dataset: {dc.source} source needs {' and '.join(needs)}")
+    return dc
+
+
+# configs saved while the sweep order was selectable carry these keys; they
+# load when they name the one order there is, one sequential worker
+_LEGACY_SCHEDULE = {"schedule_mode": "sequential", "workers": 1, "schedule.mode": "sequential", "schedule.workers": 1}
 
 
 def _sampler_from_dict(raw: dict) -> SamplerConfig:
-    # saved configs may carry "schedule_mode": "sequential" and "workers": 1;
-    # those load, while any other mode is refused rather than silently run
-    # as the one sweep order there is
     schedule = _section(raw, "schedule", "sampler.")
-    for field, mode in (("schedule_mode", raw.get("schedule_mode")), ("schedule.mode", schedule.get("mode"))):
-        if mode not in (None, "sequential"):
-            raise ConfigError(f"sampler.{field}: the only sweep order is 'sequential', got {mode!r}")
-    return SamplerConfig(
-        kind=raw.get("kind", "gibbs"),
-        posterior=raw.get("posterior", "intermediate"),
-        step_size=_optional_number(raw, "step_size", "sampler."),
-        leapfrog_steps=_optional_number(raw, "leapfrog_steps", "sampler.", integral=True),
-    )
+    legacy = {k: raw[k] for k in ("schedule_mode", "workers") if k in raw}
+    legacy.update((f"schedule.{k}", v) for k, v in schedule.items())
+    for key, value in legacy.items():
+        if key not in _LEGACY_SCHEDULE:
+            raise ConfigError(f"sampler.{key}: unknown field")
+        if value != _LEGACY_SCHEDULE[key]:
+            raise ConfigError(f"sampler.{key}: the only sweep order is one 'sequential' worker, got {value!r}")
+    return _typed(SamplerConfig, {k: v for k, v in raw.items() if k not in ("schedule_mode", "workers", "schedule")}, "sampler")
 
 
 # -- dataset construction ------------------------------------------------
@@ -369,18 +355,11 @@ def build_dataset(cfg: ExperimentConfig, rng: RngStream) -> Dataset:
     if dc.path is not None:
         return ds.load_dataset(dc.path)
     if dc.source == "synthetic":
-        n = dc.n
-        if n in (None, "4x_params"):
-            n = ds.four_times_params(spec)
-        gen_noise = None
-        if not dc.noiseless:
-            delta_gen = dc.delta_gen
-            if delta_gen is None:
-                gen_noise = cfg.noise
-            else:
-                gen_noise = NoiseSchedule.uniform(spec, float(delta_gen))
+        n = ds.four_times_params(spec) if dc.n in (None, "4x_params") else dc.n
+        # noiseless labels draw no generation noise, whatever the schedule
+        gen_noise = cfg.noise if dc.delta_gen is None else NoiseSchedule.uniform(spec, dc.delta_gen)
         return ds.generate_teacher_student(
-            spec, cfg.prior, int(n), dc.n_test, rng, noise_gen=gen_noise, noiseless=dc.noiseless
+            spec, cfg.prior, n, dc.n_test, rng, noise_gen=gen_noise, noiseless=dc.noiseless
         )
     if dc.source == "idx":
         images, labels = ds.load_idx(dc.images, dc.labels, dc.subset)
@@ -546,13 +525,25 @@ def _write_trace(path: Path, columns: list[str], run: samplers.ChainRun):
 
 
 def read_trace(path) -> dict[str, diagnostics.TraceSeries]:
-    """Parse one trace CSV into a TraceSeries per observable column."""
+    """Parse one trace CSV into a TraceSeries per observable column.
+
+    A file with no records, or a record that is not one number per
+    column, is a ValueError naming the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        raw = [line.strip().split(",") for line in fh if line.strip()]
-    if header[:2] != ["sweep", "wall_s"]:
-        raise ValueError(f"{path}: not a trace file (header {header[:2]})")
-    data = np.asarray(raw, dtype=float)
+        if header[:2] != ["sweep", "wall_s"]:
+            raise ValueError(f"{path}: not a trace file (header {header[:2]})")
+        rows = []
+        for number, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            row = [_parsed(float, cell, None) for cell in line.strip().split(",")]
+            if len(row) != len(header) or None in row:
+                raise ValueError(f"{path}, line {number}: expected {len(header)} numbers, got {line.strip()!r}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}, line 2: no records after the header")
+    data = np.asarray(rows)
     times = data[:, 0].astype(int)
     wall = data[:, 1]
     out = {}
@@ -611,9 +602,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = build_dataset(cfg, RngStream(cfg.seed, (10_000,)))
-    deadline = None
-    if cfg.max_seconds is not None:
-        deadline = time.monotonic() + float(cfg.max_seconds)
+    deadline = None if cfg.max_seconds is None else time.monotonic() + cfg.max_seconds
 
     jobs = list(enumerate(cfg.initializations))
     results = {}

@@ -523,7 +523,7 @@ class NoiseSchedule:
     """
 
     delta_z: dict[int, float]
-    delta_x: dict[int, float]
+    delta_x: dict[int, float] = field(default_factory=dict)
     delta_pool: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):

@@ -2,6 +2,7 @@
 initializations, deterministic trace files, merge verdicts, and the CLI
 surface."""
 import json
+import re
 import struct
 
 import numpy as np
@@ -109,11 +110,30 @@ class TestConfig:
             (("initializations",), "zero", r"initializations: expected a list"),
             (("initializations",), 3, r"initializations: expected a list"),
             (("max_seconds",), "soon", r"max_seconds: expected a number"),
-            (("dataset", "n_test"), "many", r"dataset\.n_test: expected int"),
+            (("dataset", "n_test"), "many", r"dataset\.n_test: expected an integer"),
             (("dataset", "n"), "many", r"dataset\.n: expected an integer"),
             (("dataset", "delta_gen"), "tiny", r"dataset\.delta_gen: expected a number"),
             (("sampler", "step_size"), "big", r"sampler\.step_size: expected a number"),
             (("sampler",), {"kind": "hmc", "step_size": 1e-3, "leapfrog_steps": 2.5}, r"sampler\.leapfrog_steps: expected an integer"),
+            (("sweeps",), 2.7, r"sweeps: expected an integer"),
+            (("sweeps",), "60", r"sweeps: expected an integer"),
+            (("dataset", "noiseless"), "false", r"dataset\.noiseless: expected true or false"),
+            (("dataset", "subset"), "abc", r"dataset\.subset: expected an integer, got 'abc'"),
+            (("dataset", "delta-gen"), 0.1, r"dataset\.delta-gen: unknown field"),
+            (("sweep",), 60, r"sweep: unknown field"),
+            (("noise", "delta"), "x", r"noise\.delta: expected a number"),
+            (("noise",), {"delta_z": [1, 2]}, r"noise\.delta_z: expected an object"),
+            (("network", "layers"), 5, r"network\.layers: expected a list"),
+            (("prior",), {"lambda_w": {"1": 1.0}}, r"prior\.lambda_w\[2\]: missing"),
+            (("prior",), {"lambda_w": {"1": 1.0, "2": 1.0}}, r"prior\.lambda_b\[1\]: missing"),
+            (("noise",), {"delta_z": {"2": 0.01}, "delta_x": {"2": 0.01}}, r"noise\.delta_z\[3\]: missing"),
+            (("noise",), {"delta_z": {"2": 0.01, "3": 0.01}}, r"noise\.delta_x\[2\]: missing"),
+            (("noise",), {"delta_z": {"2": 0.01, "3": 0.01, "4": 1.0}, "delta_x": {"2": 0.01}}, r"noise\.delta_z\[4\]: no such layer"),
+            (("seed",), -1, r"seed: must be >= 0"),
+            (("merge_window",), 0, r"merge_window: must be >= 1"),
+            (("merge_tolerance",), 0, r"merge_tolerance: must be > 0"),
+            (("initializations",), ["gaussian:abc"], r"initializations: 'gaussian:abc' needs a finite positive scale"),
+            (("initializations",), ["gaussian:-1"], r"initializations: 'gaussian:-1' needs a finite positive scale"),
         ],
         ids=[
             "schedule-not-object",
@@ -128,9 +148,28 @@ class TestConfig:
             "delta-gen-not-number",
             "step-size-not-number",
             "leapfrog-steps-not-int",
+            "sweeps-fractional",
+            "sweeps-string",
+            "noiseless-string",
+            "subset-string",
+            "dataset-key-misspelled",
+            "top-level-key-misspelled",
+            "noise-delta-string",
+            "noise-table-not-object",
+            "layers-not-list",
+            "lambda-w-short",
+            "lambda-b-short",
+            "delta-z-short",
+            "delta-x-missing",
+            "delta-z-extra-layer",
+            "seed-negative",
+            "merge-window-zero",
+            "merge-tolerance-zero",
+            "gaussian-scale-not-number",
+            "gaussian-scale-negative",
         ],
     )
-    def test_malformed_field_is_config_error(self, path, value, field):
+    def test_malformed_field_is_config_error(self, path, value, field, tmp_path, capsys):
         raw = base_config()
         parent = raw
         for key in path[:-1]:
@@ -138,6 +177,24 @@ class TestConfig:
         parent[path[-1]] = value
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig.from_dict(raw)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert re.search("config error: " + field, capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
+    def test_integers_in_float_fields_are_written_as_floats(self):
+        raw = base_config(max_seconds=5, merge_tolerance=2)
+        raw["dataset"]["delta_gen"] = 1
+        cfg = ExperimentConfig.from_dict(raw)
+        assert (cfg.max_seconds, cfg.merge_tolerance, cfg.dataset.delta_gen) == (5.0, 2.0, 1.0)
+        assert '"max_seconds": 5.0' in cfg.to_json()
+
+    def test_shorthand_stands_alone(self):
+        with pytest.raises(ConfigError, match=r"prior\.lambda: cannot be combined with prior\.mode"):
+            ExperimentConfig.from_dict(base_config(prior={"mode": "fan_in", "lambda": 1.0}))
+        with pytest.raises(ConfigError, match=r"prior\.mode: expected 'fan_in'"):
+            ExperimentConfig.from_dict(base_config(prior={"mode": "fan_out"}))
 
     def test_layers_serialize_as_their_fields(self):
         conv = {
@@ -314,6 +371,11 @@ class TestPresets:
         hmc = get_preset("mnist-cnn-hmc")
         assert hmc.noise.delta_z[3] == 10.0
 
+    @pytest.mark.parametrize("name", preset_names())
+    def test_json_round_trip(self, name):
+        text = get_preset(name).to_json()
+        assert ExperimentConfig.from_json(text).to_json() == text
+
     def test_delta_grid_three_per_decade(self):
         grid = delta_grid(-3, 0)
         assert grid[0] == pytest.approx(1.0)
@@ -387,6 +449,27 @@ class TestCli:
         cfg_path.write_text(json.dumps(base_config(sampler={"kind": "gibbs", "schedule": "sequential"})), encoding="utf-8")
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
         assert "sampler.schedule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "generate"])
+    def test_delta_with_config_is_refused(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config()), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(cfg_path), "--delta", "0.5", "--out", str(out)]) == 2
+        assert "config error: --delta applies to --preset only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_trace_is_reported(self, tmp_path, capsys):
+        header_only = tmp_path / "header_only.csv"
+        header_only.write_text("sweep,wall_s,test_mse\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"header_only\.csv, line 2: no records"):
+            read_trace(header_only)
+        garbled = tmp_path / "garbled.csv"
+        garbled.write_text("sweep,wall_s,test_mse\n0,0.001,1.5\n10,0.002,oops\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"garbled\.csv, line 3: expected 3 numbers, got '10,0.002,oops'"):
+            read_trace(garbled)
+        with pytest.raises(SystemExit, match=r"header_only\.csv, line 2"):
+            cli_main(["diagnose", str(header_only)])
 
     def test_informed_start_stationary_end_to_end(self, tmp_path):
         # CLI-run informed chain: no first-half/second-half drift in any
