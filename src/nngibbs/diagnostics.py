@@ -120,24 +120,18 @@ def rhat(chains) -> RhatReport:
     )
 
 
-def rhat_series(chains: list[TraceSeries], block: int = 50, mode: str = "blocked"):
-    """Variance-ratio reports along time, per block or cumulatively.
+def rhat_series(chains: list[TraceSeries], block: int = 50):
+    """Variance-ratio reports along time, one per block.
 
-    ``blocked`` follows the measurement protocol of splitting each chain
-    into consecutive blocks of ``block`` records and scoring each block;
-    ``cumulative`` scores every growing prefix at block boundaries.
+    Follows the measurement protocol of splitting each chain into
+    consecutive blocks of ``block`` records and scoring each block.
     Returns (block mid times, list of RhatReport).
     """
-    if mode not in ("blocked", "cumulative"):
-        raise ValueError("mode must be 'blocked' or 'cumulative'")
     length = min(len(c.times) for c in chains)
     n_blocks = length // block
     times, reports = [], []
     for j in range(n_blocks):
-        if mode == "blocked":
-            sl = slice(j * block, (j + 1) * block)
-        else:
-            sl = slice(0, (j + 1) * block)
+        sl = slice(j * block, (j + 1) * block)
         reports.append(rhat([c.values[sl] for c in chains]))
         tb = chains[0].times[sl]
         times.append(float(np.mean(tb.astype(float))))

@@ -40,6 +40,7 @@ from .network import (
     add_bias,
     as_rows,
     sub_bias,
+    unit_rows,
 )
 
 __all__ = [
@@ -376,10 +377,9 @@ def bias_draw(resid: np.ndarray, dz: float, lam_b: float, rng: RngStream) -> np.
     each; every other axis (samples, and pixels for a conv channel)
     shares it.
     """
-    cols = np.moveaxis(resid, 1, -1).reshape(-1, resid.shape[1])
-    n_shared = cols.shape[0]
-    denom = n_shared + dz * lam_b
-    mean = cols.sum(axis=0) / denom
+    rows = unit_rows(resid)
+    denom = rows.shape[1] + dz * lam_b
+    mean = rows.sum(axis=1) / denom
     sd = np.sqrt(dz / denom)
     return mean + sd * rng.generator.standard_normal(mean.shape)
 

@@ -35,9 +35,9 @@ from .network import (
     NetworkSpec,
     NoiseSchedule,
     PriorSpec,
-    add_bias,
     forward_generate,
     predict,
+    residual,
     test_error,
     test_mse,
     OUTPUT_PROBIT,
@@ -500,7 +500,7 @@ class _Observer:
             out["score_U"] = diagnostics.score_statistic(state, self._log_posterior_grads, self.delta)
         if "train_residual" in self.columns:
             first = spec.weighted_layers[0].op
-            resid = state.Z[2] - add_bias(first.product(state.W[1], state.X[1]), state.b.get(1))
+            resid = residual(state.Z[2], first.product(state.W[1], state.X[1]), state.b.get(1))
             out["train_residual"] = float(np.sum(resid * resid))
         if acceptance is not None:
             out["acceptance_rate"] = acceptance

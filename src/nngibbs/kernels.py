@@ -198,14 +198,14 @@ def stable_branch_probability(log_mass_pos: float, log_mass_neg: float) -> float
 
 
 def branch_prob_negative(log_mass_pos: np.ndarray, log_mass_neg: np.ndarray) -> np.ndarray:
-    """Vectorized negative-branch probability, same algebra as the scalar op."""
-    d = np.asarray(log_mass_neg, float) - np.asarray(log_mass_pos, float)
-    out = np.empty(d.shape, dtype=float)
-    hi = d >= 0.0
-    out[hi] = 1.0 / (1.0 + np.exp(-d[hi]))
-    lo = ~hi
-    out[lo] = 1.0 - 1.0 / (1.0 + np.exp(d[lo]))
+    """Vectorized negative-branch probability, same algebra as the scalar op.
+
+    One pass: the larger branch gets 1/(1 + exp(-|d|)) and the smaller
+    its exact complement, with d the log-mass difference.
+    """
+    lp, ln = np.asarray(log_mass_pos, float), np.asarray(log_mass_neg, float)
+    d = ln - lp
+    p = 1.0 / (1.0 + np.exp(-np.abs(d)))
+    out = np.where(d >= 0.0, p, 1.0 - p)
     # equal -inf masses carry no preference
-    both_ninf = np.isnan(d) & np.isneginf(log_mass_pos) & np.isneginf(log_mass_neg)
-    out[both_ninf] = 0.5
-    return out
+    return np.where((lp == -np.inf) & (ln == -np.inf), 0.5, out)

@@ -14,10 +14,13 @@ argmax-constrained for probit classification). A pool after layer l
 produces P[l+1], and X[l+1] is the activation of P[l+1] instead of Z[l+1].
 
 Each layer spec owns its arithmetic through ``op``: ``DenseMap`` for a
-dense layer, ``ConvIndexMap`` for a conv layer (both with the same
-product, residual, gradient and weight-design methods) and ``PoolMap``
-for a pool. The generative pass, the posteriors and the Gibbs sweep all
-walk ``spec.weighted_layers`` through these.
+dense layer, ``ConvIndexMap`` for a conv layer and ``PoolMap`` for a
+pool. A conv layer is a ``DenseMap`` whose weight rows see im2col patch
+rows, so the product, the gradients and the bias layout (``unit_rows``)
+have one body for both kinds; only the geometry, the design and the
+output grid are conv-specific. One ``residual`` serves every
+pre-activation. The generative pass, the posteriors and the Gibbs sweep
+all walk ``spec.weighted_layers`` through these.
 """
 from __future__ import annotations
 
@@ -42,6 +45,8 @@ __all__ = [
     "as_rows",
     "add_bias",
     "sub_bias",
+    "unit_rows",
+    "residual",
     "NetworkSpec",
     "NoiseSchedule",
     "PriorSpec",
@@ -108,41 +113,67 @@ def sub_bias(z: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     return z if b is None else z - _on_axis1(b, z.ndim)
 
 
-class DenseMap:
-    """The linear map of a dense layer: X W^T over the samples as rows.
+def unit_rows(a: np.ndarray) -> np.ndarray:
+    """Units (dense) or channels (conv) of axis 1 as rows, one column per
+    sample and output position: (n, C, ...) -> (C, n * positions). For a
+    dense (n, C) array this is the view a.T."""
+    n, c = a.shape[:2]
+    return a.reshape(n, c, math.prod(a.shape[2:])).transpose(1, 0, 2).reshape(c, -1)
 
-    ``ConvIndexMap`` has the same methods for a conv layer. ``design`` is
-    what each weight row sees as its inputs; ``w_rhs`` turns it and the
-    bias-free next pre-activation into the weight rows' right-hand sides.
+
+def residual(z: np.ndarray, product: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """Z - W·X - b: what the noise of a pre-activation has to explain."""
+    return sub_bias(z - product, b)
+
+
+class DenseMap:
+    """The linear map of a weighted layer over its design rows.
+
+    ``design(x)`` holds what each weight row sees as its inputs, one row
+    per sample (dense) or per sample and output position (conv, whose
+    rows are ``im2col`` patches). The product and the gradients have one
+    body for both kinds, with residuals laid out by ``unit_rows``; only
+    ``w_rhs`` keeps a conv GEMM orientation. ``out_grid`` and
+    ``filter_shape`` are empty for a dense layer.
     """
 
-    def product(self, w: np.ndarray, x: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
-        return (as_rows(x) if design is None else design) @ w.T
+    out_grid: tuple[int, ...] = ()
+    filter_shape: tuple[int, ...] = ()
 
     def design(self, x: np.ndarray) -> np.ndarray:
         return as_rows(x)
 
-    def w_rhs(self, design: np.ndarray, z: np.ndarray, dz: float) -> np.ndarray:
-        return (design.T @ z / dz).T  # one row per output unit
+    def product(self, w: np.ndarray, x: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
+        """W·X shaped like the pre-activation; ``design`` is ``design(x)``
+        when the caller already has it."""
+        if design is None:
+            design = self.design(x)
+        n, c = len(x), len(w)
+        rows = design @ w.reshape(c, -1).T  # (n * positions, units)
+        return rows.reshape(n, math.prod(self.out_grid), c).transpose(0, 2, 1).reshape(n, c, *self.out_grid)
 
-    def residual(self, z: np.ndarray, product: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-        return sub_bias(z - product, b)
+    def w_rhs(self, design: np.ndarray, z: np.ndarray, dz: float) -> np.ndarray:
+        """Right-hand sides of the weight rows from the bias-free next
+        pre-activation, one row per unit or output channel."""
+        return (design.T @ unit_rows(z).T / dz).T
 
     def weight_grad(self, resid: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return resid.T @ as_rows(x)
+        grad = unit_rows(resid) @ self.design(x)
+        return grad.reshape(len(grad), -1, *self.filter_shape)
 
     def bias_grad(self, resid: np.ndarray) -> np.ndarray:
-        return resid.sum(axis=0)
+        return unit_rows(resid).sum(axis=1)
 
 
-class ConvIndexMap:
-    """Receptive-field index bookkeeping for one conv geometry, and the
-    conv layer's arithmetic (the same methods as ``DenseMap``).
+class ConvIndexMap(DenseMap):
+    """A conv layer as a ``DenseMap`` whose weight rows (the filters) see
+    im2col patch rows, plus the receptive-field index bookkeeping.
 
     ``patch_index[a, r]`` is the flat input position covered by filter
     position r when the output sits at flat position a; a runs row-major
-    over the output grid and r row-major over the filter. The packed
-    weight index is i = channel * filter_size + r.
+    over the output grid and r row-major over the filter. A filter's
+    packed weight index is i = channel * filter_size + r, the column
+    order of ``im2col``.
     """
 
     def __init__(self, in_height: int, in_width: int, filter_height: int, filter_width: int, stride_y: int = 1, stride_x: int = 1):
@@ -154,6 +185,8 @@ class ConvIndexMap:
         self.stride_x = stride_x
         self.out_height = (in_height - filter_height) // stride_y + 1
         self.out_width = (in_width - filter_width) // stride_x + 1
+        self.out_grid = (self.out_height, self.out_width)
+        self.filter_shape = (filter_height, filter_width)
         ys = np.arange(self.out_height)[:, None] * stride_y + np.arange(filter_height)[None, :]
         xs = np.arange(self.out_width)[:, None] * stride_x + np.arange(filter_width)[None, :]
         flat = ys[:, None, :, None] * in_width + xs[None, :, None, :]
@@ -179,12 +212,6 @@ class ConvIndexMap:
         """Flat input position of filter coordinate r at output position a."""
         return int(self.patch_index[a, r])
 
-    def pack(self, channel: int, r: int) -> int:
-        return channel * self.filter_size + r
-
-    def unpack(self, i: int) -> tuple[int, int]:
-        return divmod(i, self.filter_size)
-
     def _patch_columns(self, channels: int) -> np.ndarray:
         """Flat (channel, position) input index of every patch entry, shape
         (out_positions, channels * filter_size) in packed weight order."""
@@ -196,17 +223,18 @@ class ConvIndexMap:
         n, c = x.shape[0], x.shape[1]
         return np.take(x.reshape(n, c * self.in_positions), self._patch_columns(c), axis=1)
 
-    def conv_mean(self, w: np.ndarray, x: np.ndarray, patches: np.ndarray | None = None) -> np.ndarray:
-        """Noise-free convolution output, shape (n, C_out, out_h, out_w).
+    def design(self, x: np.ndarray) -> np.ndarray:
+        """im2col patches as rows: (n * out_positions, C_in * filter_size)."""
+        patches = self.im2col(x)
+        return patches.reshape(-1, patches.shape[2])
 
-        ``patches`` is ``im2col(x)`` when the caller already has it.
-        """
-        n = x.shape[0]
-        c_out = w.shape[0]
-        if patches is None:
-            patches = self.im2col(x)
-        out = patches @ w.reshape(c_out, -1).T  # (n, P, C_out)
-        return out.transpose(0, 2, 1).reshape(n, c_out, self.out_height, self.out_width)
+    def conv_mean(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Noise-free convolution output, shape (n, C_out, out_h, out_w)."""
+        return self.product(w, x)
+
+    def w_rhs(self, design: np.ndarray, z: np.ndarray, dz: float) -> np.ndarray:
+        # per-kind GEMM orientation: (design^T z)^T is ~3x slower on patch rows, this form moves dense bits
+        return unit_rows(z) @ design / dz
 
     def operator_matrix(self, w: np.ndarray) -> np.ndarray:
         """The conv map as a dense matrix G of shape (C_out*P, C_in*d_in)."""
@@ -219,33 +247,6 @@ class ConvIndexMap:
             for beta in range(c_in):
                 g[alpha * p + rows, beta * d + self.patch_index] = w_flat[alpha, beta][None, :]
         return g
-
-    def product(self, w: np.ndarray, x: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
-        patches = None if design is None else design.reshape(len(x), self.out_positions, -1)
-        return self.conv_mean(w, x, patches)
-
-    def design(self, x: np.ndarray) -> np.ndarray:
-        """im2col patches as rows: (n * out_positions, C_in * filter_size)."""
-        patches = self.im2col(x)
-        return patches.reshape(-1, patches.shape[2])
-
-    def w_rhs(self, design: np.ndarray, z: np.ndarray, dz: float) -> np.ndarray:
-        """Right-hand sides of the filters, one row per output channel over
-        packed (channel, filter-position) indices."""
-        n, c_out = z.shape[0], z.shape[1]
-        return z.reshape(n, c_out, self.out_positions).transpose(1, 0, 2).reshape(c_out, -1) @ design / dz
-
-    def residual(self, z: np.ndarray, product: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-        return z - add_bias(product, b)
-
-    def weight_grad(self, resid: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # the filters' right-hand side at unit variance: one matmul over the
-        # C-ordered im2col patches
-        grad = self.w_rhs(self.design(x), resid, 1.0)
-        return grad.reshape(resid.shape[1], -1, self.filter_height, self.filter_width)
-
-    def bias_grad(self, resid: np.ndarray) -> np.ndarray:
-        return resid.reshape(resid.shape[0], resid.shape[1], self.out_positions).sum(axis=(0, 2))
 
 
 class PoolMap:

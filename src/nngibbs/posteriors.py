@@ -22,6 +22,7 @@ from .network import (
     OUTPUT_PROBIT,
     OUTPUT_REGRESSION,
     noiseless_pass,
+    residual,
 )
 
 __all__ = [
@@ -143,7 +144,7 @@ def intermediate_log_posterior(
     gx, gz, gp = grads["X"], grads["Z"], grads["P"]
     for l, layer in enumerate(spec.weighted_layers, start=1):
         x = state.X[l]
-        resid = layer.op.residual(state.Z[l + 1], layer.op.product(state.W[l], x), state.b.get(l))
+        resid = residual(state.Z[l + 1], layer.op.product(state.W[l], x), state.b.get(l))
         dz = noise.delta_z[l + 1]
         logp -= float(np.sum(resid * resid)) / (2.0 * dz)
         if want_grad:
@@ -205,18 +206,16 @@ class FlatPacker:
 
     @classmethod
     def for_intermediate(cls, spec: NetworkSpec, n: int) -> "FlatPacker":
+        """W and b of every layer, then X[l], Z[l] and, where a pool feeds
+        X[l], P[l] for each hidden layer l, then a probit output's Z."""
         blocks = list(cls.for_classical(spec).blocks)
         for l in range(2, spec.depth + 1):
-            layer = spec.weighted_layers[l - 2]
-            z_shape = (n, *layer.out_shape)
-            # a conv output keeps its Z, (P,) X block order
-            if layer.kind == "dense":
-                blocks += [("X", l, z_shape), ("Z", l, z_shape)]
-            elif l in spec.pools:
-                p_shape = (n, *spec.pools[l].out_shape)
-                blocks += [("Z", l, z_shape), ("P", l, p_shape), ("X", l, p_shape)]
-            else:
-                blocks += [("Z", l, z_shape), ("X", l, z_shape)]
+            z_shape = (n, *spec.weighted_layers[l - 2].out_shape)
+            pool = spec.pools.get(l)
+            x_shape = z_shape if pool is None else (n, *pool.out_shape)
+            blocks += [("X", l, x_shape), ("Z", l, z_shape)]
+            if pool is not None:
+                blocks.append(("P", l, x_shape))
         if spec.output == OUTPUT_PROBIT:
             blocks.append(("Z", spec.depth + 1, (n, spec.out_width)))
         return cls(blocks)

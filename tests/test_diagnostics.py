@@ -83,15 +83,13 @@ class TestRhat:
         assert pct[25] <= pct[50] <= pct[75] <= pct[95]
         assert report.mean_rhat == pytest.approx(float(report.rhat.mean()))
 
-    def test_blocked_and_cumulative_series(self):
+    def test_blocked_series(self):
         gen = np.random.default_rng(6)
         t = np.arange(200)
         chains = [TraceSeries(t, gen.standard_normal(200)) for _ in range(2)]
-        times, reports = rhat_series(chains, block=50, mode="blocked")
+        times, reports = rhat_series(chains, block=50)
         assert len(reports) == 4
         assert times[0] == pytest.approx(np.mean(np.arange(50)))
-        _, cum = rhat_series(chains, block=50, mode="cumulative")
-        assert cum[-1].n_samples == 200
 
 
 class TestScoreStatistic:

@@ -32,6 +32,7 @@ from nngibbs.network import (
     PriorSpec,
     ShapeMismatch,
     forward_generate,
+    residual,
 )
 
 
@@ -60,12 +61,6 @@ class TestIndexMap:
                 ry, rx = divmod(r, imap.filter_width)
                 expect = (ry + 2 * ay) * 7 + (rx + 1 * ax)
                 assert imap.nu(a, r) == expect
-
-    def test_pack_round_trip(self):
-        imap = ConvIndexMap(5, 5, 2, 2)
-        for beta in range(3):
-            for r in range(imap.filter_size):
-                assert imap.unpack(imap.pack(beta, r)) == (beta, r)
 
     def test_paper_shape_example(self):
         imap = ConvIndexMap(28, 28, 4, 4, stride_y=3, stride_x=3)
@@ -107,6 +102,96 @@ class TestConvForward:
         layer = ConvLayer(2, 1, in_height=4, in_width=4, filter_height=2, filter_width=2)
         with pytest.raises(ShapeMismatch):
             conv_forward(layer, np.zeros((1, 2, 2, 2)), None, np.zeros((3, 1, 4, 4)), 1.0, RngStream(5))
+
+
+class TestConvOpAgainstLoops:
+    """The dense-map methods a conv op shares (product, weight_grad,
+    bias_grad, w_rhs) against references built by explicit loops over
+    ``nu`` and over ``operator_matrix``, with two input channels, three
+    output channels, unequal strides and a bias."""
+
+    def instance(self):
+        gen = np.random.default_rng(40)
+        layer = ConvLayer(2, 3, in_height=5, in_width=4, filter_height=2, filter_width=3, stride_y=2, stride_x=1)
+        n = 4
+        x = gen.standard_normal((n, *layer.in_shape))
+        w = gen.standard_normal(layer.weight_shape)
+        b = gen.standard_normal(3)
+        z = gen.standard_normal((n, *layer.out_shape))
+        return layer.op, x, w, b, z
+
+    @staticmethod
+    def patch_sum(imap, x, coef):
+        """sum over (sample mu, output position a) of coef[mu, alpha, a] *
+        x[mu, beta, nu(a, r)], shaped (C_out, C_in, filter_h, filter_w)."""
+        n, c_in = x.shape[:2]
+        c_out = coef.shape[1]
+        coef = coef.reshape(n, c_out, -1)
+        out = np.zeros((c_out, c_in, imap.filter_size))
+        for alpha in range(c_out):
+            for beta in range(c_in):
+                for r in range(imap.filter_size):
+                    for mu in range(n):
+                        flat = x[mu, beta].ravel()
+                        for a in range(imap.out_positions):
+                            out[alpha, beta, r] += coef[mu, alpha, a] * flat[imap.nu(a, r)]
+        return out.reshape(c_out, c_in, imap.filter_height, imap.filter_width)
+
+    def test_geometry(self):
+        imap, x, w, b, z = self.instance()
+        assert (imap.out_height, imap.out_width) == (2, 2)
+        assert imap.product(w, x).shape == z.shape == (4, 3, 2, 2)
+
+    def test_product_matches_loops_and_operator_matrix(self):
+        imap, x, w, b, z = self.instance()
+        n, c_out = len(x), len(w)
+        loops = np.zeros((n, c_out, imap.out_positions))
+        wf = w.reshape(c_out, x.shape[1], imap.filter_size)
+        for mu in range(n):
+            for alpha in range(c_out):
+                for a in range(imap.out_positions):
+                    for beta in range(x.shape[1]):
+                        flat = x[mu, beta].ravel()
+                        for r in range(imap.filter_size):
+                            loops[mu, alpha, a] += wf[alpha, beta, r] * flat[imap.nu(a, r)]
+        got = imap.product(w, x)
+        np.testing.assert_allclose(got, loops.reshape(z.shape), rtol=1e-12, atol=1e-12)
+        via_g = (x.reshape(n, -1) @ imap.operator_matrix(w).T).reshape(z.shape)
+        np.testing.assert_allclose(got, via_g, rtol=1e-12, atol=1e-12)
+        assert imap.conv_mean(w, x).tobytes() == got.tobytes()
+        assert imap.product(w, x, imap.design(x)).tobytes() == got.tobytes()
+
+    def test_weight_grad_matches_loops_and_adjoint(self):
+        imap, x, w, b, z = self.instance()
+        resid = residual(z, imap.product(w, x), b)
+        np.testing.assert_allclose(resid, z - imap.conv_mean(w, x) - b[None, :, None, None], rtol=1e-14, atol=1e-14)
+        grad = imap.weight_grad(resid, x)
+        assert grad.shape == w.shape
+        np.testing.assert_allclose(grad, self.patch_sum(imap, x, resid), rtol=1e-12, atol=1e-12)
+        # the adjoint of the operator matrix: d/dW of sum(resid * G(W) x)
+        n = len(x)
+        for alpha, beta, ry, rx in np.ndindex(w.shape):
+            e = np.zeros_like(w)
+            e[alpha, beta, ry, rx] = 1.0
+            g_e = (x.reshape(n, -1) @ imap.operator_matrix(e).T).ravel()
+            assert grad[alpha, beta, ry, rx] == pytest.approx(float(resid.ravel() @ g_e), rel=1e-12, abs=1e-12)
+
+    def test_bias_grad_matches_loops(self):
+        imap, x, w, b, z = self.instance()
+        resid = residual(z, imap.product(w, x), b)
+        loops = np.zeros(3)
+        for mu, alpha, oy, ox in np.ndindex(resid.shape):
+            loops[alpha] += resid[mu, alpha, oy, ox]
+        np.testing.assert_allclose(imap.bias_grad(resid), loops, rtol=1e-12, atol=1e-12)
+
+    def test_w_rhs_matches_loops(self):
+        imap, x, w, b, z = self.instance()
+        dz = 0.35
+        z_free = z - b[None, :, None, None]
+        rhs = imap.w_rhs(imap.design(x), z_free, dz)
+        assert rhs.shape == (3, 2 * imap.filter_size)
+        want = self.patch_sum(imap, x, z_free).reshape(3, -1) / dz
+        np.testing.assert_allclose(rhs, want, rtol=1e-12, atol=1e-12)
 
 
 class TestConvWUpdate:

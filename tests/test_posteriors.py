@@ -213,6 +213,35 @@ class TestFlatPacker:
         parts = packer.unpack(vec)
         np.testing.assert_array_equal(packer.pack(parts), vec)
 
+    @pytest.mark.parametrize(
+        "stack, order",
+        [
+            ("dense", "W1 b1 W2 b2 W3 b3 X2 Z2 X3 Z3 Z4"),
+            ("conv", "W1 b1 W2 b2 X2 Z2"),
+            ("conv-pool", "W1 b1 W2 b2 W3 b3 X2 Z2 P2 X3 Z3 Z4"),
+        ],
+    )
+    def test_intermediate_block_order(self, stack, order):
+        """Every hidden layer packs X, Z, then P where a pool feeds it, the
+        same for dense and conv stacks."""
+        n = 3
+        conv = ConvLayer(1, 2, in_height=5, in_width=5, filter_height=2, filter_width=2)
+        if stack == "dense":
+            spec = mlp([4, 3, 3, 2], output="probit")
+        elif stack == "conv":
+            spec = NetworkSpec(layers=(conv, DenseLayer(32, 1)))
+        else:
+            layers = (conv, PoolLayer(2, 4, 4, 2, 2), DenseLayer(8, 3), DenseLayer(3, 2))
+            spec = NetworkSpec(layers=layers, output="probit")
+        packer = FlatPacker.for_intermediate(spec, n)
+        assert " ".join(f"{kind}{l}" for kind, l, _ in packer.blocks) == order
+        shapes = {(kind, l): shape for kind, l, shape in packer.blocks}
+        if stack != "dense":
+            assert shapes["Z", 2] == (n, 2, 4, 4)
+            assert shapes["X", 2] == ((n, 2, 2, 2) if stack == "conv-pool" else (n, 2, 4, 4))
+        if stack == "conv-pool":
+            assert shapes["P", 2] == shapes["X", 2]
+
     @pytest.mark.parametrize("stack", ["dense-regression", "dense-probit", "conv-pool-probit"])
     def test_state_is_a_view_of_the_vector_over_the_frame(self, stack):
         gen = np.random.default_rng(11)
