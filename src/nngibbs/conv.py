@@ -126,30 +126,29 @@ def update_pool_X(
     Window means shift toward the pooled output by the variance-weighted
     factor; the window covariance (a multiple of identity minus a rank-one
     part) is sampled by subtracting q times the window sum from white
-    noise. Pixels outside the retained region just fluctuate around their
-    upstream means.
+    noise. Both window reductions go through ``PoolMap.window_sum``, and
+    the draw is written straight into the windows of the result through
+    ``PoolMap.blocks``. Pixels outside the retained region just fluctuate
+    around their upstream means. The noise is drawn over the window blocks
+    first, then over the bottom and right border slabs.
     """
     gen = rng.generator
     k = pmap.k
     shrink = var_in / (var_in + k * var_out)
     q = (1.0 - np.sqrt(k * var_out / (k * var_out + var_in))) / k
 
-    up_blocks = pmap.blocks(upstream_mean)
-    field_avg = up_blocks.mean(axis=(-3, -1))
-    shift = shrink * (pooled - field_avg)
-    mean = up_blocks + shift[..., :, None, :, None]
-
+    shift = shrink * (pooled - pmap.pool_mean(upstream_mean))
     sd = np.sqrt(var_in)
-    z = gen.normal(scale=sd, size=up_blocks.shape)
-    zbar = z - q * z.sum(axis=(-3, -1), keepdims=True)
-    drawn = mean + zbar
-
-    out = upstream_mean.copy()
     rh, rw = pmap.retained_height, pmap.retained_width
-    out[..., :rh, :rw] = drawn.reshape(*upstream_mean.shape[:-2], rh, rw)
-    # only the border slabs outside the windows get plain upstream noise
-    for border in (out[..., rh:, :], out[..., :rh, rw:]):
-        border += gen.normal(scale=sd, size=border.shape)
+    z = gen.normal(scale=sd, size=(*upstream_mean.shape[:-2], rh, rw))
+    zbar = pmap.blocks(z) - q * pmap.window_sum(z)[..., :, None, :, None]
+
+    out = np.empty(upstream_mean.shape)
+    windows = pmap.blocks(out)
+    np.add(pmap.blocks(upstream_mean), shift[..., :, None, :, None], out=windows)
+    windows += zbar
+    for sl in (np.s_[..., rh:, :], np.s_[..., :rh, rw:]):
+        np.add(upstream_mean[sl], gen.normal(scale=sd, size=out[sl].shape), out=out[sl])
     return out
 
 

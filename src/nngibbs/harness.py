@@ -35,11 +35,11 @@ from .network import (
     NetworkSpec,
     NoiseSchedule,
     PriorSpec,
+    error_rate,
     forward_generate,
+    output_mse,
     predict,
     residual,
-    test_error,
-    test_mse,
     OUTPUT_PROBIT,
     OUTPUT_REGRESSION,
 )
@@ -470,6 +470,13 @@ class _Observer:
                 self.columns.append("test_error")
                 if dataset.teacher is not None:
                     self.columns.append("test_mse")
+        # what test_mse compares the student's test outputs with: the fixed
+        # teacher's outputs, computed once per chain, or else the labels
+        if "test_mse" in self.columns:
+            if dataset.teacher is not None:
+                self.test_target = predict(spec, dataset.teacher.W, dataset.teacher.b, dataset.test_inputs)
+            else:
+                self.test_target = np.asarray(dataset.test_labels, dtype=float).reshape(len(dataset.test_inputs), -1)
         self.differentiable = spec.activation is not Activation.SIGN
         if self.differentiable:
             self.columns.append("score_U")
@@ -487,15 +494,12 @@ class _Observer:
     def observe_state(self, state: ChainState, acceptance: float | None = None) -> dict[str, float]:
         spec, dataset = self.spec, self.dataset
         out: dict[str, float] = {}
+        if dataset.test_inputs is not None:
+            scores = predict(spec, state.W, state.b, dataset.test_inputs)
         if "test_mse" in self.columns:
-            if dataset.teacher is not None:
-                out["test_mse"] = test_mse(spec, state.W, state.b, dataset.teacher.W, dataset.teacher.b, dataset.test_inputs)
-            else:
-                pred = predict(spec, state.W, state.b, dataset.test_inputs)
-                y = np.asarray(dataset.test_labels, dtype=float).reshape(pred.shape)
-                out["test_mse"] = float(np.sum((pred - y) ** 2) / len(pred))
+            out["test_mse"] = output_mse(scores, self.test_target)
         if "test_error" in self.columns:
-            out["test_error"] = test_error(spec, state.W, state.b, dataset.test_inputs, dataset.test_labels)
+            out["test_error"] = error_rate(scores, dataset.test_labels)
         if "score_U" in self.columns:
             out["score_U"] = diagnostics.score_statistic(state, self._log_posterior_grads, self.delta)
         if "train_residual" in self.columns:

@@ -386,6 +386,93 @@ class TestPoolUpdate:
         assert len(seen) == retained
         assert pmap.discarded_per_channel == 5 * 7 - retained
 
+    def test_rng_use_is_window_blocks_then_border_slabs(self):
+        pmap = PoolMap(5, 7, 2, 3)
+        gen = np.random.default_rng(23)
+        up = gen.standard_normal((4, 2, 5, 7))
+        pooled = gen.standard_normal((4, 2, 2, 2))
+        vin, vout = 0.4, 0.3
+        rng = RngStream(24, (3,))
+        out = update_pool_X(pmap, up, pooled, vin, vout, rng)
+        rh, rw, sd = pmap.retained_height, pmap.retained_width, np.sqrt(vin)
+        fresh = RngStream(24, (3,)).generator
+        z = fresh.normal(scale=sd, size=pmap.blocks(up).shape)
+        bottom = fresh.normal(scale=sd, size=up[..., rh:, :].shape)
+        right = fresh.normal(scale=sd, size=up[..., :rh, rw:].shape)
+        assert repr(rng.generator.bit_generator.state) == repr(fresh.bit_generator.state)
+        # the same draws land in the same places: the count alone would not
+        # tell the order apart
+        np.testing.assert_array_equal(out[..., rh:, :], up[..., rh:, :] + bottom)
+        np.testing.assert_array_equal(out[..., :rh, rw:], up[..., :rh, rw:] + right)
+        k = pmap.k
+        q = (1.0 - np.sqrt(k * vout / (k * vout + vin))) / k
+        zbar = z - q * z.sum(axis=(-3, -1), keepdims=True)
+        up_blocks = pmap.blocks(up)
+        shift = vin / (vin + k * vout) * (pooled - up_blocks.mean(axis=(-3, -1)))
+        np.testing.assert_allclose(pmap.blocks(out), up_blocks + shift[..., :, None, :, None] + zbar, rtol=1e-13)
+
+
+def channel_innermost(gen, n, channels, height, width):
+    """A conv ``product`` output: shape (n, C, H, W) with channels innermost
+    in memory."""
+    imap = ConvIndexMap(height + 1, width + 1, 2, 2)
+    x = gen.standard_normal((n, 2, height + 1, width + 1))
+    out = imap.product(gen.standard_normal((channels, 2, 2, 2)), x)
+    assert out.strides[1] == out.itemsize
+    return out
+
+
+class TestPoolMapAgainstLoops:
+    """``window_sum``, ``pool_mean`` and ``spread`` against loops over
+    ``preimage`` on a 5×7 input, windows with leftover rows and columns."""
+
+    @pytest.fixture(params=[(1, 1), (2, 2), (2, 3), (3, 2)], ids=lambda w: f"{w[0]}x{w[1]}")
+    def pmap(self, request):
+        return PoolMap(5, 7, *request.param)
+
+    @pytest.fixture(params=["c-order", "channel-innermost"])
+    def x(self, request):
+        gen = np.random.default_rng(25)
+        if request.param == "c-order":
+            return gen.standard_normal((3, 2, 5, 7))
+        return channel_innermost(gen, 3, 2, 5, 7)
+
+    def loop_window_sum(self, pmap, x):
+        n, c = x.shape[:2]
+        out = np.zeros((n, c, pmap.out_height * pmap.out_width))
+        for s in range(n):
+            for ch in range(c):
+                flat = x[s, ch].ravel()
+                for a in range(out.shape[-1]):
+                    out[s, ch, a] = sum(flat[p] for p in pmap.preimage(a))
+        return out.reshape(n, c, pmap.out_height, pmap.out_width)
+
+    def test_window_sum_and_pool_mean(self, pmap, x):
+        want = self.loop_window_sum(pmap, x)
+        np.testing.assert_allclose(pmap.window_sum(x), want, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(pmap.pool_mean(x), want / pmap.k, rtol=1e-14, atol=1e-14)
+        if x.flags.c_contiguous:
+            assert pmap.window_sum(x).tobytes() == pmap.blocks(x).sum(axis=(-3, -1)).tobytes()
+
+    def test_spread_and_adjoint(self, pmap, x):
+        gen = np.random.default_rng(26)
+        d = gen.standard_normal((*x.shape[:2], pmap.out_height, pmap.out_width))
+        got = pmap.spread(d, x)
+        assert got.shape == x.shape and got.strides == x.strides
+        want = np.zeros(x.shape)
+        retained = np.zeros(x.shape[-2:], dtype=bool)
+        for a in range(pmap.out_height * pmap.out_width):
+            ay, ax = divmod(a, pmap.out_width)
+            for p in pmap.preimage(a):
+                py, px = divmod(p, pmap.in_width)
+                want[..., py, px] = d[..., ay, ax] / pmap.k
+                retained[py, px] = True
+        np.testing.assert_array_equal(got, want)
+        assert np.all(got[..., ~retained] == 0.0)
+        lhs = np.sum(pmap.pool_mean(x) * d)
+        rhs = np.sum(x * got)
+        assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
+
 
 class TestConvBias:
     def test_prior_draw_when_no_data(self):
