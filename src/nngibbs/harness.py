@@ -504,7 +504,8 @@ class _Observer:
             out["score_U"] = diagnostics.score_statistic(state, self._log_posterior_grads, self.delta)
         if "train_residual" in self.columns:
             first = spec.weighted_layers[0].op
-            resid = residual(state.Z[2], first.product(state.W[1], state.X[1]), state.b.get(1))
+            product = first.product(state.W[1], state.X[1], state.first_design(spec))
+            resid = residual(state.Z[2], product, state.b.get(1))
             out["train_residual"] = float(np.sum(resid * resid))
         if acceptance is not None:
             out["acceptance_rate"] = acceptance

@@ -123,7 +123,10 @@ def unit_rows(a: np.ndarray) -> np.ndarray:
 
 def residual(z: np.ndarray, product: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     """Z - W·X - b: what the noise of a pre-activation has to explain."""
-    return sub_bias(z - product, b)
+    resid = z - product
+    if b is not None:
+        resid -= _on_axis1(b, resid.ndim)
+    return resid
 
 
 class DenseMap:
@@ -157,12 +160,18 @@ class DenseMap:
         pre-activation, one row per unit or output channel."""
         return (design.T @ unit_rows(z).T / dz).T
 
-    def weight_grad(self, resid: np.ndarray, x: np.ndarray) -> np.ndarray:
-        grad = unit_rows(resid) @ self.design(x)
+    def weight_grad(self, resid: np.ndarray, x: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
+        """Residual times design, shaped like the weights; ``design`` as in ``product``."""
+        if design is None:
+            design = self.design(x)
+        grad = unit_rows(resid) @ design
         return grad.reshape(len(grad), -1, *self.filter_shape)
 
     def bias_grad(self, resid: np.ndarray) -> np.ndarray:
-        return unit_rows(resid).sum(axis=1)
+        """Residual summed per unit or channel, as one GEMV with a ones
+        vector: numpy's axis reduction over ``unit_rows`` is ~5x slower."""
+        rows = unit_rows(resid)
+        return np.ones(rows.shape[1]) @ rows.T
 
 
 class ConvIndexMap(DenseMap):
@@ -622,6 +631,16 @@ class ChainState:
     # gibbs.ClampedFactor of the first weighted layer; copy() leaves it behind
     _clamped: object | None = field(default=None, compare=False, repr=False)
 
+    def first_design(self, spec: NetworkSpec) -> np.ndarray:
+        """The first layer's design of X[1]: the one cached with the
+        first-layer factor while it belongs to this X[1] and layer, else
+        a fresh one (a view for a dense layer, an im2col gather for conv)."""
+        layer = spec.weighted_layers[0]
+        entry = self._clamped
+        if entry is not None and entry.x is self.X[1] and entry.key[0] == layer:
+            return entry.design
+        return layer.op.design(self.X[1])
+
     def copy(self) -> "ChainState":
         return ChainState(
             W={l: w.copy() for l, w in self.W.items()},
@@ -666,8 +685,10 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def _walk(spec: NetworkSpec, W, b, inputs: np.ndarray, noise: NoiseSchedule | None = None, gen=None) -> ChainState:
-    """The generative pass over the weighted layers; noise-free without ``gen``."""
+def _walk(spec: NetworkSpec, W, b, inputs: np.ndarray, noise: NoiseSchedule | None = None, gen=None, design=None) -> ChainState:
+    """The generative pass over the weighted layers; noise-free without
+    ``gen``. ``design`` is the first layer's design of ``inputs`` when the
+    caller already has it."""
     big_l = spec.depth
     state = ChainState(W=dict(W), b={l: b.get(l) for l in range(1, big_l + 1)}, X={1: inputs}, Z={})
 
@@ -675,7 +696,8 @@ def _walk(spec: NetworkSpec, W, b, inputs: np.ndarray, noise: NoiseSchedule | No
         return mean if gen is None else mean + gen.normal(scale=np.sqrt(getattr(noise, table)[l]), size=mean.shape)
 
     for l, layer in enumerate(spec.weighted_layers, start=1):
-        z = state.Z[l + 1] = noisy(add_bias(layer.op.product(W[l], state.X[l]), b.get(l)), "delta_z", l + 1)
+        mean = layer.op.product(W[l], state.X[l], design if l == 1 else None)
+        z = state.Z[l + 1] = noisy(add_bias(mean, b.get(l)), "delta_z", l + 1)
         if l < big_l:
             pool = spec.pools.get(l + 1)
             if pool is not None:
@@ -684,9 +706,10 @@ def _walk(spec: NetworkSpec, W, b, inputs: np.ndarray, noise: NoiseSchedule | No
     return state
 
 
-def noiseless_pass(spec: NetworkSpec, W, b, inputs: np.ndarray) -> ChainState:
-    """The network function on ``inputs``, keeping every layer's X, Z and P."""
-    return _walk(spec, W, b, inputs)
+def noiseless_pass(spec: NetworkSpec, W, b, inputs: np.ndarray, design: np.ndarray | None = None) -> ChainState:
+    """The network function on ``inputs``, keeping every layer's X, Z and
+    P; ``design`` as in ``_walk``."""
+    return _walk(spec, W, b, inputs, design=design)
 
 
 def forward_generate(

@@ -55,6 +55,10 @@ def hmc_step(position: np.ndarray, target, settings: HmcSettings, rng: RngStream
     drift / half-kick steps along the log-density gradient, then a
     Metropolis test on the total-energy change log(z) < H - H_prop with
     H = -log pi + |p|^2 / 2 evaluated before and after.
+
+    The momentum and a float copy of ``position`` are updated in place,
+    which is bitwise the out-of-place ``p = p + h * grad`` form, so
+    ``target`` must keep no view of the position it is given.
     """
     gen = rng.generator
     eta = settings.step_size
@@ -62,13 +66,13 @@ def hmc_step(position: np.ndarray, target, settings: HmcSettings, rng: RngStream
     p = gen.standard_normal(position.shape)
     energy0 = -logp0 + 0.5 * float(p @ p)
 
-    x = position.copy()
+    x = position.astype(float)
     grad = grad0
     for _ in range(settings.leapfrog_steps):
-        p = p + 0.5 * eta * grad
-        x = x + eta * p
+        p += 0.5 * eta * grad
+        x += eta * p
         logp, grad = target(x)
-        p = p + 0.5 * eta * grad
+        p += 0.5 * eta * grad
 
     if not np.isfinite(logp):
         return position, False, np.inf
@@ -84,17 +88,22 @@ def mala_step(position: np.ndarray, target, settings: MalaSettings, rng: RngStre
 
     Proposal x' = x + eta grad log pi(x) + sqrt(2 eta) xi with the
     asymmetric-proposal Metropolis correction, all ratios in log space.
+    ``grad0`` is held across the second ``target`` call, so each call
+    must return a new gradient array.
     """
     gen = rng.generator
     eta = settings.step_size
     logp0, grad0 = target(position)
     xi = gen.standard_normal(position.shape)
-    prop = position + eta * grad0 + np.sqrt(2.0 * eta) * xi
+    prop = position + eta * grad0
+    prop += np.sqrt(2.0 * eta) * xi
     logp1, grad1 = target(prop)
     if not np.isfinite(logp1):
         return position, False
-    fwd = prop - position - eta * grad0
-    back = position - prop - eta * grad1
+    fwd = prop - position
+    fwd -= eta * grad0
+    back = position - prop
+    back -= eta * grad1
     log_q_fwd = -float(fwd @ fwd) / (4.0 * eta)
     log_q_back = -float(back @ back) / (4.0 * eta)
     log_alpha = logp1 - logp0 + log_q_back - log_q_fwd

@@ -204,6 +204,77 @@ class TestIntermediatePosterior:
         assert np.isfinite(l2 - l1)
 
 
+def _generated_problem(stack, seed=12, n=6):
+    """A spec, its noise and prior, a dataset and the generating state."""
+    conv = ConvLayer(1, 2, in_height=5, in_width=5, filter_height=2, filter_width=2)
+    specs = {
+        "dense": lambda: mlp([4, 3, 2, 1]),
+        "conv-pool": lambda: NetworkSpec(layers=(conv, PoolLayer(2, 4, 4, 2, 2), DenseLayer(8, 3), DenseLayer(3, 1))),
+        "probit": lambda: mlp([4, 3, 3], output="probit"),
+        "bias-free": lambda: NetworkSpec(layers=(DenseLayer(4, 3, has_bias=False), DenseLayer(3, 2, has_bias=False), DenseLayer(2, 1))),
+    }
+    spec = specs[stack]()
+    noise = NoiseSchedule.uniform(spec, 0.2)
+    prior = PriorSpec.fan_in(spec)
+    rng = RngStream(seed)
+    gen = rng.generator
+    X = gen.standard_normal((n, *spec.layers[0].in_shape))
+    W = {l: gen.standard_normal(spec.weight_shape(l)) for l in range(1, spec.depth + 1)}
+    b = {l: gen.standard_normal(spec.bias_width(l)) if spec.has_bias(l) else None for l in range(1, spec.depth + 1)}
+    state, labels = forward_generate(spec, noise, W, b, X, rng)
+    return spec, noise, prior, Dataset(inputs=X, labels=labels), state
+
+
+class TestFlatGradient:
+    @pytest.mark.parametrize("stack", ["dense", "conv-pool", "probit"])
+    def test_target_gradient_is_the_state_api_grads(self, stack):
+        """The target's flat vector and the state API's blocks come from one
+        body: bitwise equal, block by block, and the blocks view one vector."""
+        spec, noise, prior, dataset, state = _generated_problem(stack)
+        target, packer = make_intermediate_target(dataset, spec, noise, prior)
+        vec = packer.pack(vars(state))
+        logp, flat = target(vec)
+        view_state = packer.state(vec, clamped_frame(spec, dataset))
+        logp_api, grads = intermediate_log_posterior(view_state, spec, noise, prior)
+        assert flat.shape == (packer.size,) and logp_api == logp
+        owner = grads["W"][1].base
+        assert owner is not None and owner.shape == (packer.size,)
+        for kind, l, shape in packer.blocks:
+            block = grads[kind][l]
+            assert block.shape == shape and block.base is owner, (kind, l)
+            assert block.tobytes() == packer.view(flat, kind, l).tobytes(), (kind, l)
+
+    @pytest.mark.parametrize("stack", ["probit", "bias-free"])
+    def test_flat_target_matches_finite_differences(self, stack):
+        spec, noise, prior, dataset, state = _generated_problem(stack, seed=13)
+        target, packer = make_intermediate_target(dataset, spec, noise, prior)
+        vec = packer.pack(vars(state))
+        if stack != "probit":
+            # a probit top must stay in its argmax cone, so only the rest is nudged off relu kinks
+            vec = vec + 0.01 * np.sign(vec + 1e-9)
+        logp, grad = target(vec)
+        assert np.isfinite(logp)
+        num = finite_diff(lambda v: target(v)[0], vec)
+        scale = np.maximum(np.abs(num), 1.0)
+        assert np.max(np.abs(grad - num) / scale) < 1e-5
+
+    @pytest.mark.parametrize("posterior", ["intermediate", "classical"])
+    def test_each_call_returns_a_new_gradient(self, posterior):
+        """mala_step holds the first gradient across the second call."""
+        spec, noise, prior, dataset, state = _generated_problem("dense")
+        if posterior == "intermediate":
+            target, packer = make_intermediate_target(dataset, spec, noise, prior)
+        else:
+            target, packer = make_classical_target(dataset, spec, 0.3, prior)
+        vec = packer.pack(vars(state))
+        _, g1 = target(vec)
+        kept = g1.copy()
+        _, g2 = target(vec + 0.01)
+        assert g2 is not g1 and not np.shares_memory(g1, g2)
+        assert g1.tobytes() == kept.tobytes()
+        assert not np.array_equal(g1, g2)
+
+
 class TestFlatPacker:
     def test_round_trip(self):
         spec = mlp([4, 3, 2], output="probit")

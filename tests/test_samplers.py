@@ -36,6 +36,43 @@ class TestHmc:
             accepted += ok
         assert accepted / 10_000 >= 0.99
 
+    def test_in_place_leapfrog_is_bitwise_the_out_of_place_form(self):
+        """hmc_step against the out-of-place reference loop, on a fixed
+        quadratic target; the caller's position is never written."""
+        cov = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
+        target = gaussian_target(cov)
+        settings = HmcSettings(step_size=0.6, leapfrog_steps=7)
+
+        def reference(position, gen):
+            eta = settings.step_size
+            logp0, grad = target(position)
+            p = gen.standard_normal(position.shape)
+            energy0 = -logp0 + 0.5 * float(p @ p)
+            x = position
+            for _ in range(settings.leapfrog_steps):
+                p = p + 0.5 * eta * grad
+                x = x + eta * p
+                logp, grad = target(x)
+                p = p + 0.5 * eta * grad
+            energy1 = -logp + 0.5 * float(p @ p)
+            if np.log(gen.uniform()) < energy0 - energy1:
+                return x, True, energy1 - energy0
+            return position, False, energy1 - energy0
+
+        rng, ref_gen = RngStream(21), RngStream(21).generator
+        x = ref = np.array([0.4, -1.1, 0.7])
+        accepted = 0
+        for _ in range(200):
+            x.setflags(write=False)
+            before = x.copy()
+            x_new, ok, err = hmc_step(x, target, settings, rng)
+            assert x.tobytes() == before.tobytes()
+            ref, ref_ok, ref_err = reference(ref, ref_gen)
+            assert (x_new.tobytes(), ok, err) == (ref.tobytes(), ref_ok, ref_err)
+            x = x_new
+            accepted += ok
+        assert 0 < accepted < 200
+
     def test_leapfrog_reversible(self):
         # run the dynamics forward, negate momentum, run back: must return
         gen = np.random.default_rng(1)
@@ -101,6 +138,34 @@ class TestHmc:
 
 
 class TestMala:
+    def test_in_place_proposal_is_bitwise_the_out_of_place_form(self):
+        cov = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
+        target = gaussian_target(cov)
+        eta = 0.4
+
+        def reference(position, gen):
+            logp0, grad0 = target(position)
+            xi = gen.standard_normal(position.shape)
+            prop = position + eta * grad0 + np.sqrt(2.0 * eta) * xi
+            logp1, grad1 = target(prop)
+            fwd = prop - position - eta * grad0
+            back = position - prop - eta * grad1
+            log_alpha = logp1 - logp0 - float(back @ back) / (4.0 * eta) + float(fwd @ fwd) / (4.0 * eta)
+            if np.log(gen.uniform()) < log_alpha:
+                return prop, True
+            return position, False
+
+        rng, ref_gen = RngStream(22), RngStream(22).generator
+        x = ref = np.array([0.4, -1.1, 0.7])
+        accepted = 0
+        for _ in range(200):
+            x.setflags(write=False)
+            x, ok = mala_step(x, target, MalaSettings(eta), rng)
+            ref, ref_ok = reference(ref, ref_gen)
+            assert (x.tobytes(), ok) == (ref.tobytes(), ref_ok)
+            accepted += ok
+        assert 0 < accepted < 200
+
     def test_flat_target_accepts_every_step(self):
         rng = RngStream(5)
         x = np.zeros(3)
