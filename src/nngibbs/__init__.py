@@ -7,7 +7,7 @@ the plain output-loss posterior, and thermalization diagnostics built
 around the informed-start merge criterion for synthetic data.
 """
 
-from .kernels import NotPositiveDefinite, RngStream, cholesky_factor, stable_branch_probability
+from .kernels import NotPositiveDefinite, RngStream, cholesky_factor
 from .network import (
     Activation,
     ChainState,
@@ -21,7 +21,6 @@ from .network import (
     ShapeMismatch,
     forward_generate,
     predict,
-    test_error,
     test_mse,
 )
 from .posteriors import classical_log_posterior, intermediate_log_posterior

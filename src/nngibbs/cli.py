@@ -166,6 +166,12 @@ def main(argv=None) -> int:
     p_pre.set_defaults(func=_cmd_presets)
 
     args = parser.parse_args(argv)
+    if args.command == "diagnose":
+        # a window's variance takes two samples
+        if args.window < 2:
+            p_diag.error(f"argument --window: must be >= 2, got {args.window}")
+        if not args.tolerance > 0:
+            p_diag.error(f"argument --tolerance: must be > 0, got {args.tolerance}")
     try:
         return args.func(args)
     except ConfigError as exc:

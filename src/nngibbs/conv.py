@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gibbs
 from .kernels import RngStream
-from .network import ConvIndexMap, PoolMap, sub_bias
+from .network import ConvIndexMap, PoolMap, as_rows, sub_bias
 
 __all__ = [
     "ConvIndexMap",
@@ -80,14 +80,11 @@ def conv_x_conditional(
     delta_x: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Precision and per-sample right-hand sides of the conv-input
-    conditional over flat (channel, pixel) indices."""
-    n, c_in = upstream_mean.shape[0], upstream_mean.shape[1]
-    d = imap.in_positions
-    g = imap.operator_matrix(w)
-    prec = np.eye(c_in * d) / delta_x + g.T @ g / delta_z
-    resid = sub_bias(z_next, b).reshape(n, -1)
-    rhs = upstream_mean.reshape(n, -1) / delta_x + resid @ g / delta_z
-    return prec, rhs
+    conditional over flat (channel, pixel) indices: the dense X
+    conditional of the conv operator written as an explicit matrix."""
+    return gibbs.dense_x_conditional(
+        imap.operator_matrix(w), as_rows(upstream_mean), as_rows(sub_bias(z_next, b)), delta_z, delta_x
+    )
 
 
 def update_conv_X(
@@ -162,4 +159,4 @@ def update_conv_bias(
     rng: RngStream,
 ) -> np.ndarray:
     """Per-channel bias draw; the bias is shared across samples and pixels."""
-    return gibbs.bias_draw(z_next - imap.conv_mean(w, x), delta_z, lambda_b, rng)
+    return gibbs.bias_draw(z_next - imap.product(w, x), delta_z, lambda_b, rng)

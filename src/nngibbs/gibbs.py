@@ -265,7 +265,11 @@ def clamped_factor(state: ChainState, spec: NetworkSpec, noise: NoiseSchedule, p
 
 
 def dense_x_conditional(W: np.ndarray, sigma_prev: np.ndarray, z_next: np.ndarray, dz: float, dx: float):
-    """Precision and per-sample right-hand sides of the hidden-row law."""
+    """Precision and per-sample right-hand sides of the hidden-row law.
+
+    ``sigma_prev`` is the activation of the layer's own pre-activation
+    and ``z_next`` the bias-subtracted next pre-activation, both as rows.
+    """
     d = W.shape[1]
     prec = W.T @ W / dz + np.eye(d) / dx
     rhs = sigma_prev / dx + z_next @ W / dz
@@ -275,22 +279,6 @@ def dense_x_conditional(W: np.ndarray, sigma_prev: np.ndarray, z_next: np.ndarra
 def dense_w_conditional(X: np.ndarray, z_next: np.ndarray, dz: float, lam: float):
     """Precision and per-output-row right-hand sides of the weight law."""
     return ridge_precision(X, dz, lam), DenseMap().w_rhs(X, z_next, dz)
-
-
-def dense_x_draw(W: np.ndarray, sigma_prev: np.ndarray, z_next: np.ndarray, dz: float, dx: float, rng: RngStream) -> np.ndarray:
-    """Joint Gaussian draw of hidden rows given both adjacent layers.
-
-    ``sigma_prev`` is the activation of the layer's own pre-activation
-    and ``z_next`` the bias-subtracted next pre-activation.
-    """
-    prec, rhs = dense_x_conditional(W, sigma_prev, z_next, dz, dx)
-    return draw_rows_from_precision(prec, rhs, rng)
-
-
-def dense_w_draw(X: np.ndarray, z_next: np.ndarray, dz: float, lam: float, rng: RngStream) -> np.ndarray:
-    """Row-wise ridge-posterior draw of a dense weight matrix."""
-    prec, rhs = dense_w_conditional(X, z_next, dz, lam)
-    return draw_rows_from_precision(prec, rhs, rng)
 
 
 def update_X_layer(l: int, state: ChainState, spec: NetworkSpec, noise: NoiseSchedule, rng: RngStream) -> np.ndarray:
@@ -305,8 +293,8 @@ def update_X_layer(l: int, state: ChainState, spec: NetworkSpec, noise: NoiseSch
     z_next = sub_bias(state.Z[l + 1], state.b.get(l))
     pre = state.P[l] if l in spec.pools else state.Z[l]
     sigma_prev = as_rows(spec.activation.apply(pre))
-    new_x = dense_x_draw(state.W[l], sigma_prev, z_next, noise.delta_z[l + 1], noise.delta_x[l], rng)
-    state.X[l] = new_x.reshape(state.X[l].shape)
+    prec, rhs = dense_x_conditional(state.W[l], sigma_prev, z_next, noise.delta_z[l + 1], noise.delta_x[l])
+    state.X[l] = draw_rows_from_precision(prec, rhs, rng).reshape(state.X[l].shape)
     return state.X[l]
 
 
@@ -332,7 +320,8 @@ def update_W_layer(
         rows = draw_rows_from_factor(entry.inv_factor, layer.op.w_rhs(entry.design, z_next, dz), rng)
         new_w = rows.reshape(layer.weight_shape)
     else:
-        new_w = dense_w_draw(as_rows(state.X[l]), z_next, dz, prior.lambda_w[l], rng)
+        prec, rhs = dense_w_conditional(as_rows(state.X[l]), z_next, dz, prior.lambda_w[l])
+        new_w = draw_rows_from_precision(prec, rhs, rng)
     state.W[l] = new_w
     return new_w
 

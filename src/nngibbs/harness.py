@@ -15,6 +15,7 @@ import enum
 import json
 import math
 import numbers
+import operator
 import time
 import types
 import typing
@@ -107,10 +108,17 @@ class ExperimentConfig:
     merge_tolerance: float = 3.0
 
     def validate(self):
-        for name, low in (("sweeps", 1), ("spacing", 1), ("seed", 0), ("merge_window", 1)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name}: must be >= {low}, got {getattr(self, name)}")
-        for name, value in (("merge_tolerance", self.merge_tolerance), ("dataset.delta_gen", self.dataset.delta_gen)):
+        # a window's variance takes two samples; dataset sizes may be unset, and n may be "4x_params"
+        for name, low in (
+            ("sweeps", 1), ("spacing", 1), ("seed", 0), ("merge_window", 2),
+            ("dataset.n", 1), ("dataset.n_test", 0), ("dataset.subset", 1), ("dataset.test_subset", 1),
+        ):
+            value = operator.attrgetter(name)(self)
+            if isinstance(value, numbers.Real) and value < low:
+                raise ConfigError(f"{name}: must be >= {low}, got {value}")
+        for name, value in (
+            ("merge_tolerance", self.merge_tolerance), ("dataset.delta_gen", self.dataset.delta_gen), ("max_seconds", self.max_seconds)
+        ):
             if value is not None and not value > 0:
                 raise ConfigError(f"{name}: must be > 0, got {value}")
         # the uniform tables hold exactly the layers each table must cover
@@ -170,7 +178,7 @@ class ExperimentConfig:
             noise=_noise_from_dict(_section(raw, "noise"), spec),
             prior=_prior_from_dict(_section(raw, "prior"), spec),
             dataset=_dataset_from_dict(_section(raw, "dataset")),
-            sampler=_sampler_from_dict(_section(raw, "sampler")),
+            sampler=_typed(SamplerConfig, _section(raw, "sampler"), "sampler"),
         )
         cfg.validate()
         return cfg
@@ -327,23 +335,6 @@ def _dataset_from_dict(raw: dict) -> DatasetConfig:
     if any(getattr(dc, key) is None for key in needs):
         raise ConfigError(f"dataset: {dc.source} source needs {' and '.join(needs)}")
     return dc
-
-
-# configs saved while the sweep order was selectable carry these keys; they
-# load when they name the one order there is, one sequential worker
-_LEGACY_SCHEDULE = {"schedule_mode": "sequential", "workers": 1, "schedule.mode": "sequential", "schedule.workers": 1}
-
-
-def _sampler_from_dict(raw: dict) -> SamplerConfig:
-    schedule = _section(raw, "schedule", "sampler.")
-    legacy = {k: raw[k] for k in ("schedule_mode", "workers") if k in raw}
-    legacy.update((f"schedule.{k}", v) for k, v in schedule.items())
-    for key, value in legacy.items():
-        if key not in _LEGACY_SCHEDULE:
-            raise ConfigError(f"sampler.{key}: unknown field")
-        if value != _LEGACY_SCHEDULE[key]:
-            raise ConfigError(f"sampler.{key}: the only sweep order is one 'sequential' worker, got {value!r}")
-    return _typed(SamplerConfig, {k: v for k, v in raw.items() if k not in ("schedule_mode", "workers", "schedule")}, "sampler")
 
 
 # -- dataset construction ------------------------------------------------

@@ -6,8 +6,6 @@ two-branch mass ratios, and reproducible counter-based RNG streams.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
@@ -18,7 +16,6 @@ __all__ = [
     "std_lower_truncated",
     "trunc_norm_lower",
     "trunc_norm_upper",
-    "stable_branch_probability",
     "branch_prob_negative",
     "log_gauss_mass_lower",
     "log_gauss_mass_upper",
@@ -178,30 +175,13 @@ def log_gauss_mass_upper(mean, var, bound):
     return log_ndtr((np.asarray(mean, float) - np.asarray(bound, float)) / sd)
 
 
-def stable_branch_probability(log_mass_pos: float, log_mass_neg: float) -> float:
-    """Probability of the negative branch given two log masses.
-
-    Returns 1/(1 + exp(log_mass_pos - log_mass_neg)) without overflow.
-    The larger branch is always computed directly and the smaller as its
-    exact floating-point complement, so p(a, b) + p(b, a) == 1.0 holds
-    bitwise for all finite inputs.
-    """
-    d = log_mass_neg - log_mass_pos
-    if math.isnan(d):
-        # one mass is -inf and the other also -inf: split evenly
-        if log_mass_pos == log_mass_neg:
-            return 0.5
-        raise ValueError("log masses must be finite or one of them -inf")
-    if d >= 0.0:
-        return 1.0 / (1.0 + math.exp(-d))
-    return 1.0 - 1.0 / (1.0 + math.exp(d))
-
-
 def branch_prob_negative(log_mass_pos: np.ndarray, log_mass_neg: np.ndarray) -> np.ndarray:
-    """Vectorized negative-branch probability, same algebra as the scalar op.
+    """Probability of the negative branch given two log masses, elementwise.
 
-    One pass: the larger branch gets 1/(1 + exp(-|d|)) and the smaller
-    its exact complement, with d the log-mass difference.
+    Returns 1/(1 + exp(log_mass_pos - log_mass_neg)) without overflow, in
+    one pass: the larger branch gets 1/(1 + exp(-|d|)) and the smaller its
+    exact complement, with d the log-mass difference, so p(a, b) + p(b, a)
+    == 1.0 holds bitwise for all finite inputs.
     """
     lp, ln = np.asarray(log_mass_pos, float), np.asarray(log_mass_neg, float)
     d = ln - lp

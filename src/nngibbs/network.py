@@ -56,7 +56,6 @@ __all__ = [
     "noiseless_pass",
     "predict",
     "test_mse",
-    "test_error",
     "parameter_count",
 ]
 
@@ -238,7 +237,11 @@ class ConvIndexMap(DenseMap):
         return patches.reshape(-1, patches.shape[2])
 
     def conv_mean(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Noise-free convolution output, shape (n, C_out, out_h, out_w)."""
+        """Noise-free convolution output, shape (n, C_out, out_h, out_w).
+
+        ``product`` under its conv name: the package calls ``product``,
+        and this stays for the acceptance tests and the benchmark's
+        trace points, which name it."""
         return self.product(w, x)
 
     def w_rhs(self, design: np.ndarray, z: np.ndarray, dz: float) -> np.ndarray:
@@ -287,19 +290,6 @@ class PoolMap:
     @property
     def retained_width(self) -> int:
         return self.out_width * self.window_width
-
-    @property
-    def discarded_per_channel(self) -> int:
-        return self.in_height * self.in_width - self.k * self.out_height * self.out_width
-
-    def preimage(self, a: int) -> list[int]:
-        """Flat input positions pooled into flat output position a."""
-        ay, ax = divmod(a, self.out_width)
-        out = []
-        for ry in range(self.window_height):
-            for rx in range(self.window_width):
-                out.append((ay * self.window_height + ry) * self.in_width + ax * self.window_width + rx)
-        return out
 
     def blocks(self, x: np.ndarray) -> np.ndarray:
         """View leading (..., H, W) as (..., out_h, win_h, out_w, win_w).
@@ -523,12 +513,6 @@ class NetworkSpec:
     @property
     def out_width(self) -> int:
         return math.prod(self.weighted_layers[-1].out_shape)
-
-    @property
-    def n_classes(self) -> int:
-        if self.output != OUTPUT_PROBIT:
-            raise ValueError("n_classes only defined for probit output")
-        return self.out_width
 
     def weight_shape(self, l: int) -> tuple[int, ...]:
         return self.weighted_layers[l - 1].weight_shape
@@ -777,19 +761,9 @@ def output_mse(scores: np.ndarray, target: np.ndarray) -> float:
     return float(np.sum(diff * diff) / diff.shape[0])
 
 
-def test_error(
-    spec: NetworkSpec,
-    W: dict[int, np.ndarray],
-    b: dict[int, np.ndarray | None],
-    test_inputs: np.ndarray,
-    test_labels: np.ndarray,
-) -> float:
-    """Fraction of misclassified points; argmax ties break to the lowest index."""
-    return error_rate(predict(spec, W, b, test_inputs), test_labels)
-
-
 def error_rate(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose argmax score is not the label."""
+    """Fraction of rows whose argmax score is not the label; argmax ties
+    break to the lowest index."""
     return float(np.mean(np.argmax(scores, axis=1) != np.asarray(labels)))
 
 

@@ -316,6 +316,21 @@ class TestConvXUpdate:
                     assert prec[c, c2] == 0.0
 
 
+def preimage(pmap, a):
+    """Flat input positions pooled into flat output position a."""
+    ay, ax = divmod(a, pmap.out_width)
+    return [
+        (ay * pmap.window_height + ry) * pmap.in_width + ax * pmap.window_width + rx
+        for ry in range(pmap.window_height)
+        for rx in range(pmap.window_width)
+    ]
+
+
+def discarded_per_channel(pmap):
+    """Input pixels per channel that fill no window."""
+    return pmap.in_height * pmap.in_width - pmap.k * pmap.out_height * pmap.out_width
+
+
 class TestPoolUpdate:
     def test_window_of_one_matches_direct_formula(self):
         pmap = PoolMap(2, 2, 1, 1)
@@ -364,7 +379,7 @@ class TestPoolUpdate:
 
     def test_discarded_pixels_resampled_around_upstream(self):
         pmap = PoolMap(3, 3, 2, 2)
-        assert pmap.discarded_per_channel == 9 - 4
+        assert discarded_per_channel(pmap) == 9 - 4
         gen = np.random.default_rng(21)
         n = 40_000
         up = np.tile(gen.standard_normal((1, 1, 3, 3)), (n, 1, 1, 1))
@@ -376,15 +391,14 @@ class TestPoolUpdate:
 
     def test_preimages_partition_retained_pixels(self):
         pmap = PoolMap(5, 7, 2, 3)
-        seen = []
-        for a in range(pmap.out_height * pmap.out_width):
-            pre = pmap.preimage(a)
-            assert len(pre) == pmap.k
-            seen.extend(pre)
-        assert len(seen) == len(set(seen))
-        retained = pmap.out_height * pmap.out_width * pmap.k
-        assert len(seen) == retained
-        assert pmap.discarded_per_channel == 5 * 7 - retained
+        x = np.arange(5 * 7).reshape(5, 7)
+        windows = pmap.blocks(x).transpose(0, 2, 1, 3).reshape(-1, pmap.k)
+        # every retained pixel lies in exactly one window, the one the loop oracle names
+        retained = x[: pmap.retained_height, : pmap.retained_width]
+        assert sorted(windows.ravel()) == sorted(retained.ravel())
+        for a, window in enumerate(windows):
+            assert sorted(window) == preimage(pmap, a)
+        assert x.size - windows.size == discarded_per_channel(pmap) == 5 * 7 - 2 * 2 * 6
 
     def test_rng_use_is_window_blocks_then_border_slabs(self):
         pmap = PoolMap(5, 7, 2, 3)
@@ -444,7 +458,7 @@ class TestPoolMapAgainstLoops:
             for ch in range(c):
                 flat = x[s, ch].ravel()
                 for a in range(out.shape[-1]):
-                    out[s, ch, a] = sum(flat[p] for p in pmap.preimage(a))
+                    out[s, ch, a] = sum(flat[p] for p in preimage(pmap, a))
         return out.reshape(n, c, pmap.out_height, pmap.out_width)
 
     def test_window_sum_and_pool_mean(self, pmap, x):
@@ -463,7 +477,7 @@ class TestPoolMapAgainstLoops:
         retained = np.zeros(x.shape[-2:], dtype=bool)
         for a in range(pmap.out_height * pmap.out_width):
             ay, ax = divmod(a, pmap.out_width)
-            for p in pmap.preimage(a):
+            for p in preimage(pmap, a):
                 py, px = divmod(p, pmap.in_width)
                 want[..., py, px] = d[..., ay, ax] / pmap.k
                 retained[py, px] = True

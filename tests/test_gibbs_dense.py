@@ -39,8 +39,9 @@ from nngibbs.gibbs import (
     SweepSchedule,
     UnsupportedActivation,
     clamped_factor,
-    dense_w_draw,
+    dense_w_conditional,
     draw_rows_from_factor,
+    draw_rows_from_precision,
     gibbs_sweep,
     ridge_precision,
     sample_z_scalar,
@@ -572,7 +573,8 @@ class TestClampedFactorCache:
     def test_sweep_layer1_draw_equals_uncached_dense_draw(self):
         spec, noise, prior, state = probit_chain(42)
         z_next = state.Z[2] - state.b[1]
-        want = dense_w_draw(state.X[1], z_next, noise.delta_z[2], prior.lambda_w[1], RngStream(43))
+        prec, rhs = dense_w_conditional(state.X[1], z_next, noise.delta_z[2], prior.lambda_w[1])
+        want = draw_rows_from_precision(prec, rhs, RngStream(43))
         gibbs_sweep(state, spec, noise, prior, SweepSchedule(), RngStream(43))
         assert state.W[1].tobytes() == want.tobytes()
 

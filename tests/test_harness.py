@@ -84,21 +84,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sampler"):
             ExperimentConfig.from_dict(base_config(sampler={"kind": "hmc", "posterior": "classical"}))
 
-    def test_saved_sequential_schedule_still_loads(self):
-        # every config saved while the sweep order was selectable carries these
-        old = {"kind": "gibbs", "posterior": "intermediate", "schedule_mode": "sequential", "workers": 1}
-        nested = {"kind": "gibbs", "posterior": "intermediate", "schedule": {"mode": "sequential", "workers": 1}}
-        want = ExperimentConfig.from_dict(base_config())
-        assert ExperimentConfig.from_dict(base_config(sampler=old)) == want
-        assert ExperimentConfig.from_dict(base_config(sampler=nested)) == want
-
-    def test_removed_schedule_mode_rejected(self):
-        flat = {"kind": "gibbs", "posterior": "intermediate", "schedule_mode": "phase_parallel", "workers": 2}
-        with pytest.raises(ConfigError, match=r"sampler\.schedule_mode"):
-            ExperimentConfig.from_dict(base_config(sampler=flat))
-        nested = {"kind": "gibbs", "posterior": "intermediate", "schedule": {"mode": "phase_parallel"}}
-        with pytest.raises(ConfigError, match=r"sampler\.schedule\.mode"):
-            ExperimentConfig.from_dict(base_config(sampler=nested))
+    @pytest.mark.parametrize("key", ["schedule_mode", "workers", "schedule"])
+    def test_removed_schedule_keys_rejected(self, key):
+        # the sweep has one block order; configs naming the old selector no longer load
+        value = {"schedule_mode": "sequential", "workers": 1, "schedule": {"mode": "sequential", "workers": 1}}[key]
+        sampler = {"kind": "gibbs", "posterior": "intermediate", key: value}
+        with pytest.raises(ConfigError, match=rf"sampler\.{key}: unknown field"):
+            ExperimentConfig.from_dict(base_config(sampler=sampler))
 
     @pytest.mark.parametrize(
         "path, value, field",
@@ -130,7 +122,12 @@ class TestConfig:
             (("noise",), {"delta_z": {"2": 0.01, "3": 0.01}}, r"noise\.delta_x\[2\]: missing"),
             (("noise",), {"delta_z": {"2": 0.01, "3": 0.01, "4": 1.0}, "delta_x": {"2": 0.01}}, r"noise\.delta_z\[4\]: no such layer"),
             (("seed",), -1, r"seed: must be >= 0"),
-            (("merge_window",), 0, r"merge_window: must be >= 1"),
+            (("merge_window",), 1, r"merge_window: must be >= 2"),
+            (("dataset", "n"), 0, r"dataset\.n: must be >= 1"),
+            (("dataset", "n_test"), -1, r"dataset\.n_test: must be >= 0"),
+            (("dataset", "subset"), -1, r"dataset\.subset: must be >= 1"),
+            (("dataset", "test_subset"), 0, r"dataset\.test_subset: must be >= 1"),
+            (("max_seconds",), -5, r"max_seconds: must be > 0"),
             (("merge_tolerance",), 0, r"merge_tolerance: must be > 0"),
             (("initializations",), ["gaussian:abc"], r"initializations: 'gaussian:abc' needs a finite positive scale"),
             (("initializations",), ["gaussian:-1"], r"initializations: 'gaussian:-1' needs a finite positive scale"),
@@ -163,7 +160,12 @@ class TestConfig:
             "delta-x-missing",
             "delta-z-extra-layer",
             "seed-negative",
-            "merge-window-zero",
+            "merge-window-one",
+            "n-zero",
+            "n-test-negative",
+            "subset-negative",
+            "test-subset-zero",
+            "max-seconds-negative",
             "merge-tolerance-zero",
             "gaussian-scale-not-number",
             "gaussian-scale-negative",
@@ -438,6 +440,19 @@ class TestCli:
         assert report["merge"] == {zero: {"error": "series must cover at least two windows"}}
         with pytest.raises(SystemExit, match="--informed"):
             cli_main(["diagnose", zero, "--informed", informed])
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--window", "0"), ("--window", "1"), ("--window", "-1"), ("--tolerance", "0")]
+    )
+    def test_diagnose_refuses_window_below_two_and_nonpositive_tolerance(self, tmp_path, capsys, flag, value):
+        trace = tmp_path / "trace.csv"
+        noise = np.random.default_rng(0).standard_normal(20)
+        trace.write_text("sweep,wall_s,test_mse\n" + "".join(f"{i},0.0,{v}\n" for i, v in enumerate(noise)), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["diagnose", str(trace), str(trace), "--informed", str(trace), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be" in err and "Traceback" not in err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

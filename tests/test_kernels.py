@@ -16,7 +16,6 @@ from nngibbs.kernels import (
     RngStream,
     branch_prob_negative,
     cholesky_factor,
-    stable_branch_probability,
     std_lower_truncated,
     trunc_norm_lower,
     trunc_norm_upper,
@@ -164,20 +163,20 @@ class TestTruncatedNormal:
 
 class TestBranchProbability:
     def test_equal_masses(self):
-        assert stable_branch_probability(-3.0, -3.0) == 0.5
+        assert branch_prob_negative(-3.0, -3.0) == 0.5
 
     def test_huge_gap_underflows_gracefully(self):
-        p = stable_branch_probability(1000.0, 0.0)
+        p = branch_prob_negative(1000.0, 0.0)
         assert p == 0.0 and not math.isnan(p)
-        assert stable_branch_probability(0.0, 1000.0) == 1.0
+        assert branch_prob_negative(0.0, 1000.0) == 1.0
 
     def test_infinite_mass_on_one_side(self):
-        assert stable_branch_probability(-math.inf, -1.0) == 1.0
-        assert stable_branch_probability(-1.0, -math.inf) == 0.0
+        assert branch_prob_negative(-math.inf, -1.0) == 1.0
+        assert branch_prob_negative(-1.0, -math.inf) == 0.0
 
     def test_monotone_in_first_argument(self):
-        ps = [stable_branch_probability(a, 0.0) for a in np.linspace(-5, 5, 21)]
-        assert all(x >= y for x, y in zip(ps, ps[1:]))
+        ps = branch_prob_negative(np.linspace(-5, 5, 21), 0.0)
+        assert np.all(np.diff(ps) <= 0.0)
 
     @given(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -185,14 +184,7 @@ class TestBranchProbability:
     )
     @settings(max_examples=300, deadline=None)
     def test_exact_complement(self, a, b):
-        assert stable_branch_probability(a, b) + stable_branch_probability(b, a) == 1.0
-
-    def test_vectorized_matches_scalar(self):
-        a = np.array([-2.0, 0.0, 3.0, 800.0, -800.0])
-        b = np.array([0.5, 0.0, -3.0, -800.0, 800.0])
-        vec = branch_prob_negative(a, b)
-        scalar = [stable_branch_probability(x, y) for x, y in zip(a, b)]
-        np.testing.assert_array_equal(vec, scalar)
+        assert branch_prob_negative(a, b) + branch_prob_negative(b, a) == 1.0
 
 
 class TestRngStream:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from nngibbs.kernels import RngStream
-from nngibbs.network import test_error as error_rate, test_mse as mse_between
+from nngibbs.network import error_rate, test_mse as mse_between
 from nngibbs.network import (
     Activation,
     ChainState,
@@ -172,11 +172,11 @@ class TestMetrics:
         X = gen.standard_normal((500, 4))
         W = {1: gen.standard_normal((10, 4))}
         labels = predict(spec, W, {1: None}, X).argmax(axis=1)
-        assert error_rate(spec, W, {1: None}, X, labels) == 0.0
+        assert error_rate(predict(spec, W, {1: None}, X), labels) == 0.0
         # an all-zero network predicts class 0 everywhere (ties break low)
         zero = {1: np.zeros((10, 4))}
         balanced_labels = np.repeat(np.arange(10), 50)
-        err = error_rate(spec, zero, {1: None}, X, balanced_labels)
+        err = error_rate(predict(spec, zero, {1: None}, X), balanced_labels)
         assert abs(err - 0.9) < 1e-12
 
     def test_error_against_bruteforce(self):
@@ -185,7 +185,7 @@ class TestMetrics:
         X = gen.standard_normal((200, 4))
         W = {1: gen.standard_normal((3, 4))}
         labels = gen.integers(0, 3, size=200)
-        got = error_rate(spec, W, {1: None}, X, labels)
+        got = error_rate(predict(spec, W, {1: None}, X), labels)
         wrong = sum(int(np.argmax(x @ W[1].T) != y) for x, y in zip(X, labels))
         assert got == wrong / 200
 
