@@ -151,6 +151,15 @@ def score_statistic(state, grad_fn, delta: float, target: tuple[str, int] = ("W"
     return float(delta * np.mean(block))
 
 
+def _check_window(window: int, tolerance_sigmas: float):
+    # a window's variance takes two samples; a band of width 0 or NaN
+    # accepts nothing
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window}")
+    if not tolerance_sigmas > 0:
+        raise ValueError(f"tolerance_sigmas must be > 0, got {tolerance_sigmas}")
+
+
 def _window_stats(values: np.ndarray, window: int):
     n_windows = len(values) // window
     trimmed = values[: n_windows * window].reshape(n_windows, window)
@@ -171,6 +180,7 @@ def stationarity_onset(series: TraceSeries, window: int, tolerance_sigmas: float
     standard errors of a window-mean difference (multiplicity-widened).
     Resolution is one window.
     """
+    _check_window(window, tolerance_sigmas)
     values = series.scalar
     if len(values) < 2 * window:
         raise ValueError("series must cover at least two windows")
@@ -198,7 +208,8 @@ def teacher_student_merge(
     The informed series fixes the equilibrium level (its mean after its
     own stationarity onset); the merge time is the earliest window
     boundary, never before that onset, from which every subsequent test
-    window mean stays within the tolerance band around that level.
+    window mean stays within the tolerance band around that level. Bad
+    windows and tolerances raise ValueError, as in ``stationarity_onset``.
     Returns (merge time or None, equilibrium value).
     """
     inf_series = informed
@@ -240,8 +251,9 @@ def merge_verdicts(series: dict, informed, observable: str, window: int, toleran
     """``teacher_student_merge`` of every series against ``series[informed]``.
 
     Each other key maps to ``{"merge_time", "equilibrium"}``, or to
-    ``{"error"}`` when the informed series never settles or a series is too
-    short for two windows. ``test_mse`` is compared on a log scale.
+    ``{"error"}`` when the informed series never settles, a series is too
+    short for two windows, or the window or tolerance is out of range.
+    ``test_mse`` is compared on a log scale.
     """
     verdicts = {}
     for key, test in series.items():

@@ -4,8 +4,10 @@ Every update redraws one variable block from its exact conditional given
 the rest of the chain: rows of X and W are multivariate Gaussians sharing
 one inverse Cholesky factor per block (a conv layer's weight rows are its
 filters), pre-activations Z are scalar two-branch mixtures of one-sided
-truncated normals, biases are scalar Gaussians (one per unit, or per conv
-channel), and the probit output scores are two blocks of truncated
+truncated normals (each activation is two linear pieces, one per
+half-line, and one half-line formula gives both branches), biases are
+scalar Gaussians (one per unit, or per conv channel), and the probit
+output scores are two blocks of truncated
 normals that keep the argmax constraint: every label score given the
 other scores, then every other score given the label score. Where a
 pool feeds X[l], the pooled values P[l] take the two-branch law and Z[l]
@@ -26,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import log_ndtr
 
 from . import conv, kernels
-from .kernels import RngStream, branch_prob_negative, log_gauss_mass_lower, log_gauss_mass_upper
+from .kernels import RngStream, branch_prob_negative
 from .network import (
     Activation,
     ChainState,
@@ -100,76 +103,56 @@ class ZBranchMasses:
     log_tail_neg: np.ndarray
 
 
+# Each two-branch activation is one linear piece slope*z + offset on each
+# half-line: (piece for z >= 0, piece for z < 0).
+_PIECES = {
+    Activation.RELU: ((1.0, 0.0), (0.0, 0.0)),
+    Activation.SIGN: ((0.0, 1.0), (0.0, -1.0)),
+    Activation.ABS: ((1.0, 0.0), (-1.0, 0.0)),
+}
+
+
+def _half_line(side: float, slope: float, offset: float, wx, x_next, dz: float, dx: float):
+    """(log mass, mean, variance, log tail) of the branch on the half-line
+    side*z >= 0, where the activation is slope*z + offset."""
+    x = x_next - offset if offset else x_next
+    if slope:
+        s = dx + slope**2 * dz
+        var = dz * dx / s
+        mean = (dx * wx + (slope * dz) * x) / s
+        gap = slope * wx - x
+    else:
+        # a flat piece adds a z-free factor only and leaves the
+        # pre-activation's own Gaussian
+        s, var = dx, dz
+        mean = np.broadcast_to(wx, np.broadcast_shapes(wx.shape, x.shape))
+        gap = x
+    log_tail = log_ndtr(mean / (side * np.sqrt(var)))
+    log_mass = -(gap**2) / (2.0 * s) + 0.5 * np.log(2.0 * np.pi * var) + log_tail
+    return log_mass, mean, var, log_tail
+
 
 def z_branch_masses(activation: Activation, wx, x_next, dz: float, dx: float) -> ZBranchMasses:
     """Two-branch decomposition of the scalar pre-activation conditional.
 
     The conditional density is exp[-(z - wx)^2 / 2 dz] *
-    exp[-(act(z) - x_next)^2 / 2 dx]; restricted to each half-line it is a
-    (truncated) Gaussian. All erfc-type mass factors are evaluated in
-    scaled log form, so arbitrarily lopsided branches stay finite.
+    exp[-(act(z) - x_next)^2 / 2 dx]. On each half-line the activation is
+    one linear piece, so the density there is a (truncated) Gaussian whose
+    mass, mean and variance follow from that piece alone. Mass factors are
+    evaluated in log_ndtr form, so arbitrarily lopsided branches stay
+    finite.
     """
     if dz <= 0.0 or dx <= 0.0:
         raise ValueError("noise variances must be positive")
     activation = Activation(activation)
+    if activation not in _PIECES:
+        raise UnsupportedActivation(f"no two-branch decomposition for {activation.value} activation")
     wx = np.asarray(wx, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
-
-    if activation is Activation.RELU:
-        v = dz * dx / (dz + dx)
-        mean_pos = (dx * wx + dz * x_next) / (dz + dx)
-        tail_pos = log_gauss_mass_upper(mean_pos, v, 0.0)
-        log_pos = (
-            -((wx - x_next) ** 2) / (2.0 * (dz + dx))
-            + 0.5 * np.log(2.0 * np.pi * v)
-            + tail_pos
-        )
-        # below zero the activation contributes a z-free factor only
-        mean_neg = wx
-        tail_neg = log_gauss_mass_lower(wx, dz, 0.0)
-        log_neg = (
-            -(x_next**2) / (2.0 * dx)
-            + 0.5 * np.log(2.0 * np.pi * dz)
-            + tail_neg
-        )
-        mean_neg = np.broadcast_to(mean_neg, log_neg.shape)
-        return ZBranchMasses(log_pos, log_neg, mean_pos, v, mean_neg, dz, tail_pos, tail_neg)
-
-    if activation is Activation.SIGN:
-        tail_pos = log_gauss_mass_upper(wx, dz, 0.0)
-        tail_neg = log_gauss_mass_lower(wx, dz, 0.0)
-        log_pos = (
-            -((1.0 - x_next) ** 2) / (2.0 * dx)
-            + 0.5 * np.log(2.0 * np.pi * dz)
-            + tail_pos
-        )
-        log_neg = (
-            -((1.0 + x_next) ** 2) / (2.0 * dx)
-            + 0.5 * np.log(2.0 * np.pi * dz)
-            + tail_neg
-        )
-        m = np.broadcast_to(wx, log_pos.shape)
-        return ZBranchMasses(log_pos, log_neg, m, dz, m, dz, tail_pos, tail_neg)
-
-    if activation is Activation.ABS:
-        v = dz * dx / (dz + dx)
-        mean_pos = (dx * wx + dz * x_next) / (dz + dx)
-        mean_neg = (dx * wx - dz * x_next) / (dz + dx)
-        tail_pos = log_gauss_mass_upper(mean_pos, v, 0.0)
-        tail_neg = log_gauss_mass_lower(mean_neg, v, 0.0)
-        log_pos = (
-            -((wx - x_next) ** 2) / (2.0 * (dz + dx))
-            + 0.5 * np.log(2.0 * np.pi * v)
-            + tail_pos
-        )
-        log_neg = (
-            -((wx + x_next) ** 2) / (2.0 * (dz + dx))
-            + 0.5 * np.log(2.0 * np.pi * v)
-            + tail_neg
-        )
-        return ZBranchMasses(log_pos, log_neg, mean_pos, v, mean_neg, v, tail_pos, tail_neg)
-
-    raise UnsupportedActivation(f"no two-branch decomposition for {activation.value} activation")
+    pos, neg = _PIECES[activation]
+    log_pos, mean_pos, var_pos, tail_pos = _half_line(1.0, *pos, wx, x_next, dz, dx)
+    log_neg, mean_neg, var_neg, tail_neg = _half_line(-1.0, *neg, wx, x_next, dz, dx)
+    return ZBranchMasses(log_pos, log_neg, mean_pos, var_pos, mean_neg, var_neg, tail_pos, tail_neg)
 
 
 def sample_z_scalar(activation: Activation, wx, x_next, dz: float, dx: float, rng: RngStream) -> np.ndarray:

@@ -7,7 +7,7 @@ two-branch mass ratios, and reproducible counter-based RNG streams.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import ndtr, ndtri
 
 __all__ = [
     "NotPositiveDefinite",
@@ -17,8 +17,6 @@ __all__ = [
     "trunc_norm_lower",
     "trunc_norm_upper",
     "branch_prob_negative",
-    "log_gauss_mass_lower",
-    "log_gauss_mass_upper",
 ]
 
 # Standardized bound beyond which inverse-CDF inversion is abandoned for
@@ -161,18 +159,6 @@ def trunc_norm_upper(mean, var, upper, rng: RngStream) -> np.ndarray:
     mean = np.asarray(mean, dtype=float)
     upper = np.asarray(upper, dtype=float)
     return -trunc_norm_lower(-mean, var, -upper, rng)
-
-
-def log_gauss_mass_lower(mean, var, bound):
-    """log integral over (-inf, bound] of the N(mean, var) density."""
-    sd = np.sqrt(np.asarray(var, dtype=float))
-    return log_ndtr((np.asarray(bound, float) - np.asarray(mean, float)) / sd)
-
-
-def log_gauss_mass_upper(mean, var, bound):
-    """log integral over [bound, inf) of the N(mean, var) density."""
-    sd = np.sqrt(np.asarray(var, dtype=float))
-    return log_ndtr((np.asarray(mean, float) - np.asarray(bound, float)) / sd)
 
 
 def branch_prob_negative(log_mass_pos: np.ndarray, log_mass_neg: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from nngibbs.diagnostics import (
     InformedNotStationary,
     RhatReport,
     TraceSeries,
+    merge_verdicts,
     rhat,
     rhat_series,
     score_statistic,
@@ -149,6 +150,18 @@ class TestStationarityOnset:
         with pytest.raises(ValueError):
             stationarity_onset(series(np.zeros(30)), window=50)
 
+    @pytest.mark.parametrize("window", [0, 1, -1])
+    def test_window_below_two_refused(self, window):
+        white = series(np.random.default_rng(16).standard_normal(40))
+        with pytest.raises(ValueError, match=f"window must be >= 2, got {window}"):
+            stationarity_onset(white, window)
+
+    @pytest.mark.parametrize("tolerance", [0.0, np.nan])
+    def test_tolerance_not_positive_refused(self, tolerance):
+        white = series(np.random.default_rng(17).standard_normal(400))
+        with pytest.raises(ValueError, match=f"tolerance_sigmas must be > 0, got {tolerance}"):
+            stationarity_onset(white, 50, tolerance)
+
 
 class TestTeacherStudentMerge:
     def test_identical_series_merge_at_onset(self):
@@ -206,6 +219,22 @@ class TestTeacherStudentMerge:
         informed = TraceSeries(np.arange(2000), vals)
         when, phi = teacher_student_merge(informed, informed, window=50, log_values=True)
         assert np.isfinite(phi)
+
+
+    @pytest.mark.parametrize("window, tolerance", [(0, 3.0), (1, 3.0), (-1, 3.0), (50, 0.0), (50, np.nan)])
+    def test_bad_window_or_tolerance_refused(self, window, tolerance):
+        gen = np.random.default_rng(18)
+        informed, test = series(gen.standard_normal(400)), series(gen.standard_normal(400))
+        with pytest.raises(ValueError, match="must be"):
+            teacher_student_merge(informed, test, window=window, tolerance_sigmas=tolerance)
+
+
+class TestMergeVerdicts:
+    def test_window_zero_is_an_error_verdict(self):
+        gen = np.random.default_rng(19)
+        runs = {name: series(gen.standard_normal(400)) for name in ("informed", "zero", "random")}
+        verdicts = merge_verdicts(runs, "informed", "w1_sqnorm", window=0, tolerance_sigmas=3.0)
+        assert verdicts == {key: {"error": "window must be >= 2, got 0"} for key in ("zero", "random")}
 
 
 class TestTraceSeries:

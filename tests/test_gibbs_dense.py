@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import log_ndtr
 from scipy.linalg import solve_triangular
 
 import nngibbs
@@ -21,6 +22,7 @@ from nngibbs import kernels
 from conftest import (
     assert_bitwise_equal,
     branch_log_masses_quadrature,
+    z_conditional_density,
     sweep_by_public_updates,
     z_conditional_rejection,
 )
@@ -36,6 +38,7 @@ from nngibbs.network import (
     forward_generate,
 )
 from nngibbs.gibbs import (
+    _PIECES,
     SweepSchedule,
     UnsupportedActivation,
     clamped_factor,
@@ -193,6 +196,73 @@ class TestWUpdate:
         np.testing.assert_allclose(np.cov(draws.T), cov, atol=6 * np.max(np.diag(cov)) / np.sqrt(len(draws)))
 
 
+def _reference_log_mass_lower(mean, var, bound):
+    sd = np.sqrt(np.asarray(var, dtype=float))
+    return log_ndtr((np.asarray(bound, float) - np.asarray(mean, float)) / sd)
+
+
+def _reference_log_mass_upper(mean, var, bound):
+    sd = np.sqrt(np.asarray(var, dtype=float))
+    return log_ndtr((np.asarray(mean, float) - np.asarray(bound, float)) / sd)
+
+
+def reference_branch_masses(activation, wx, x_next, dz, dx):
+    """The branch law derived by hand for each activation, as the
+    per-activation code computed it before the piece table: the eight
+    ``ZBranchMasses`` fields in order."""
+    wx = np.asarray(wx, dtype=float)
+    x_next = np.asarray(x_next, dtype=float)
+    if activation == "relu":
+        v = dz * dx / (dz + dx)
+        mean_pos = (dx * wx + dz * x_next) / (dz + dx)
+        tail_pos = _reference_log_mass_upper(mean_pos, v, 0.0)
+        log_pos = -((wx - x_next) ** 2) / (2.0 * (dz + dx)) + 0.5 * np.log(2.0 * np.pi * v) + tail_pos
+        tail_neg = _reference_log_mass_lower(wx, dz, 0.0)
+        log_neg = -(x_next**2) / (2.0 * dx) + 0.5 * np.log(2.0 * np.pi * dz) + tail_neg
+        mean_neg = np.broadcast_to(wx, log_neg.shape)
+        return log_pos, log_neg, mean_pos, v, mean_neg, dz, tail_pos, tail_neg
+    if activation == "sign":
+        tail_pos = _reference_log_mass_upper(wx, dz, 0.0)
+        tail_neg = _reference_log_mass_lower(wx, dz, 0.0)
+        log_pos = -((1.0 - x_next) ** 2) / (2.0 * dx) + 0.5 * np.log(2.0 * np.pi * dz) + tail_pos
+        log_neg = -((1.0 + x_next) ** 2) / (2.0 * dx) + 0.5 * np.log(2.0 * np.pi * dz) + tail_neg
+        m = np.broadcast_to(wx, log_pos.shape)
+        return log_pos, log_neg, m, dz, m, dz, tail_pos, tail_neg
+    assert activation == "abs"
+    v = dz * dx / (dz + dx)
+    mean_pos = (dx * wx + dz * x_next) / (dz + dx)
+    mean_neg = (dx * wx - dz * x_next) / (dz + dx)
+    tail_pos = _reference_log_mass_upper(mean_pos, v, 0.0)
+    tail_neg = _reference_log_mass_lower(mean_neg, v, 0.0)
+    log_pos = -((wx - x_next) ** 2) / (2.0 * (dz + dx)) + 0.5 * np.log(2.0 * np.pi * v) + tail_pos
+    log_neg = -((wx + x_next) ** 2) / (2.0 * (dz + dx)) + 0.5 * np.log(2.0 * np.pi * v) + tail_neg
+    return log_pos, log_neg, mean_pos, v, mean_neg, v, tail_pos, tail_neg
+
+
+# inputs at the edges of the float range, mixed into the random blocks
+_SPECIAL_INPUTS = (0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, np.inf, -np.inf, np.nan)
+_BRANCH_FIELDS = ("log_mass_pos", "log_mass_neg", "mean_pos", "var_pos", "mean_neg", "var_neg", "log_tail_pos", "log_tail_neg")
+
+
+def _assert_fields_bitwise(masses, reference, shape, where):
+    for name, ref in zip(_BRANCH_FIELDS, reference):
+        got = np.broadcast_to(np.asarray(getattr(masses, name), dtype=float), shape)
+        want = np.broadcast_to(np.asarray(ref, dtype=float), shape)
+        assert got.tobytes() == want.tobytes(), f"{name} at {where}"
+
+
+def _half_line_moments(activation, wx, x_next, dz, dx, side):
+    """Mass-normalized first two moments of the conditional density on
+    the half-line side*z >= 0, by quadrature."""
+    lo, hi = (0.0, wx + 40 * np.sqrt(dz) + 40) if side > 0 else (wx - 40 * np.sqrt(dz) - 40, 0.0)
+    moment = [
+        integrate.quad(lambda z: z**k * z_conditional_density(activation, z, wx, x_next, dz, dx), lo, hi, epsabs=0, epsrel=1e-12, limit=200)[0]
+        for k in range(3)
+    ]
+    mean = moment[1] / moment[0]
+    return mean, moment[2] / moment[0] - mean**2
+
+
 class TestZBranchMasses:
     def test_sign_symmetry(self):
         m = z_branch_masses(Activation.SIGN, 0.0, 0.0, 1.0, 1.0)
@@ -235,6 +305,49 @@ class TestZBranchMasses:
     def test_linear_unsupported(self):
         with pytest.raises(UnsupportedActivation):
             z_branch_masses(Activation.LINEAR, 0.0, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("activation", ["relu", "sign", "abs"])
+    def test_bitwise_equal_to_per_activation_reference(self, activation):
+        gen = np.random.default_rng(36)
+        shape = (2084, 10)
+        specials = np.array(_SPECIAL_INPUTS)
+        with np.errstate(all="ignore"):
+            for dz, dx in [(1e-8, 1e-8), (1e-8, 1e2), (1e2, 1e-8), (1e-4, 1e-2), (1.0, 1.0), (3.7, 0.25)]:
+                wx, x_next = gen.standard_normal((2, *shape)) * gen.choice([1e-3, 1.0, 1e3], size=(2, *shape))
+                for arr in (wx, x_next):
+                    hit = gen.uniform(size=shape) < 0.05
+                    arr[hit] = gen.choice(specials, size=int(hit.sum()))
+                got = z_branch_masses(Activation(activation), wx, x_next, dz, dx)
+                _assert_fields_bitwise(got, reference_branch_masses(activation, wx, x_next, dz, dx), shape, (dz, dx))
+                # a scalar wx against a block of x_next
+                got = z_branch_masses(Activation(activation), wx[0, 0], x_next, dz, dx)
+                _assert_fields_bitwise(got, reference_branch_masses(activation, wx[0, 0], x_next, dz, dx), shape, (dz, dx))
+            values = np.concatenate([specials, [0.3, -1.7]])
+            for w in values:
+                for x in values:
+                    got = z_branch_masses(Activation(activation), np.array(w), np.array(x), 0.5, 2.0)
+                    _assert_fields_bitwise(got, reference_branch_masses(activation, np.array(w), np.array(x), 0.5, 2.0), (), (w, x))
+
+    @pytest.mark.parametrize("activation", ["relu", "sign", "abs"])
+    @pytest.mark.parametrize("wx, x_next, dz, dx", [(0.3, 0.7, 1.0, 0.5), (-0.4, 0.2, 0.3, 2.0), (0.1, -0.6, 0.05, 0.02)])
+    def test_branch_moments_match_quadrature(self, activation, wx, x_next, dz, dx):
+        m = z_branch_masses(Activation(activation), wx, x_next, dz, dx)
+        for side, mean, var in ((1.0, m.mean_pos, m.var_pos), (-1.0, m.mean_neg, m.var_neg)):
+            # the branch is N(mean, var) restricted to its half-line
+            sd = float(np.sqrt(var))
+            bound = -float(mean) / sd
+            a, b = (bound, np.inf) if side > 0 else (-np.inf, bound)
+            law = stats.truncnorm(a, b, loc=float(mean), scale=sd)
+            want_mean, want_var = _half_line_moments(activation, wx, x_next, dz, dx, side)
+            assert law.mean() == pytest.approx(want_mean, rel=1e-7, abs=1e-10)
+            assert law.var() == pytest.approx(want_var, rel=1e-7)
+
+    def test_pieces_match_activation(self):
+        assert set(_PIECES) == set(Activation) - {Activation.LINEAR}
+        z = np.geomspace(1e-6, 1e6, 49)
+        for activation, ((pos_slope, pos_offset), (neg_slope, neg_offset)) in _PIECES.items():
+            np.testing.assert_array_equal(pos_slope * z + pos_offset, activation.apply(z))
+            np.testing.assert_array_equal(neg_slope * -z + neg_offset, activation.apply(-z))
 
 
 class TestZUpdate:

@@ -10,6 +10,7 @@ import pytest
 
 from nngibbs.cli import main as cli_main
 from nngibbs.datasets import generate_teacher_student
+from nngibbs.gibbs import SweepSchedule, gibbs_sweep
 from nngibbs.harness import (
     ConfigError,
     ExperimentConfig,
@@ -28,7 +29,7 @@ from nngibbs.network import (
     PriorSpec,
     predict,
 )
-from nngibbs.presets import PRESETS, delta_grid, get_preset, preset_names
+from nngibbs.presets import PRESETS, delta_grid, get_preset, mnist_cnn_gibbs, preset_names, ts_criterion
 
 
 def base_config(**over):
@@ -263,6 +264,35 @@ class TestInitializeChain:
         data.teacher = None
         with pytest.raises(MissingTeacher):
             initialize_chain("informed", data, self.spec, self.noise, self.prior, RngStream(7))
+
+
+def _sweeps_clean(cfg, kind, sweeps):
+    """Run ``sweeps`` Gibbs sweeps from a ``kind`` start with division by
+    zero, invalid operations and overflow raised as errors; underflow
+    stays quiet (exp of a very negative log-mass gap is exactly 0)."""
+    dataset = build_dataset(cfg, RngStream(cfg.seed, (10_000,)))
+    state = initialize_chain(kind, dataset, cfg.network, cfg.noise, cfg.prior, RngStream(cfg.seed, (0,)).child(0))
+    rng = RngStream(cfg.seed, (0,)).child(1)
+    with np.errstate(divide="raise", invalid="raise", over="raise", under="ignore"):
+        for _ in range(sweeps):
+            gibbs_sweep(state, cfg.network, cfg.noise, cfg.prior, SweepSchedule(), rng)
+    for kind_name in ("W", "b", "X", "Z", "P"):
+        for l, value in getattr(state, kind_name).items():
+            assert value is None or np.all(np.isfinite(value)), f"{kind_name}[{l}]"
+
+
+class TestSweepFloatingPoint:
+    @pytest.mark.parametrize("activation", ["relu", "sign", "abs"])
+    @pytest.mark.parametrize("kind", ["zero", "random", "informed"])
+    def test_teacher_student_sweeps_raise_nothing(self, activation, kind):
+        raw = ts_criterion()
+        raw["network"]["activation"] = activation
+        raw["dataset"].update(n=300, n_test=100)
+        _sweeps_clean(ExperimentConfig.from_dict(raw), kind, 20)
+
+    def test_conv_pool_probit_sweeps_raise_nothing(self):
+        raw = mnist_cnn_gibbs(dataset={"source": "synthetic", "n": 50, "n_test": 50})
+        _sweeps_clean(ExperimentConfig.from_dict(raw), "zero", 20)
 
 
 class TestRunExperiment:
