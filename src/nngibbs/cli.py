@@ -177,6 +177,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (OSError, ds.BadMagic, ds.TruncatedFile, ds.CountMismatch) as exc:
+        # each message names the file it is about
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -123,7 +123,7 @@ def load_idx(images_path, labels_path, subset: int | None = None):
             raise BadMagic(f"{labels_path}: magic {magic:#010x}, expected {IDX_LABELS_MAGIC:#010x}")
         raw_labels = _read_exact(fh, n_lab, labels_path)
     if n_img != n_lab:
-        raise CountMismatch(f"{n_img} images vs {n_lab} labels")
+        raise CountMismatch(f"{images_path}: {n_img} images, but {labels_path}: {n_lab} labels")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n_img, rows * cols).astype(float) / 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8).astype(int)
     if subset is not None:

@@ -188,7 +188,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"not valid JSON: {exc}") from None
+        return cls.from_dict(raw)
 
 
 def _parsed(kind, text: str, fallback):
@@ -548,8 +552,9 @@ def read_trace(path) -> dict[str, diagnostics.TraceSeries]:
     return out
 
 
-def _run_single_chain(cfg: ExperimentConfig, dataset: Dataset, idx: int, kind: str, deadline: float | None):
-    """Run one chain; the records hold the observer's columns in order."""
+def _run_single_chain(cfg: ExperimentConfig, dataset: Dataset, idx: int, kind: str, deadline: float | None, out: Path):
+    """Run one chain and write its trace into ``out``. Returns the chain's
+    summary entry and its series of each observable column."""
     spec = cfg.network
     chain_rng = RngStream(cfg.seed, (idx,))
     step_rng = chain_rng.child(1)
@@ -579,11 +584,25 @@ def _run_single_chain(cfg: ExperimentConfig, dataset: Dataset, idx: int, kind: s
         position, state_of = packer.pack(vars(init_state)), lambda vec: packer.state(vec, frame)
 
     def observe(x, rate):
-        out = observer.observe_state(state_of(x), rate)
-        return [out[c] for c in observer.columns]
+        values = observer.observe_state(state_of(x), rate)
+        return [values[c] for c in observer.columns]
 
     run = samplers.run_chain(step, position, cfg.sweeps, observe, cfg.spacing, deadline)
-    return run, observer.columns
+    columns = observer.columns
+    label = _chain_label(idx, kind)
+    path = out / f"trace_{label}.csv"
+    _write_trace(path, columns, run)
+    entry = {
+        "label": label,
+        "initialization": kind,
+        "file": path.name,
+        "records": len(run.times),
+        "final": dict(zip(columns, run.values[-1].tolist())),
+    }
+    if cfg.sampler.kind != "gibbs":
+        entry["acceptance_rate"] = run.acceptance_rate
+    series = {c: diagnostics.TraceSeries(times=run.times, values=run.values[:, j]) for j, c in enumerate(columns)}
+    return entry, series
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
@@ -592,45 +611,28 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     One trace CSV per chain plus a ``summary.json`` holding final
     observables, acceptance rates, stationarity onsets, and (when an
     informed chain exists) the merge verdict of every other chain against
-    the informed equilibrium. Returns the summary dict.
+    the informed equilibrium. Returns the summary dict. The dataset is
+    built before ``out_dir`` is made, so a bad input leaves no directory.
     """
     cfg.validate()
+    dataset = build_dataset(cfg, RngStream(cfg.seed, (10_000,)))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = build_dataset(cfg, RngStream(cfg.seed, (10_000,)))
     deadline = None if cfg.max_seconds is None else time.monotonic() + cfg.max_seconds
 
-    jobs = list(enumerate(cfg.initializations))
-    results = {}
-    with ThreadPoolExecutor(max_workers=max(1, len(jobs))) as pool:
-        futures = {
-            pool.submit(_run_single_chain, cfg, dataset, idx, kind, deadline): (idx, kind) for idx, kind in jobs
-        }
-        for fut, (idx, kind) in futures.items():
-            results[(idx, kind)] = fut.result()
+    with ThreadPoolExecutor(max_workers=len(cfg.initializations)) as pool:
+        futures = [
+            pool.submit(_run_single_chain, cfg, dataset, idx, kind, deadline, out)
+            for idx, kind in enumerate(cfg.initializations)
+        ]
+        chains = [fut.result() for fut in futures]
 
-    summary = {"chains": [], "merge": {}, "config": cfg.to_dict()}
-    traces = {}
-    for (idx, kind), (run, columns) in sorted(results.items()):
-        label = _chain_label(idx, kind)
-        path = out / f"trace_{label}.csv"
-        _write_trace(path, columns, run)
-        traces[label] = (kind, path, run, columns)
-        entry = {
-            "label": label,
-            "initialization": kind,
-            "file": path.name,
-            "records": len(run.times),
-            "final": dict(zip(columns, run.values[-1].tolist())),
-        }
-        if cfg.sampler.kind != "gibbs":
-            entry["acceptance_rate"] = run.acceptance_rate
-        summary["chains"].append(entry)
-
-    merge_obs = _merge_observable(traces)
-    informed_label = next((lab for lab, (kind, *_rest) in traces.items() if kind == "informed"), None)
-    if merge_obs is not None and informed_label is not None:
-        series = {label: _series_of(run, columns, merge_obs) for label, (_k, _p, run, columns) in traces.items()}
+    summary = {"chains": [entry for entry, _series in chains], "merge": {}, "config": cfg.to_dict()}
+    informed_label = next((entry["label"] for entry, _series in chains if entry["initialization"] == "informed"), None)
+    if informed_label is not None:
+        # every chain records the same columns, and w1_sqnorm is always one of them
+        merge_obs = next(obs for obs in ("test_mse", "test_error", "w1_sqnorm") if obs in chains[0][1])
+        series = {entry["label"]: by_column[merge_obs] for entry, by_column in chains}
         verdicts = diagnostics.merge_verdicts(series, informed_label, merge_obs, cfg.merge_window, cfg.merge_tolerance)
         summary["merge"] = {label: {"observable": merge_obs, **verdict} for label, verdict in verdicts.items()}
 
@@ -638,14 +640,3 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         json.dump(summary, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
     return summary
-
-
-def _merge_observable(traces) -> str | None:
-    for obs in ("test_mse", "test_error", "w1_sqnorm"):
-        if all(obs in columns for (_k, _p, _run, columns) in traces.values()):
-            return obs
-    return None
-
-
-def _series_of(run: samplers.ChainRun, columns: list[str], column: str) -> diagnostics.TraceSeries:
-    return diagnostics.TraceSeries(times=run.times, values=run.values[:, columns.index(column)])

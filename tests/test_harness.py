@@ -1,6 +1,8 @@
 """Harness behaviors: config validation and round trips, chain
 initializations, deterministic trace files, merge verdicts, and the CLI
 surface."""
+import dataclasses
+import hashlib
 import json
 import re
 import struct
@@ -13,12 +15,14 @@ from nngibbs.datasets import generate_teacher_student
 from nngibbs.gibbs import SweepSchedule, gibbs_sweep
 from nngibbs.harness import (
     ConfigError,
+    DatasetConfig,
     ExperimentConfig,
     MissingTeacher,
     build_dataset,
     initialize_chain,
     read_trace,
     run_experiment,
+    SamplerConfig,
 )
 from nngibbs.kernels import RngStream
 from nngibbs.network import (
@@ -29,7 +33,7 @@ from nngibbs.network import (
     PriorSpec,
     predict,
 )
-from nngibbs.presets import PRESETS, delta_grid, get_preset, mnist_cnn_gibbs, preset_names, ts_criterion
+from nngibbs.presets import PRESETS, get_preset, mnist_cnn_gibbs, mnist_mlp_gibbs, preset_names, ts_criterion
 
 
 def base_config(**over):
@@ -362,6 +366,47 @@ class TestRunExperiment:
         assert summary["chains"][0]["label"] == "chain0_zero"
 
 
+# sha256 of get_preset(name, delta=d).to_json() joined by newlines over
+# PIN_DELTAS, which hits every row of the step-size tables and both sides
+# of every floor (a row holds strictly above its floor)
+PIN_DELTAS = [
+    None, 10, 1, 0.32, 0.3, 3.2e-2, 1.5e-2, 1e-2, 5e-3, 3.2e-3, 1.5e-3, 1e-3,
+    4.64e-4, 3.2e-4, 1e-4, 6.8e-5, 2e-5, 1.5e-5, 1e-6, 1e-12,
+]
+PRESET_DIGESTS = {
+    "mnist-cnn-gibbs": "0062eca92031cae54efa3886cc3318ee854e7990825f57cef4bd4ae45aa9a804",
+    "mnist-cnn-hmc": "643e49add3e14841bed48bb1f30a8f7fa711b973d26725defbf7e7681e4415df",
+    "mnist-cnn-mala": "6fd33d67fb709b9d8940f053c8f901232ce51e72353a0b66b665017d442785a3",
+    "mnist-mlp-gibbs": "7dff289b8b04b85964162d232766a5c1208b3b712b45d49ddf277d82ff6d5e06",
+    "mnist-mlp-hmc": "e974ac09bafcc18eadb3c786161731c156076d49d56bc6c6509c31cf4dae1790",
+    "mnist-mlp-mala": "e4338ea511e0b0403427c8ed92101bd50d4b8e1ea73790e671426ec8645c978f",
+    "noiseless-gibbs": "65639adbee494ab9d9c06c49c5ba732a755fb610f36aa70e7ddf91a7d630090b",
+    "noiseless-hmc-classical": "1472ed4f120a91c76828ee70a0105bb644dcc415cddf93f4830b327a12ff952d",
+    "noiseless-hmc-intermediate": "405a43e07033238c88465300381d50f9498392d771c7670a331824776755cac5",
+    "noiseless-mala-classical": "74138e19c01e8e98c71eee53afa87599820e51ce3b9e66246bf568cb6cb39b57",
+    "ts-criterion": "9a7f6a0b0ac9dbd6f050abd537ecbaf3ab57dc7356dbdc76e3c85173fccae131",
+}
+# the calls perfbench/workloads.py makes, and the sha256 of the config's JSON
+CALL_FORMS = {
+    "mlp": (
+        lambda: ExperimentConfig.from_dict(mnist_mlp_gibbs(seed=3, dataset={"source": "synthetic", "n": 500, "n_test": 1000})),
+        "5ab4250a17b28f6f1a4ea2b446c45a2a3b0ce8e2884cbb18c5380f31a7544436",
+    ),
+    "cnn": (
+        lambda: ExperimentConfig.from_dict(mnist_cnn_gibbs(seed=3, dataset={"source": "synthetic", "n": 300, "n_test": 1000})),
+        "ae3566417db0f5569a1d22da953df0ccf0e103f35088e492945cf03e194c5788",
+    ),
+    "ts-2chain": (
+        lambda: get_preset("ts-criterion", initializations=["informed", "zero"], sweeps=400, spacing=10, merge_window=20, seed=3),
+        "ea28accbaaff98e663454b032680613ddd7c718aaccb39158857864dadf43ec0",
+    ),
+    "hmc": (
+        lambda: get_preset("ts-criterion", initializations=["informed"], seed=3),
+        "f84cc7980d05f84e327be1a4d4bb76e28f7ff3bed71bbaa41172107036831b1b",
+    ),
+}
+
+
 class TestPresets:
     def test_listing_is_stable(self):
         names = preset_names()
@@ -408,12 +453,40 @@ class TestPresets:
         text = get_preset(name).to_json()
         assert ExperimentConfig.from_json(text).to_json() == text
 
-    def test_delta_grid_three_per_decade(self):
-        grid = delta_grid(-3, 0)
-        assert grid[0] == pytest.approx(1.0)
-        assert grid[1] == pytest.approx(10 ** (-1 / 3), rel=1e-2)
-        assert grid[-1] == pytest.approx(1e-3, rel=1e-9)
-        assert len(grid) == 10
+    @pytest.mark.parametrize("name", preset_names())
+    def test_config_is_pinned(self, name):
+        text = "\n".join(get_preset(name, delta=d).to_json() for d in PIN_DELTAS)
+        assert hashlib.sha256(text.encode()).hexdigest() == PRESET_DIGESTS[name]
+
+    @pytest.mark.parametrize("form", sorted(CALL_FORMS))
+    def test_benchmark_call_forms_are_pinned(self, form):
+        build, digest = CALL_FORMS[form]
+        assert hashlib.sha256(build().to_json().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", [n for n in preset_names() if n.startswith("mnist-")])
+    def test_delta_sets_the_noise_of_an_mnist_preset(self, name):
+        cfg = get_preset(name, delta=0.25)
+        assert cfg.noise == NoiseSchedule.uniform(cfg.network, 0.25) != get_preset(name).noise
+        assert dataclasses.replace(cfg, noise=get_preset(name).noise) == get_preset(name)
+
+    @pytest.mark.parametrize("name", ["mnist-cnn-hmc", "noiseless-hmc-classical"])
+    def test_noise_override_beats_delta(self, name):
+        cfg = get_preset(name, delta=0.25, noise={"delta": 3.0})
+        assert cfg.noise == NoiseSchedule.uniform(cfg.network, 3.0)
+        # a noise-sweep preset still takes its settings from the table row of delta
+        assert cfg.sampler == get_preset(name, delta=0.25).sampler
+
+    @pytest.mark.parametrize("name", ["ts-criterion", "noiseless-mala-classical", "mnist-mlp-hmc"])
+    def test_overrides_replace_whole_sections(self, name):
+        cfg = get_preset(name, dataset={"source": "synthetic", "n": 40}, sampler={"kind": "mala", "step_size": 1e-5}, seed=7)
+        assert cfg.dataset == DatasetConfig(source="synthetic", n=40)
+        assert cfg.sampler == SamplerConfig(kind="mala", step_size=1e-5)
+        assert cfg.seed == 7
+        assert cfg.sweeps == get_preset(name).sweeps
+
+    def test_unknown_name_lists_the_presets(self):
+        with pytest.raises(KeyError, match="unknown preset 'nope'; available: " + re.escape(", ".join(preset_names()))):
+            get_preset("nope")
 
 
 class TestCli:
@@ -502,6 +575,53 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main([command, "--config", str(cfg_path), "--delta", "0.5", "--out", str(out)]) == 2
         assert "config error: --delta applies to --preset only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_json_is_a_config_error(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            ExperimentConfig.from_json('{"seed": 1,')
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text('{"seed": 1,', encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: not valid JSON") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["config", "data", "idx", "trace"])
+    def test_missing_input_file_is_reported(self, tmp_path, capsys, missing):
+        gone = tmp_path / "gone"
+        dataset = {"source": "idx", "images": str(gone), "labels": str(gone)} if missing == "idx" else base_config()["dataset"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset=dataset, initializations=["zero"])), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {
+            "config": ["run", "--config", str(gone), "--out", str(out)],
+            "data": ["run", "--config", str(cfg_path), "--data", str(gone), "--out", str(out)],
+            "idx": ["run", "--config", str(cfg_path), "--out", str(out)],
+            "trace": ["diagnose", str(gone)],
+        }[missing]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert str(gone) in err and "No such file" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["bad-magic", "truncated", "count-mismatch"])
+    def test_bad_idx_file_is_reported(self, tmp_path, capsys, fault):
+        images, labels = tmp_path / "imgs", tmp_path / "labs"
+        magic = 0x999 if fault == "bad-magic" else 0x803
+        pixels = bytes(4 * 6 - (5 if fault == "truncated" else 0))
+        images.write_bytes(struct.pack(">IIII", magic, 4, 2, 3) + pixels)
+        n_labels = 3 if fault == "count-mismatch" else 4
+        labels.write_bytes(struct.pack(">II", 0x801, n_labels) + bytes(n_labels))
+        dataset = {"source": "idx", "images": str(images), "labels": str(labels)}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(dataset=dataset, initializations=["zero"])), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1 and str(images) in err
         assert not out.exists()
 
     def test_unreadable_trace_is_reported(self, tmp_path, capsys):
