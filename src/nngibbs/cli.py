@@ -26,7 +26,14 @@ def _load_config(args) -> ExperimentConfig:
     if args.config is not None:
         if args.delta is not None:
             raise ConfigError("--delta applies to --preset only")
-        cfg = ExperimentConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+        path = Path(args.config)
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+        cfg = ExperimentConfig.from_dict(raw)
     elif args.preset is not None:
         cfg = presets.get_preset(args.preset, delta=args.delta)
     else:

@@ -4,6 +4,7 @@ ingestion, and on-disk persistence of generated datasets.
 from __future__ import annotations
 
 import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -152,7 +153,22 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    with np.load(path) as data:
+    """Read a dataset written by ``save_dataset``.
+
+    A file that is not a .npz archive, or an archive without the
+    ``inputs`` or ``labels`` array, raises OSError naming the file and
+    the array.
+    """
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise OSError(f"{path}: not a .npz dataset archive, so no 'inputs' array")
+    with data:
+        for key in ("inputs", "labels"):
+            if key not in data.files:
+                raise OSError(f"{path}: dataset archive has no {key!r} array")
         inputs = data["inputs"]
         labels = data["labels"]
         test_inputs = data["test_inputs"] if "test_inputs" in data else None

@@ -14,14 +14,16 @@ pool feeds X[l], the pooled values P[l] take the two-branch law and Z[l]
 is redrawn window by window (``conv.update_pool_X``).
 
 One sweep walks the weighted layers of any supported stack. Hidden
-layers factor and invert their shared precision once per sweep; a row
-draw is then two matrix products, so every linear-algebra call of the
-sweep runs in numpy's BLAS and no second thread pool competes for the
-CPUs. The first-layer weight precision depends on the data only through
-the clamped input X[1], so its inverse factor is built once per chain
-(``clamped_factor``) and only its right-hand side is rebuilt each sweep.
-Each layer's product W[l]·X[l] is computed once per sweep, after its W
-draw, and serves its bias draw, the next Z draw and the probit draw.
+layers factor and invert their shared precision once per sweep
+(``kernels.inverse_factor``: a blocked triangular inverse of the
+Cholesky factor in numpy's matmul); a row draw is then two matrix
+products, so every linear-algebra call of the sweep runs in numpy's BLAS
+and no second thread pool competes for the CPUs. The first-layer weight
+precision depends on the data only through the clamped input X[1], so
+its inverse factor is built once per chain (``clamped_factor``) and only
+its right-hand side is rebuilt each sweep. Each layer's product
+W[l]·X[l] is computed once per sweep, after its W draw, and serves its
+bias draw, the next Z draw and the probit draw.
 """
 from __future__ import annotations
 
@@ -201,23 +203,27 @@ def draw_rows_from_factor(inv_factor: np.ndarray, rhs_rows: np.ndarray, rng: Rng
 
 
 def draw_rows_from_precision(prec: np.ndarray, rhs_rows: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Rows drawn from N(A^-1 h, A^-1) for a shared precision A, which is
-    factored and inverted once and reused for every row."""
-    return draw_rows_from_factor(np.linalg.inv(kernels.cholesky_factor(prec)), rhs_rows, rng)
+    """Rows drawn from N(A^-1 h, A^-1) for a shared precision A, whose
+    inverse Cholesky factor (``kernels.inverse_factor``) is built once and
+    reused for every row."""
+    return draw_rows_from_factor(kernels.inverse_factor(prec), rhs_rows, rng)
 
 
 def ridge_precision(design: np.ndarray, dz: float, lam: float) -> np.ndarray:
     """design^T design / dz + lam I: the precision of a weight row whose
-    inputs are the rows of ``design``."""
-    d = design.shape[1]
-    return design.T @ design / dz + lam * np.eye(d)
+    inputs are the rows of ``design``, built in the Gram's own buffer
+    (bit for bit ``design.T @ design / dz + lam * np.eye(d)``)."""
+    prec = design.T @ design
+    prec /= dz
+    prec.reshape(-1)[:: len(prec) + 1] += lam
+    return prec
 
 
 @dataclass(frozen=True)
 class ClampedFactor:
     """Inverse Cholesky factor R = L^-1 of the first-layer weight
-    precision, built from the X[1] object ``x`` under ``key`` = (first
-    layer, delta_z[2], lambda_w[1]).
+    precision (``kernels.inverse_factor``), built from the X[1] object
+    ``x`` under ``key`` = (first layer, delta_z[2], lambda_w[1]).
 
     ``design`` holds the weight rows' inputs (the rows of X[1], or its
     flattened conv patches); ``jitter`` is what ``kernels.cholesky_factor``
@@ -232,7 +238,8 @@ class ClampedFactor:
 
 
 def clamped_factor(state: ChainState, spec: NetworkSpec, noise: NoiseSchedule, prior: PriorSpec) -> ClampedFactor:
-    """The chain's cached first-layer weight factor, built on first use.
+    """The chain's cached first-layer weight factor, built on first use
+    by ``kernels.inverse_factor``, the same path as every other row draw.
 
     The entry is rebuilt whenever X[1] is replaced or its key changes.
     """
@@ -242,8 +249,8 @@ def clamped_factor(state: ChainState, spec: NetworkSpec, noise: NoiseSchedule, p
     entry = state._clamped
     if entry is None or entry.x is not x1 or entry.key != key:
         design = layer.op.design(x1)
-        factor, jitter = kernels.cholesky_factor(ridge_precision(design, key[1], key[2]), return_jitter=True)
-        entry = state._clamped = ClampedFactor(x1, key, design, np.linalg.inv(factor), jitter)
+        inv_factor, jitter = kernels.inverse_factor(ridge_precision(design, key[1], key[2]), return_jitter=True)
+        entry = state._clamped = ClampedFactor(x1, key, design, inv_factor, jitter)
     return entry
 
 
@@ -253,10 +260,8 @@ def dense_x_conditional(W: np.ndarray, sigma_prev: np.ndarray, z_next: np.ndarra
     ``sigma_prev`` is the activation of the layer's own pre-activation
     and ``z_next`` the bias-subtracted next pre-activation, both as rows.
     """
-    d = W.shape[1]
-    prec = W.T @ W / dz + np.eye(d) / dx
     rhs = sigma_prev / dx + z_next @ W / dz
-    return prec, rhs
+    return ridge_precision(W, dz, 1.0 / dx), rhs
 
 
 def dense_w_conditional(X: np.ndarray, z_next: np.ndarray, dz: float, lam: float):

@@ -1,8 +1,9 @@
 """Stateless numerical primitives shared by all samplers.
 
-Cholesky factors with a jitter ladder, one-sided truncated-normal
-generation that stays cheap arbitrarily deep in the tail, overflow-free
-two-branch mass ratios, and reproducible counter-based RNG streams.
+Cholesky factors with a jitter ladder and their inverses, one-sided
+truncated-normal generation that stays cheap arbitrarily deep in the
+tail, overflow-free two-branch mass ratios, and reproducible
+counter-based RNG streams.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ __all__ = [
     "NotPositiveDefinite",
     "RngStream",
     "cholesky_factor",
+    "inverse_factor",
     "std_lower_truncated",
     "trunc_norm_lower",
     "trunc_norm_upper",
@@ -25,6 +27,9 @@ _TAIL_SPLIT = 4.0
 
 _JITTER_ATTEMPTS = 6
 _JITTER_START = 1e-12
+
+# Largest triangle ``inverse_factor`` hands to LAPACK's general inverse.
+_INVERSE_LEAF = 128
 
 
 class NotPositiveDefinite(Exception):
@@ -95,6 +100,36 @@ def cholesky_factor(covariance: np.ndarray, return_jitter: bool = False):
     raise NotPositiveDefinite(
         f"Cholesky failed after {_JITTER_ATTEMPTS} jitter attempts (last jitter {jitter:.3e})"
     )
+
+
+def inverse_factor(precision: np.ndarray, return_jitter: bool = False):
+    """R = L^-1 for the lower Cholesky factor L of ``precision``.
+
+    L comes from ``cholesky_factor``, with its jitter ladder and its
+    ``NotPositiveDefinite``. A factor of at most ``_INVERSE_LEAF`` rows is
+    inverted by ``np.linalg.inv`` and keeps its bits; a larger one by 2x2
+    block recursion in numpy's matmul, R11 = L11^-1, R22 = L22^-1 and
+    R21 = -R22 (L21 R11): about a third of the flops of the LU inverse,
+    with an error of the same order (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 14). Above the leaf R's upper triangle is
+    exactly zero.
+    """
+    factor, jitter = cholesky_factor(precision, return_jitter=True)
+    inv = _invert_lower(factor)
+    return (inv, jitter) if return_jitter else inv
+
+
+def _invert_lower(factor: np.ndarray) -> np.ndarray:
+    """Inverse of the lower triangle ``factor``, LAPACK's at the leaf."""
+    n = len(factor)
+    if n <= _INVERSE_LEAF:
+        return np.linalg.inv(factor)
+    h = n // 2
+    inv = np.zeros_like(factor)
+    inv[:h, :h] = np.tril(_invert_lower(factor[:h, :h]))
+    inv[h:, h:] = np.tril(_invert_lower(factor[h:, h:]))
+    inv[h:, :h] = -(inv[h:, h:] @ (factor[h:, :h] @ inv[:h, :h]))
+    return inv
 
 
 def std_lower_truncated(a: np.ndarray, surv: np.ndarray, gen: np.random.Generator) -> np.ndarray:

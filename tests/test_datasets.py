@@ -1,4 +1,5 @@
 """Teacher-student generation, IDX ingestion, and dataset persistence."""
+import re
 import struct
 
 import numpy as np
@@ -92,6 +93,23 @@ class TestTeacherStudent:
             np.testing.assert_array_equal(loaded.teacher.labels, data.teacher.labels)
         else:
             assert loaded.teacher.labels is None
+
+
+@pytest.mark.parametrize("content", ["text", "empty", "npy", "no-labels"])
+def test_load_dataset_names_file_and_array(tmp_path, content):
+    path = tmp_path / "data.npz"
+    if content == "text":
+        path.write_text("not an archive\n", encoding="utf-8")
+    elif content == "empty":
+        path.write_bytes(b"")
+    elif content == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    else:
+        np.savez(path, inputs=np.zeros((4, 2)))
+    array = "labels" if content == "no-labels" else "inputs"
+    with pytest.raises(OSError, match=f"{re.escape(str(path))}: .*'{array}' array"):
+        load_dataset(path)
 
 
 def write_idx_pair(tmp_path, images, labels, prefix=""):

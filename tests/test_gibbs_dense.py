@@ -26,10 +26,11 @@ from conftest import (
     sweep_by_public_updates,
     z_conditional_rejection,
 )
-from nngibbs.kernels import RngStream, branch_prob_negative, cholesky_factor
+from nngibbs.kernels import RngStream, branch_prob_negative, cholesky_factor, inverse_factor
 from nngibbs.network import (
     Activation,
     ChainState,
+    ConvIndexMap,
     Dataset,
     DenseLayer,
     NetworkSpec,
@@ -43,6 +44,7 @@ from nngibbs.gibbs import (
     UnsupportedActivation,
     clamped_factor,
     dense_w_conditional,
+    dense_x_conditional,
     draw_rows_from_factor,
     draw_rows_from_precision,
     gibbs_sweep,
@@ -727,6 +729,47 @@ class TestClampedFactorCache:
         assert_bitwise_equal(cached, fresh)
 
 
+def precision_designs():
+    """Random, rank-deficient (n < d) and conv designs: the dense rows,
+    im2col patches and the conv operator matrix."""
+    gen = np.random.default_rng(57)
+    imap = ConvIndexMap(9, 9, 3, 3, stride_y=2, stride_x=2)
+    return {
+        "random": gen.standard_normal((60, 12)),
+        "rank-deficient": gen.standard_normal((20, 150)),
+        "im2col": imap.design(gen.standard_normal((7, 2, 9, 9))),
+        "conv-operator": imap.operator_matrix(gen.standard_normal((3, 2, 3, 3))),
+    }
+
+
+class TestPrecisionsInPlace:
+    """The precisions are built in their Gram's buffer, byte for byte the
+    one-expression forms they replace, which are kept here as references."""
+
+    @pytest.mark.parametrize("case", list(precision_designs()))
+    def test_ridge_precision_bits(self, case):
+        design = precision_designs()[case]
+        before = design.copy()
+        dz, lam = 0.37, 2.5
+        want = design.T @ design / dz + lam * np.eye(design.shape[1])
+        assert ridge_precision(design, dz, lam).tobytes() == want.tobytes()
+        assert design.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("case", list(precision_designs()))
+    def test_dense_x_conditional_bits(self, case):
+        W = precision_designs()[case]
+        gen = np.random.default_rng(58)
+        sigma_prev = gen.standard_normal((5, W.shape[1]))
+        z_next = gen.standard_normal((5, W.shape[0]))
+        inputs = [a.copy() for a in (W, sigma_prev, z_next)]
+        dz, dx = 0.37, 0.09
+        prec, rhs = dense_x_conditional(W, sigma_prev, z_next, dz, dx)
+        want = W.T @ W / dz + np.eye(W.shape[1]) / dx
+        assert prec.tobytes() == want.tobytes()
+        assert rhs.tobytes() == (sigma_prev / dx + z_next @ W / dz).tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((W, sigma_prev, z_next), inputs))
+
+
 class TestDrawRowsFromFactor:
     @staticmethod
     def precision(case):
@@ -744,7 +787,7 @@ class TestDrawRowsFromFactor:
         L, jitter = cholesky_factor(prec, return_jitter=True)
         assert (jitter > 0.0) == (case == "jittered")
         h = np.random.default_rng(52).standard_normal((7, d)) * 10.0
-        got = draw_rows_from_factor(np.linalg.inv(L), h, RngStream(53))
+        got = draw_rows_from_factor(inverse_factor(prec), h, RngStream(53))
         z = RngStream(53).generator.standard_normal((d, len(h)))
         want = solve_triangular(L, solve_triangular(L, h.T, lower=True) + z, trans="T", lower=True).T
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-12
@@ -760,6 +803,23 @@ class TestDrawRowsFromFactor:
         atol = max(1e-12, np.finfo(float).eps * np.linalg.cond(L))
         np.testing.assert_allclose(entry.inv_factor @ L, np.eye(len(L)), rtol=0.0, atol=atol)
 
+    def test_blocked_draw_moments(self):
+        # d = 200 is above the inverse's LAPACK leaf, so the blocked
+        # triangular inverse serves every draw
+        gen = np.random.default_rng(55)
+        d, n = 200, 20_000
+        X = gen.standard_normal((400, d))
+        prec = X.T @ X / 400 + 0.5 * np.eye(d)
+        h = gen.standard_normal(d)
+        draws = draw_rows_from_precision(prec, np.tile(h, (n, 1)), RngStream(56))
+        cov = np.linalg.inv(prec)
+        sd = np.sqrt(np.diag(cov))
+        mean_se = sd / np.sqrt(n)
+        assert np.all(np.abs(draws.mean(axis=0) - cov @ h) < 5 * mean_se)
+        # a sample covariance entry has variance (S_ii S_jj + S_ij^2) / n
+        cov_se = np.sqrt((np.outer(sd, sd) ** 2 + cov**2) / n)
+        assert np.all(np.abs(np.cov(draws.T) - cov) < 5 * cov_se)
+
     def test_sweep_loads_no_scipy_linalg(self):
         # a second BLAS pool (scipy's) spinning next to numpy's takes the CPUs
         # from it; the sweep keeps to numpy, so scipy.linalg is never imported
@@ -772,17 +832,19 @@ class TestDrawRowsFromFactor:
                 forward_generate, gibbs_sweep,
             )
 
-            spec = NetworkSpec(layers=(DenseLayer(6, 4), DenseLayer(4, 3)), activation="relu", output="probit")
+            # 150 inputs: the first-layer factor is above the inverse's LAPACK leaf
+            spec = NetworkSpec(layers=(DenseLayer(150, 4), DenseLayer(4, 3)), activation="relu", output="probit")
             noise = NoiseSchedule.uniform(spec, 0.5)
             prior = PriorSpec.fan_in(spec)
             rng = RngStream(0)
             gen = rng.generator
             W = {l: gen.standard_normal(spec.weight_shape(l)) for l in (1, 2)}
             b = {l: gen.standard_normal(spec.bias_width(l)) for l in (1, 2)}
-            state, _ = forward_generate(spec, noise, W, b, gen.standard_normal((30, 6)), rng)
+            state, _ = forward_generate(spec, noise, W, b, gen.standard_normal((30, 150)), rng)
             for _ in range(2):
                 gibbs_sweep(state, spec, noise, prior, SweepSchedule(), rng)
             assert np.all(np.isfinite(state.W[1]))
+            assert state._clamped.inv_factor.shape == (150, 150)
             print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
             """
         )

@@ -585,7 +585,32 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: not valid JSON") and err.count("\n") == 1
+        assert err.startswith(f"config error: {cfg_path}: not valid JSON") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "utf16.json"
+        cfg_path.write_bytes(b"\xff\xfe{")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg_path}: not UTF-8 text") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", ["text", "no-inputs"])
+    def test_data_file_that_is_not_a_dataset_is_reported(self, tmp_path, capsys, content):
+        data_path = tmp_path / "data.npz"
+        if content == "text":
+            data_path.write_text("inputs,labels\n1,2\n", encoding="utf-8")
+        else:
+            np.savez(data_path, labels=np.zeros(4))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(initializations=["zero"])), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--data", str(data_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {data_path}: ") and err.count("\n") == 1
+        assert "'inputs' array" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("missing", ["config", "data", "idx", "trace"])

@@ -1,5 +1,6 @@
-"""Numeric kernel tests: factorization, Gaussian and truncated-normal
-sampling laws, branch probabilities, and stream reproducibility."""
+"""Numeric kernel tests: factorization and its inverse, Gaussian and
+truncated-normal sampling laws, branch probabilities, and stream
+reproducibility."""
 import math
 
 import numpy as np
@@ -10,12 +11,13 @@ from scipy import integrate
 from scipy.special import log_ndtr
 from scipy.stats import norm, truncnorm
 
-from nngibbs.gibbs import draw_rows_from_precision
+from nngibbs.gibbs import draw_rows_from_precision, ridge_precision
 from nngibbs.kernels import (
     NotPositiveDefinite,
     RngStream,
     branch_prob_negative,
     cholesky_factor,
+    inverse_factor,
     std_lower_truncated,
     trunc_norm_lower,
     trunc_norm_upper,
@@ -55,6 +57,58 @@ class TestCholesky:
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky_factor(np.array([[1.0, 0.0], [0.0, -5.0]]))
+
+
+def sample_gram_precision(d):
+    """A ridge precision over 500 samples: at d = 784 the Gram is
+    rank-deficient, as the MNIST one is."""
+    X = np.random.default_rng(51).standard_normal((500, d))
+    return ridge_precision(X, 1e-3, 1.0)
+
+
+def duplicated_columns_precision(width):
+    """A ridge precision that needs jitter: duplicated input columns and
+    lambda_w = 1e-20 make X^T X / dz + lam I numerically singular."""
+    base = np.random.default_rng(49).standard_normal((20, width // 2))
+    return ridge_precision(np.hstack([base, base]), 0.5, 1e-20)
+
+
+def assert_inverts(R, L, slack=1.0):
+    # a computed inverse misses the identity by about eps * cond(L), up to
+    # a factor that grows with the dimension (Higham, ch. 14)
+    atol = max(1e-12, slack * np.finfo(float).eps * np.linalg.cond(L))
+    assert np.max(np.abs(R @ L - np.eye(len(L)))) <= atol
+
+
+class TestInverseFactor:
+    @pytest.mark.parametrize("d", [1, 2, 127, 128, 129, 257, 784])
+    def test_inverts_the_factor(self, d):
+        prec = sample_gram_precision(d)
+        R = inverse_factor(prec)
+        L = cholesky_factor(prec)
+        assert_inverts(R, L)
+        if d <= 128:
+            # up to the 128-row leaf R is LAPACK's inverse, bit for bit
+            assert R.tobytes() == np.linalg.inv(L).tobytes()
+        else:
+            assert not np.triu(R, 1).any()
+
+    @pytest.mark.parametrize("width", [6, 160])
+    def test_reports_the_factor_jitter(self, width):
+        prec = duplicated_columns_precision(width)
+        R, jitter = inverse_factor(prec, return_jitter=True)
+        L, want = cholesky_factor(prec, return_jitter=True)
+        assert jitter == want > 0.0
+        # cond(L) ~ 4e6: at 160 columns LAPACK's inverse misses the identity
+        # by 1.3e-9 and the blocked one by 1.4e-9, against eps * cond(L) = 8.9e-10
+        assert_inverts(R, L, slack=width)
+        if width > 128:
+            assert not np.triu(R, 1).any()
+
+    @pytest.mark.parametrize("d", [2, 200])
+    def test_not_positive_definite(self, d):
+        with pytest.raises(NotPositiveDefinite):
+            inverse_factor(-np.eye(d))
 
 
 def mvn_draws(mean, cov, rng, size):
