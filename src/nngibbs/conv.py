@@ -9,9 +9,11 @@ Desk-scale shapes keep both factorizations cheap, so no band-structure
 shortcuts are taken beyond the sparsity that falls out of assembly.
 
 The geometry and the layer arithmetic (``ConvIndexMap``, ``PoolMap``)
-live in ``network`` and are re-exported here. ``ConvIndexMap`` is a
-``DenseMap`` whose weight rows see im2col patch rows, so a conv layer's
-product, gradients and bias layout are the dense ones. The sweep itself
+live in ``network`` and are re-exported here; ``ConvLayer`` and
+``PoolLayer`` subclass them, so every function below takes either the
+geometry-only map or the layer spec. ``ConvIndexMap`` is a ``DenseMap``
+whose weight rows see im2col patch rows, so a conv layer's product,
+gradients and bias layout are the dense ones. The sweep itself
 is ``gibbs.gibbs_sweep``: it draws a conv filter bank and a per-channel
 bias through the same blocks as a dense layer and calls
 ``update_pool_X`` when a pool follows the conv layer. The other updates

@@ -138,17 +138,14 @@ def rhat_series(chains: list[TraceSeries], block: int = 50):
     return np.asarray(times), reports
 
 
-def score_statistic(state, grad_fn, delta: float, target: tuple[str, int] = ("W", 1)) -> float:
-    """Temperature-rescaled mean log-density gradient over one block.
+def score_statistic(state, grad_fn, delta: float) -> float:
+    """Temperature-rescaled mean log-density gradient over the first
+    weight layer.
 
     At equilibrium the gradient of the log density has zero mean, so this
-    statistic fluctuates around zero; the default block is the first
-    weight layer, other blocks work the same way.
+    statistic fluctuates around zero.
     """
-    grads = grad_fn(state)
-    kind, l = target
-    block = grads[kind][l]
-    return float(delta * np.mean(block))
+    return float(delta * np.mean(grad_fn(state)["W"][1]))
 
 
 def _check_window(window: int, tolerance_sigmas: float):

@@ -248,7 +248,7 @@ def clamped_factor(state: ChainState, spec: NetworkSpec, noise: NoiseSchedule, p
     key = (layer, noise.delta_z[2], prior.lambda_w[1])
     entry = state._clamped
     if entry is None or entry.x is not x1 or entry.key != key:
-        design = layer.op.design(x1)
+        design = layer.design(x1)
         inv_factor, jitter = kernels.inverse_factor(ridge_precision(design, key[1], key[2]), return_jitter=True)
         entry = state._clamped = ClampedFactor(x1, key, design, inv_factor, jitter)
     return entry
@@ -305,7 +305,7 @@ def update_W_layer(
     if l == 1:
         layer = spec.weighted_layers[0]
         entry = clamped_factor(state, spec, noise, prior)
-        rows = draw_rows_from_factor(entry.inv_factor, layer.op.w_rhs(entry.design, z_next, dz), rng)
+        rows = draw_rows_from_factor(entry.inv_factor, layer.w_rhs(entry.design, z_next, dz), rng)
         new_w = rows.reshape(layer.weight_shape)
     else:
         prec, rhs = dense_w_conditional(as_rows(state.X[l]), z_next, dz, prior.lambda_w[l])
@@ -333,16 +333,16 @@ def update_Z_layer(
     if not 2 <= l <= big_l:
         raise ValueError(f"Z update needs 2 <= l <= {big_l}")
     if product is None:
-        product = spec.weighted_layers[l - 2].op.product(state.W[l - 1], state.X[l - 1])
+        product = spec.weighted_layers[l - 2].product(state.W[l - 1], state.X[l - 1])
     mean = add_bias(product, state.b.get(l - 1))
     pool = spec.pools.get(l)
     if pool is None:
         new_z = sample_z_scalar(spec.activation, mean, state.X[l], noise.delta_z[l], noise.delta_x[l], rng)
     else:
         state.P[l] = sample_z_scalar(
-            spec.activation, pool.op.pool_mean(state.Z[l]), state.X[l], noise.delta_pool[l], noise.delta_x[l], rng
+            spec.activation, pool.pool_mean(state.Z[l]), state.X[l], noise.delta_pool[l], noise.delta_x[l], rng
         )
-        new_z = conv.update_pool_X(pool.op, mean, state.P[l], noise.delta_z[l], noise.delta_pool[l], rng)
+        new_z = conv.update_pool_X(pool, mean, state.P[l], noise.delta_z[l], noise.delta_pool[l], rng)
     state.Z[l] = new_z
     return new_z
 
@@ -372,7 +372,7 @@ def update_bias_layer(
     """Redraw the bias of layer l: one scalar Gaussian per unit, or per
     output channel of a conv layer.
 
-    ``product`` is W[l]·X[l] (``op.product`` of the layer spec); when it
+    ``product`` is W[l]·X[l], the layer spec's ``product``; when it
     is omitted the layer is taken as dense and X[l] W[l]^T is computed.
     """
     if product is None:
@@ -406,7 +406,7 @@ def update_probit_output(
     if y is None:
         raise ValueError("probit state has no labels")
     if product is None:
-        product = spec.weighted_layers[-1].op.product(state.W[big_l], state.X[big_l])
+        product = spec.weighted_layers[-1].product(state.W[big_l], state.X[big_l])
     mean = add_bias(product, state.b.get(big_l))
     dz = noise.delta_z[big_l + 1]
     others = state.Z[big_l + 1].copy()
@@ -437,7 +437,7 @@ def gibbs_sweep(
         update_W_layer(l, state, spec, noise, prior, rng)
         # layer 1 reuses the design (conv: im2col patches) cached with its factor
         design = state._clamped.design if l == 1 else None
-        product[l] = layer.op.product(state.W[l], state.X[l], design)
+        product[l] = layer.product(state.W[l], state.X[l], design)
         if spec.has_bias(l):
             update_bias_layer(l, state, noise, prior, rng, product[l])
         if l > 1:

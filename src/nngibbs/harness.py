@@ -186,14 +186,6 @@ class ExperimentConfig:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"not valid JSON: {exc}") from None
-        return cls.from_dict(raw)
-
 
 def _parsed(kind, text: str, fallback):
     """kind(text), or ``fallback`` when the text does not parse."""
@@ -498,8 +490,7 @@ class _Observer:
         if "score_U" in self.columns:
             out["score_U"] = diagnostics.score_statistic(state, self._log_posterior_grads, self.delta)
         if "train_residual" in self.columns:
-            first = spec.weighted_layers[0].op
-            product = first.product(state.W[1], state.X[1], state.first_design(spec))
+            product = spec.weighted_layers[0].product(state.W[1], state.X[1], state.first_design(spec))
             resid = residual(state.Z[2], product, state.b.get(1))
             out["train_residual"] = float(np.sum(resid * resid))
         if acceptance is not None:

@@ -13,20 +13,22 @@ and Z[L+1] carries the output (clamped to the labels for regression,
 argmax-constrained for probit classification). A pool after layer l
 produces P[l+1], and X[l+1] is the activation of P[l+1] instead of Z[l+1].
 
-Each layer spec owns its arithmetic through ``op``: ``DenseMap`` for a
-dense layer, ``ConvIndexMap`` for a conv layer and ``PoolMap`` for a
-pool. A conv layer is a ``DenseMap`` whose weight rows see im2col patch
-rows, so the product, the gradients and the bias layout (``unit_rows``)
-have one body for both kinds; only the geometry, the design and the
-output grid are conv-specific. One ``residual`` serves every
-pre-activation. The generative pass, the posteriors and the Gibbs sweep
-all walk ``spec.weighted_layers`` through these.
+Each layer spec is its own arithmetic: ``DenseLayer`` is a ``DenseMap``,
+``ConvLayer`` a ``ConvIndexMap`` and ``PoolLayer`` a ``PoolMap``. The
+specs add only their dataclass fields and validation; the maps derive
+the output sizes and index tables once per object. A conv map is a
+``DenseMap`` whose weight rows see im2col patch rows, so the product,
+the gradients and the bias layout (``unit_rows``) have one body for both
+kinds; only the geometry, the design and the output grid are
+conv-specific. One ``residual`` serves every pre-activation. The
+generative pass, the posteriors and the Gibbs sweep all walk
+``spec.weighted_layers`` and call these methods on the specs.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -191,18 +193,30 @@ class ConvIndexMap(DenseMap):
         self.filter_width = filter_width
         self.stride_y = stride_y
         self.stride_x = stride_x
-        self.out_height = (in_height - filter_height) // stride_y + 1
-        self.out_width = (in_width - filter_width) // stride_x + 1
-        self.out_grid = (self.out_height, self.out_width)
-        self.filter_shape = (filter_height, filter_width)
-        ys = np.arange(self.out_height)[:, None] * stride_y + np.arange(filter_height)[None, :]
-        xs = np.arange(self.out_width)[:, None] * stride_x + np.arange(filter_width)[None, :]
-        flat = ys[:, None, :, None] * in_width + xs[None, :, None, :]
-        self.patch_index = flat.reshape(self.out_positions, self.filter_size)
 
-    @classmethod
-    def for_layer(cls, layer: ConvLayer) -> ConvIndexMap:
-        return cls(layer.in_height, layer.in_width, layer.filter_height, layer.filter_width, layer.stride_y, layer.stride_x)
+    # derived once per object: the hot path reads these on every product
+    @cached_property
+    def out_height(self) -> int:
+        return (self.in_height - self.filter_height) // self.stride_y + 1
+
+    @cached_property
+    def out_width(self) -> int:
+        return (self.in_width - self.filter_width) // self.stride_x + 1
+
+    @cached_property
+    def out_grid(self) -> tuple[int, ...]:
+        return (self.out_height, self.out_width)
+
+    @cached_property
+    def filter_shape(self) -> tuple[int, ...]:
+        return (self.filter_height, self.filter_width)
+
+    @cached_property
+    def patch_index(self) -> np.ndarray:
+        ys = np.arange(self.out_height)[:, None] * self.stride_y + np.arange(self.filter_height)[None, :]
+        xs = np.arange(self.out_width)[:, None] * self.stride_x + np.arange(self.filter_width)[None, :]
+        flat = ys[:, None, :, None] * self.in_width + xs[None, :, None, :]
+        return flat.reshape(self.out_positions, self.filter_size)
 
     @property
     def filter_size(self) -> int:
@@ -275,13 +289,19 @@ class PoolMap:
         self.in_width = in_width
         self.window_height = window_height
         self.window_width = window_width
-        self.out_height = in_height // window_height
-        self.out_width = in_width // window_width
-        self.k = window_height * window_width
 
-    @classmethod
-    def for_layer(cls, layer: PoolLayer) -> PoolMap:
-        return cls(layer.in_height, layer.in_width, layer.window_height, layer.window_width)
+    # derived once per object: the hot path reads these on every pool_mean
+    @cached_property
+    def out_height(self) -> int:
+        return self.in_height // self.window_height
+
+    @cached_property
+    def out_width(self) -> int:
+        return self.in_width // self.window_width
+
+    @cached_property
+    def k(self) -> int:
+        return self.window_height * self.window_width
 
     @property
     def retained_height(self) -> int:
@@ -328,8 +348,17 @@ class PoolMap:
         return out
 
 
+def _require_sizes(layer):
+    """Every size of a layer spec (widths, channels, input, filter, window
+    and stride) is at least 1; the bias flag is the only other field."""
+    for f in fields(layer):
+        value = getattr(layer, f.name)
+        if not isinstance(value, bool) and value < 1:
+            raise ValueError(f"{f.name} must be at least 1, got {value!r}")
+
+
 @dataclass(frozen=True)
-class DenseLayer:
+class DenseLayer(DenseMap):
     in_width: int
     out_width: int
     has_bias: bool = True
@@ -337,8 +366,7 @@ class DenseLayer:
     kind = "dense"
 
     def __post_init__(self):
-        if self.in_width < 1 or self.out_width < 1:
-            raise ValueError("dense layer widths must be positive")
+        _require_sizes(self)
 
     @property
     def in_shape(self) -> tuple[int, ...]:
@@ -352,13 +380,9 @@ class DenseLayer:
     def weight_shape(self) -> tuple[int, ...]:
         return (self.out_width, self.in_width)
 
-    @cached_property
-    def op(self) -> DenseMap:
-        return DenseMap()
-
 
 @dataclass(frozen=True)
-class ConvLayer:
+class ConvLayer(ConvIndexMap):
     """2-D convolution, no padding, configurable strides."""
 
     channels_in: int
@@ -374,18 +398,9 @@ class ConvLayer:
     kind = "conv"
 
     def __post_init__(self):
+        _require_sizes(self)
         if self.filter_height > self.in_height or self.filter_width > self.in_width:
             raise ValueError("filter does not fit inside the input")
-        if self.stride_y < 1 or self.stride_x < 1:
-            raise ValueError("strides must be positive")
-
-    @property
-    def out_height(self) -> int:
-        return (self.in_height - self.filter_height) // self.stride_y + 1
-
-    @property
-    def out_width(self) -> int:
-        return (self.in_width - self.filter_width) // self.stride_x + 1
 
     @property
     def in_shape(self) -> tuple[int, ...]:
@@ -399,13 +414,9 @@ class ConvLayer:
     def weight_shape(self) -> tuple[int, ...]:
         return (self.channels_out, self.channels_in, self.filter_height, self.filter_width)
 
-    @cached_property
-    def op(self) -> ConvIndexMap:
-        return ConvIndexMap.for_layer(self)
-
 
 @dataclass(frozen=True)
-class PoolLayer:
+class PoolLayer(PoolMap):
     """Average pooling; trailing pixels that do not fill a window are dropped."""
 
     channels: int
@@ -417,24 +428,13 @@ class PoolLayer:
     kind = "pool"
 
     def __post_init__(self):
+        _require_sizes(self)
         if self.window_height > self.in_height or self.window_width > self.in_width:
             raise ValueError("pooling window does not fit inside the input")
 
     @property
-    def out_height(self) -> int:
-        return self.in_height // self.window_height
-
-    @property
-    def out_width(self) -> int:
-        return self.in_width // self.window_width
-
-    @property
     def out_shape(self) -> tuple[int, ...]:
         return (self.channels, self.out_height, self.out_width)
-
-    @cached_property
-    def op(self) -> PoolMap:
-        return PoolMap.for_layer(self)
 
 
 LayerSpec = DenseLayer | ConvLayer | PoolLayer
@@ -623,7 +623,7 @@ class ChainState:
         entry = self._clamped
         if entry is not None and entry.x is self.X[1] and entry.key[0] == layer:
             return entry.design
-        return layer.op.design(self.X[1])
+        return layer.design(self.X[1])
 
     def copy(self) -> "ChainState":
         return ChainState(
@@ -680,12 +680,12 @@ def _walk(spec: NetworkSpec, W, b, inputs: np.ndarray, noise: NoiseSchedule | No
         return mean if gen is None else mean + gen.normal(scale=np.sqrt(getattr(noise, table)[l]), size=mean.shape)
 
     for l, layer in enumerate(spec.weighted_layers, start=1):
-        mean = layer.op.product(W[l], state.X[l], design if l == 1 else None)
+        mean = layer.product(W[l], state.X[l], design if l == 1 else None)
         z = state.Z[l + 1] = noisy(add_bias(mean, b.get(l)), "delta_z", l + 1)
         if l < big_l:
             pool = spec.pools.get(l + 1)
             if pool is not None:
-                z = state.P[l + 1] = noisy(pool.op.pool_mean(z), "delta_pool", l + 1)
+                z = state.P[l + 1] = noisy(pool.pool_mean(z), "delta_pool", l + 1)
             state.X[l + 1] = noisy(spec.activation.apply(z), "delta_x", l + 1)
     return state
 

@@ -67,17 +67,17 @@ def _backward_from_output(spec, fwd: ChainState, d_out, layout: FlatLayout, g: n
     through the noiseless pass ``fwd``, adding it into ``g``."""
     delta = d_out
     for l in range(spec.depth, 0, -1):
-        op = spec.weighted_layers[l - 1].op
+        layer = spec.weighted_layers[l - 1]
         grad_w = layout.packer.view(g, "W", l)
-        grad_w += op.weight_grad(delta, fwd.X[l], layout.design if l == 1 else None)
+        grad_w += layer.weight_grad(delta, fwd.X[l], layout.design if l == 1 else None)
         if spec.has_bias(l):
             grad_b = layout.packer.view(g, "b", l)
-            grad_b += op.bias_grad(delta)
+            grad_b += layer.bias_grad(delta)
         if l > 1:
             pre = fwd.P[l] if l in spec.pools else fwd.Z[l]
             delta = np.dot(delta, fwd.W[l]).reshape(pre.shape) * spec.activation.derivative(pre)
             if l in spec.pools:
-                delta = spec.pools[l].op.spread(delta, fwd.Z[l])
+                delta = spec.pools[l].spread(delta, fwd.Z[l])
 
 
 def classical_log_posterior(
@@ -105,7 +105,7 @@ def classical_log_posterior(
     inputs = np.asarray(dataset.inputs, dtype=float)
     flat = layout is not None
     if not flat:
-        layout = FlatLayout.build(FlatPacker.for_classical(spec), prior, spec.weighted_layers[0].op.design(inputs))
+        layout = FlatLayout.build(FlatPacker.for_classical(spec), prior, spec.weighted_layers[0].design(inputs))
     packer = layout.packer
     logp, g = _prior(layout, W, b, position, want_grad)
 
@@ -171,19 +171,19 @@ def intermediate_log_posterior(
     big_l = spec.depth
     act = spec.activation
     for l, layer in enumerate(spec.weighted_layers, start=1):
-        x, w, op = state.X[l], state.W[l], layer.op
+        x, w = state.X[l], state.W[l]
         design = layout.design if l == 1 else None
-        resid = residual(state.Z[l + 1], op.product(w, x, design), state.b.get(l))
+        resid = residual(state.Z[l + 1], layer.product(w, x, design), state.b.get(l))
         dz = noise.delta_z[l + 1]
         logp -= _sumsq(resid) / (2.0 * dz)
         if g is None:
             continue
         # score_U reads W[1]: its bits are (-lambda W) + weight_grad / dz
         grad_w = block("W", l)
-        grad_w += op.weight_grad(resid, x, design) / dz
+        grad_w += layer.weight_grad(resid, x, design) / dz
         if spec.has_bias(l):
             grad_b = block("b", l)
-            grad_b += op.bias_grad(resid) / dz
+            grad_b += layer.bias_grad(resid) / dz
         if l >= 2:
             np.dot(resid / dz, w, out=block("X", l).reshape(len(x), -1))
         if l < big_l or spec.output == OUTPUT_PROBIT:
@@ -193,13 +193,13 @@ def intermediate_log_posterior(
         pool = spec.pools.get(l)
         if pool is not None:
             dpool = noise.delta_pool[l]
-            rp = state.P[l] - pool.op.pool_mean(state.Z[l])
+            rp = state.P[l] - pool.pool_mean(state.Z[l])
             logp -= _sumsq(rp) / (2.0 * dpool)
             if g is not None:
                 scaled = rp / dpool
                 np.negative(scaled, out=block("P", l))
                 gz = block("Z", l)
-                gz += pool.op.spread(scaled, state.Z[l])
+                gz += pool.spread(scaled, state.Z[l])
             pre, pre_kind = state.P[l], "P"
         dx = noise.delta_x[l]
         mismatch = state.X[l] - act.apply(pre)
@@ -344,7 +344,7 @@ class FlatLayout:
 
 def make_classical_target(dataset: Dataset, spec: NetworkSpec, delta: float, prior: PriorSpec):
     """(flat position) -> (log density, new flat gradient) for the loss posterior."""
-    design = spec.weighted_layers[0].op.design(np.asarray(dataset.inputs, dtype=float))
+    design = spec.weighted_layers[0].design(np.asarray(dataset.inputs, dtype=float))
     layout = FlatLayout.build(FlatPacker.for_classical(spec), prior, design)
     packer = layout.packer
 

@@ -145,7 +145,7 @@ def sweep_by_public_updates(state, spec, noise, prior, rng):
             gibbs.update_X_layer(l, state, spec, noise, rng)
         gibbs.update_W_layer(l, state, spec, noise, prior, rng)
         if spec.has_bias(l):
-            gibbs.update_bias_layer(l, state, noise, prior, rng, layer.op.product(state.W[l], state.X[l]))
+            gibbs.update_bias_layer(l, state, noise, prior, rng, layer.product(state.W[l], state.X[l]))
         if l > 1:
             gibbs.update_Z_layer(l, state, spec, noise, rng)
     if spec.output == "probit":

@@ -108,17 +108,21 @@ class TestConvOpAgainstLoops:
     """The dense-map methods a conv op shares (product, weight_grad,
     bias_grad, w_rhs) against references built by explicit loops over
     ``nu`` and over ``operator_matrix``, with two input channels, three
-    output channels, unequal strides and a bias."""
+    output channels, unequal strides and a bias. Each runs on the
+    geometry-only ``ConvIndexMap`` and on the ``ConvLayer`` spec, which is
+    the same arithmetic."""
 
-    def instance(self):
+    @pytest.fixture(params=["map", "layer"])
+    def instance(self, request):
         gen = np.random.default_rng(40)
         layer = ConvLayer(2, 3, in_height=5, in_width=4, filter_height=2, filter_width=3, stride_y=2, stride_x=1)
+        op = layer if request.param == "layer" else ConvIndexMap(5, 4, 2, 3, stride_y=2, stride_x=1)
         n = 4
         x = gen.standard_normal((n, *layer.in_shape))
         w = gen.standard_normal(layer.weight_shape)
         b = gen.standard_normal(3)
         z = gen.standard_normal((n, *layer.out_shape))
-        return layer.op, x, w, b, z
+        return op, x, w, b, z
 
     @staticmethod
     def patch_sum(imap, x, coef):
@@ -137,13 +141,13 @@ class TestConvOpAgainstLoops:
                             out[alpha, beta, r] += coef[mu, alpha, a] * flat[imap.nu(a, r)]
         return out.reshape(c_out, c_in, imap.filter_height, imap.filter_width)
 
-    def test_geometry(self):
-        imap, x, w, b, z = self.instance()
+    def test_geometry(self, instance):
+        imap, x, w, b, z = instance
         assert (imap.out_height, imap.out_width) == (2, 2)
         assert imap.product(w, x).shape == z.shape == (4, 3, 2, 2)
 
-    def test_product_matches_loops_and_operator_matrix(self):
-        imap, x, w, b, z = self.instance()
+    def test_product_matches_loops_and_operator_matrix(self, instance):
+        imap, x, w, b, z = instance
         n, c_out = len(x), len(w)
         loops = np.zeros((n, c_out, imap.out_positions))
         wf = w.reshape(c_out, x.shape[1], imap.filter_size)
@@ -161,8 +165,8 @@ class TestConvOpAgainstLoops:
         assert imap.conv_mean(w, x).tobytes() == got.tobytes()
         assert imap.product(w, x, imap.design(x)).tobytes() == got.tobytes()
 
-    def test_weight_grad_matches_loops_and_adjoint(self):
-        imap, x, w, b, z = self.instance()
+    def test_weight_grad_matches_loops_and_adjoint(self, instance):
+        imap, x, w, b, z = instance
         resid = residual(z, imap.product(w, x), b)
         np.testing.assert_allclose(resid, z - imap.conv_mean(w, x) - b[None, :, None, None], rtol=1e-14, atol=1e-14)
         grad = imap.weight_grad(resid, x)
@@ -176,16 +180,16 @@ class TestConvOpAgainstLoops:
             g_e = (x.reshape(n, -1) @ imap.operator_matrix(e).T).ravel()
             assert grad[alpha, beta, ry, rx] == pytest.approx(float(resid.ravel() @ g_e), rel=1e-12, abs=1e-12)
 
-    def test_bias_grad_matches_loops(self):
-        imap, x, w, b, z = self.instance()
+    def test_bias_grad_matches_loops(self, instance):
+        imap, x, w, b, z = instance
         resid = residual(z, imap.product(w, x), b)
         loops = np.zeros(3)
         for mu, alpha, oy, ox in np.ndindex(resid.shape):
             loops[alpha] += resid[mu, alpha, oy, ox]
         np.testing.assert_allclose(imap.bias_grad(resid), loops, rtol=1e-12, atol=1e-12)
 
-    def test_w_rhs_matches_loops(self):
-        imap, x, w, b, z = self.instance()
+    def test_w_rhs_matches_loops(self, instance):
+        imap, x, w, b, z = instance
         dz = 0.35
         z_free = z - b[None, :, None, None]
         rhs = imap.w_rhs(imap.design(x), z_free, dz)
@@ -438,11 +442,17 @@ def channel_innermost(gen, n, channels, height, width):
 
 class TestPoolMapAgainstLoops:
     """``window_sum``, ``pool_mean`` and ``spread`` against loops over
-    ``preimage`` on a 5×7 input, windows with leftover rows and columns."""
+    ``preimage`` on a 5×7 input, windows with leftover rows and columns.
+    Each window runs on the geometry-only ``PoolMap`` and, under the
+    ``-layer`` ids, on the ``PoolLayer`` spec, which is the same arithmetic."""
 
-    @pytest.fixture(params=[(1, 1), (2, 2), (2, 3), (3, 2)], ids=lambda w: f"{w[0]}x{w[1]}")
+    @pytest.fixture(
+        params=[(wh, ww, kind) for kind in ("map", "layer") for wh, ww in [(1, 1), (2, 2), (2, 3), (3, 2)]],
+        ids=lambda p: f"{p[0]}x{p[1]}" + ("-layer" if p[2] == "layer" else ""),
+    )
     def pmap(self, request):
-        return PoolMap(5, 7, *request.param)
+        wh, ww, kind = request.param
+        return PoolLayer(2, 5, 7, wh, ww) if kind == "layer" else PoolMap(5, 7, wh, ww)
 
     @pytest.fixture(params=["c-order", "channel-innermost"])
     def x(self, request):
@@ -597,7 +607,7 @@ class TestConvSweep:
 
     def test_sweep_filter_and_bias_draws_equal_public_updates(self):
         spec, noise, prior, state = self.conv_chain(32)
-        imap = ConvIndexMap.for_layer(spec.layers[0])
+        imap = spec.layers[0]
         rng = RngStream(33)
         w1 = update_conv_W(imap, state.X[1], state.Z[2], state.b[1], noise.delta_z[2], prior.lambda_w[1], rng)
         b1 = update_conv_bias(imap, w1, state.X[1], state.Z[2], noise.delta_z[2], prior.lambda_b[1], rng)

@@ -59,12 +59,23 @@ def base_config(**over):
     return raw
 
 
+def conv_pool_network(i, key, value):
+    """A conv -> pool -> dense network whose layer i has ``key`` set to ``value``."""
+    layers = [
+        {"kind": "conv", "channels_in": 1, "channels_out": 2, "in_height": 6, "in_width": 6, "filter_height": 3, "filter_width": 3},
+        {"kind": "pool", "channels": 2, "in_height": 4, "in_width": 4, "window_height": 2, "window_width": 2},
+        {"kind": "dense", "in_width": 8, "out_width": 1},
+    ]
+    layers[i][key] = value
+    return {"activation": "relu", "output": "regression", "layers": layers}
+
+
 class TestConfig:
     def test_round_trip_identity(self):
         cfg = ExperimentConfig.from_dict(base_config())
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
-        third = ExperimentConfig.from_json(again.to_json())
+        third = ExperimentConfig.from_dict(json.loads(again.to_json()))
         assert third == cfg
 
     def test_gibbs_forbids_classical(self):
@@ -136,6 +147,14 @@ class TestConfig:
             (("merge_tolerance",), 0, r"merge_tolerance: must be > 0"),
             (("initializations",), ["gaussian:abc"], r"initializations: 'gaussian:abc' needs a finite positive scale"),
             (("initializations",), ["gaussian:-1"], r"initializations: 'gaussian:-1' needs a finite positive scale"),
+            (("network",), conv_pool_network(1, "window_height", 0), r"network\.layers\[1\]: window_height must be at least 1, got 0"),
+            (("network",), conv_pool_network(1, "window_width", -1), r"network\.layers\[1\]: window_width must be at least 1, got -1"),
+            (("network",), conv_pool_network(1, "channels", 0), r"network\.layers\[1\]: channels must be at least 1, got 0"),
+            (("network",), conv_pool_network(0, "filter_height", 0), r"network\.layers\[0\]: filter_height must be at least 1, got 0"),
+            (("network",), conv_pool_network(0, "channels_in", 0), r"network\.layers\[0\]: channels_in must be at least 1, got 0"),
+            (("network",), conv_pool_network(0, "channels_out", 0), r"network\.layers\[0\]: channels_out must be at least 1, got 0"),
+            (("network",), conv_pool_network(0, "in_width", -3), r"network\.layers\[0\]: in_width must be at least 1, got -3"),
+            (("network",), conv_pool_network(0, "stride_x", 0), r"network\.layers\[0\]: stride_x must be at least 1, got 0"),
         ],
         ids=[
             "schedule-not-object",
@@ -174,6 +193,14 @@ class TestConfig:
             "merge-tolerance-zero",
             "gaussian-scale-not-number",
             "gaussian-scale-negative",
+            "pool-window-zero",
+            "pool-window-negative",
+            "pool-channels-zero",
+            "conv-filter-zero",
+            "conv-channels-in-zero",
+            "conv-channels-out-zero",
+            "conv-input-negative",
+            "conv-stride-zero",
         ],
     )
     def test_malformed_field_is_config_error(self, path, value, field, tmp_path, capsys):
@@ -451,7 +478,7 @@ class TestPresets:
     @pytest.mark.parametrize("name", preset_names())
     def test_json_round_trip(self, name):
         text = get_preset(name).to_json()
-        assert ExperimentConfig.from_json(text).to_json() == text
+        assert ExperimentConfig.from_dict(json.loads(text)).to_json() == text
 
     @pytest.mark.parametrize("name", preset_names())
     def test_config_is_pinned(self, name):
@@ -578,8 +605,6 @@ class TestCli:
         assert not out.exists()
 
     def test_malformed_json_is_a_config_error(self, tmp_path, capsys):
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            ExperimentConfig.from_json('{"seed": 1,')
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text('{"seed": 1,', encoding="utf-8")
         out = tmp_path / "out"
