@@ -79,8 +79,9 @@ class RhatReport:
     def mean_rhat(self) -> float:
         return float(np.mean(self.rhat))
 
-    def percentiles(self, qs=(25, 50, 75, 95)) -> dict[int, float]:
-        return {int(q): float(np.percentile(self.rhat, q)) for q in qs}
+    def percentiles(self) -> dict[int, float]:
+        """The 25th, 50th, 75th and 95th percentiles of the per-coordinate R-hat."""
+        return {q: float(np.percentile(self.rhat, q)) for q in (25, 50, 75, 95)}
 
 
 def rhat(chains) -> RhatReport:

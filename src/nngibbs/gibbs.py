@@ -372,10 +372,13 @@ def update_bias_layer(
     """Redraw the bias of layer l: one scalar Gaussian per unit, or per
     output channel of a conv layer.
 
-    ``product`` is W[l]·X[l], the layer spec's ``product``; when it
-    is omitted the layer is taken as dense and X[l] W[l]^T is computed.
+    ``product`` is W[l]·X[l], the layer spec's ``product``. It may be
+    omitted for a dense layer only (a 2-D W[l]), whose X[l] W[l]^T is then
+    computed; a conv layer's product needs its geometry.
     """
     if product is None:
+        if state.W[l].ndim != 2:
+            raise ValueError(f"layer {l} is not dense: pass the layer's product")
         product = DenseMap().product(state.W[l], state.X[l])
     new_b = bias_draw(state.Z[l + 1] - product, noise.delta_z[l + 1], prior.lambda_b[l], rng)
     state.b[l] = new_b

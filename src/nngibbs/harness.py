@@ -68,7 +68,7 @@ class MissingTeacher(Exception):
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    source: typing.Literal["synthetic", "idx", "inline"]
+    source: typing.Literal["synthetic", "idx"]
     n: typing.Literal["4x_params"] | int | None = None
     n_test: int = 0
     delta_gen: float | None = None
@@ -79,8 +79,6 @@ class DatasetConfig:
     test_labels: str | None = None
     subset: int | None = None
     test_subset: int | None = None
-    inline_inputs: tuple | None = None
-    inline_labels: tuple | None = None
     path: str | None = None
 
 
@@ -112,12 +110,14 @@ class ExperimentConfig:
         for name, low in (
             ("sweeps", 1), ("spacing", 1), ("seed", 0), ("merge_window", 2),
             ("dataset.n", 1), ("dataset.n_test", 0), ("dataset.subset", 1), ("dataset.test_subset", 1),
+            ("sampler.leapfrog_steps", 1),
         ):
             value = operator.attrgetter(name)(self)
             if isinstance(value, numbers.Real) and value < low:
                 raise ConfigError(f"{name}: must be >= {low}, got {value}")
         for name, value in (
-            ("merge_tolerance", self.merge_tolerance), ("dataset.delta_gen", self.dataset.delta_gen), ("max_seconds", self.max_seconds)
+            ("merge_tolerance", self.merge_tolerance), ("dataset.delta_gen", self.dataset.delta_gen), ("max_seconds", self.max_seconds),
+            ("sampler.step_size", self.sampler.step_size),
         ):
             if value is not None and not value > 0:
                 raise ConfigError(f"{name}: must be > 0, got {value}")
@@ -272,12 +272,10 @@ def _check(value, hint, path: str):
         raise ConfigError(f"{path}: expected {what}, got {value!r}")
     if isinstance(hint, enum.EnumMeta):
         return hint(_check(value, typing.Literal[tuple(member.value for member in hint)], path))
-    if hint is tuple or origin is tuple:
+    if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
-        # a bare tuple is inline data: lists of numbers, nested to any depth
-        nested = lambda v: tuple if isinstance(v, (list, tuple)) else float
-        return tuple(_check(v, args[0] if args else nested(v), f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(_check(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
     if origin is dict:
         # the int-keyed tables of noise and prior; JSON keys are strings
         key_hint, value_hint = args
@@ -327,9 +325,8 @@ def _prior_from_dict(raw: dict, spec: NetworkSpec) -> PriorSpec:
 
 def _dataset_from_dict(raw: dict) -> DatasetConfig:
     dc = _typed(DatasetConfig, raw, "dataset")
-    needs = {"idx": ("images", "labels"), "inline": ("inline_inputs", "inline_labels")}.get(dc.source, ())
-    if any(getattr(dc, key) is None for key in needs):
-        raise ConfigError(f"dataset: {dc.source} source needs {' and '.join(needs)}")
+    if dc.source == "idx" and (dc.images is None or dc.labels is None):
+        raise ConfigError("dataset: idx source needs images and labels")
     return dc
 
 
@@ -348,23 +345,13 @@ def build_dataset(cfg: ExperimentConfig, rng: RngStream) -> Dataset:
         return ds.generate_teacher_student(
             spec, cfg.prior, n, dc.n_test, rng, noise_gen=gen_noise, noiseless=dc.noiseless
         )
-    if dc.source == "idx":
-        images, labels = ds.load_idx(dc.images, dc.labels, dc.subset)
-        inputs = _shape_inputs(spec, images)
-        test_inputs = test_labels = None
-        if dc.test_images is not None:
-            timg, tlab = ds.load_idx(dc.test_images, dc.test_labels, dc.test_subset)
-            test_inputs, test_labels = _shape_inputs(spec, timg), tlab
-        return Dataset(inputs=inputs, labels=labels, test_inputs=test_inputs, test_labels=test_labels)
-    inputs = np.asarray(dc.inline_inputs, dtype=float)
-    labels = np.asarray(dc.inline_labels)
-    if spec.output == OUTPUT_REGRESSION:
-        labels = labels.astype(float)
-        if labels.ndim == 1:
-            labels = labels.reshape(-1, 1)
-    else:
-        labels = labels.astype(int)
-    return Dataset(inputs=_shape_inputs(spec, inputs), labels=labels)
+    images, labels = ds.load_idx(dc.images, dc.labels, dc.subset)
+    inputs = _shape_inputs(spec, images)
+    test_inputs = test_labels = None
+    if dc.test_images is not None:
+        timg, tlab = ds.load_idx(dc.test_images, dc.test_labels, dc.test_subset)
+        test_inputs, test_labels = _shape_inputs(spec, timg), tlab
+    return Dataset(inputs=inputs, labels=labels, test_inputs=test_inputs, test_labels=test_labels)
 
 
 def _shape_inputs(spec: NetworkSpec, flat: np.ndarray) -> np.ndarray:

@@ -50,16 +50,15 @@ def _sumsq(a: np.ndarray) -> float:
     return float(r @ r)
 
 
-def _prior(layout: FlatLayout, W, b, position: np.ndarray | None, want_grad: bool):
-    """The Gaussian prior over the packed W/b prefix theta: its log density
-    and a new flat gradient whose prefix holds -lambda * theta, the first
-    term of every W/b block (None without ``want_grad``). theta is read
-    from ``position`` when W and b view it, else packed from them."""
+def _prior(layout: FlatLayout, position: np.ndarray):
+    """The Gaussian prior over the packed W/b prefix theta of ``position``:
+    its log density and a new flat gradient whose prefix holds
+    -lambda * theta, the first term of every W/b block."""
     packer = layout.packer
-    theta = packer.params(W, b) if position is None else position[: packer.n_params]
-    g = np.empty(packer.size if want_grad else packer.n_params)
+    theta = position[: packer.n_params]
+    g = np.empty(packer.size)
     grad = np.multiply(layout.neg_lam, theta, out=g[: packer.n_params])
-    return 0.5 * float(theta @ grad), (g if want_grad else None)
+    return 0.5 * float(theta @ grad), g
 
 
 def _backward_from_output(spec, fwd: ChainState, d_out, layout: FlatLayout, g: np.ndarray):
@@ -87,7 +86,6 @@ def classical_log_posterior(
     spec: NetworkSpec,
     delta: float,
     prior: PriorSpec,
-    want_grad: bool = True,
     position: np.ndarray | None = None,
     layout: FlatLayout | None = None,
 ):
@@ -100,14 +98,17 @@ def classical_log_posterior(
     The gradient is written into one new flat vector laid out by
     ``FlatPacker.for_classical``. With a target's ``layout`` it comes back
     as that vector, otherwise as {"W": {l: block}, "b": {l: block}} views
-    of it. ``position``, when given, is the flat vector that W and b view.
+    of it. With a ``layout``, ``position`` is the flat vector that W and b
+    view; without one, the position is packed from W and b once, and the
+    pass is the same.
     """
     inputs = np.asarray(dataset.inputs, dtype=float)
     flat = layout is not None
     if not flat:
         layout = FlatLayout.build(FlatPacker.for_classical(spec), prior, spec.weighted_layers[0].design(inputs))
+        position = layout.packer.pack({"W": W, "b": b})
     packer = layout.packer
-    logp, g = _prior(layout, W, b, position, want_grad)
+    logp, g = _prior(layout, position)
 
     n = inputs.shape[0]
     if n > 0:
@@ -126,10 +127,7 @@ def classical_log_posterior(
             onehot = np.zeros_like(q)
             onehot[np.arange(n), y] = 1.0
             d_out = -(q - onehot) / (2.0 * delta)
-        if want_grad:
-            _backward_from_output(spec, fwd, d_out, layout, g)
-    if not want_grad:
-        return logp, None
+        _backward_from_output(spec, fwd, d_out, layout, g)
     return logp, (g if flat else packer.unpack(g))
 
 
@@ -138,7 +136,6 @@ def intermediate_log_posterior(
     spec: NetworkSpec,
     noise: NoiseSchedule,
     prior: PriorSpec,
-    want_grad: bool = True,
     position: np.ndarray | None = None,
     layout: FlatLayout | None = None,
 ):
@@ -153,16 +150,18 @@ def intermediate_log_posterior(
     The gradient is written block by block into one new flat vector laid
     out by ``FlatPacker.for_intermediate``. With a target's ``layout``
     (see ``make_intermediate_target``) it comes back as that vector,
-    otherwise as {kind: {l: block}} views of it. ``position``, when
-    given, is the flat vector that ``state`` views.
+    otherwise as {kind: {l: block}} views of it. With a ``layout``,
+    ``position`` is the flat vector that ``state`` views; without one, the
+    position is packed from ``state`` once, and the pass is the same.
     """
-    if want_grad and spec.activation is Activation.SIGN:
+    if spec.activation is Activation.SIGN:
         raise NonDifferentiableActivation("sign activation has no usable gradient")
     flat = layout is not None
     if not flat:
         layout = FlatLayout.build(FlatPacker.for_intermediate(spec, state.n), prior, state.first_design(spec))
+        position = layout.packer.pack(vars(state))
     packer = layout.packer
-    logp, g = _prior(layout, state.W, state.b, position, want_grad)
+    logp, g = _prior(layout, position)
 
     def block(kind, l):
         return packer.view(g, kind, l)
@@ -176,8 +175,6 @@ def intermediate_log_posterior(
         resid = residual(state.Z[l + 1], layer.product(w, x, design), state.b.get(l))
         dz = noise.delta_z[l + 1]
         logp -= _sumsq(resid) / (2.0 * dz)
-        if g is None:
-            continue
         # score_U reads W[1]: its bits are (-lambda W) + weight_grad / dz
         grad_w = block("W", l)
         grad_w += layer.weight_grad(resid, x, design) / dz
@@ -195,29 +192,25 @@ def intermediate_log_posterior(
             dpool = noise.delta_pool[l]
             rp = state.P[l] - pool.pool_mean(state.Z[l])
             logp -= _sumsq(rp) / (2.0 * dpool)
-            if g is not None:
-                scaled = rp / dpool
-                np.negative(scaled, out=block("P", l))
-                gz = block("Z", l)
-                gz += pool.spread(scaled, state.Z[l])
+            scaled = rp / dpool
+            np.negative(scaled, out=block("P", l))
+            gz = block("Z", l)
+            gz += pool.spread(scaled, state.Z[l])
             pre, pre_kind = state.P[l], "P"
         dx = noise.delta_x[l]
         mismatch = state.X[l] - act.apply(pre)
         logp -= _sumsq(mismatch) / (2.0 * dx)
-        if g is not None:
-            scaled = mismatch / dx
-            gx = block("X", l)
-            gx -= scaled
-            scaled *= act.derivative(pre)
-            g_pre = block(pre_kind, l)
-            g_pre += scaled
+        scaled = mismatch / dx
+        gx = block("X", l)
+        gx -= scaled
+        scaled *= act.derivative(pre)
+        g_pre = block(pre_kind, l)
+        g_pre += scaled
 
     if spec.output == OUTPUT_PROBIT:
         top = state.Z[spec.depth + 1]
         if np.any(np.argmax(top, axis=1) != state.labels):
             logp = -np.inf
-    if not want_grad:
-        return logp, None
     return logp, (g if flat else packer.unpack(g))
 
 
@@ -280,11 +273,6 @@ class FlatPacker:
         """Block (kind, l) of ``vec`` as a shaped view: writing it writes ``vec``."""
         sl, shape = self.slices[kind, l]
         return vec[sl].reshape(shape)
-
-    def params(self, W: dict[int, np.ndarray], b: dict[int, np.ndarray | None]) -> np.ndarray:
-        """The packed W and b blocks, the first ``n_params`` entries of a
-        position, as a new vector."""
-        return np.concatenate([np.ravel((W if kind == "W" else b)[l]) for kind, l, _ in self.blocks if kind in ("W", "b")])
 
     def state(self, vec: np.ndarray, frame: ChainState) -> ChainState:
         """The chain state at ``vec``: every packed block is a view into

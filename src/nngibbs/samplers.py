@@ -133,21 +133,20 @@ class ChainRun:
         return self.accepted / self.steps if self.steps else float("nan")
 
 
-def run_chain(step, position, n_steps: int, observer=None, spacing: int = 1, deadline: float | None = None) -> ChainRun:
+def run_chain(step, position, n_steps: int, observer, spacing: int = 1, deadline: float | None = None) -> ChainRun:
     """Iterate ``step`` from ``position``, recording every ``spacing`` steps.
 
     ``step`` maps a state to ``(next state, accepted)``; a Gibbs sweep
     always counts as accepted. ``observer(state, rate)`` also receives the
     running acceptance rate, 0.0 at t=0. The initial state is always
-    recorded; afterwards records land on step multiples of ``spacing``.
-    Once the ``time.monotonic()`` ``deadline`` has passed, the last step
-    taken is recorded (unless it just was) and the chain stops. The
-    accepted/total bookkeeping is exact.
+    recorded, and records land on step multiples of ``spacing``. The run
+    ends after ``n_steps`` steps, or earlier, after the first step that
+    finds the ``time.monotonic()`` ``deadline`` passed; either way the last
+    step taken is recorded too, unless it just was. The accepted/total
+    bookkeeping is exact.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    if observer is None:
-        observer = lambda x, rate: 0.0
     start = time.monotonic()
     times, wall, values = [], [], []
 
@@ -162,13 +161,12 @@ def run_chain(step, position, n_steps: int, observer=None, spacing: int = 1, dea
     for t in range(1, n_steps + 1):
         x, ok = step(x)
         accepted += bool(ok)
-        due = t % spacing == 0
-        if due:
+        if t % spacing == 0:
             record(t, x, accepted / t)
         if deadline is not None and time.monotonic() > deadline:
-            if not due:
-                record(t, x, accepted / t)
             break
+    if times[-1] != t:
+        record(t, x, accepted / t)
     return ChainRun(
         times=np.asarray(times),
         wall=np.asarray(wall),

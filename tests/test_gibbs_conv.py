@@ -20,7 +20,8 @@ from nngibbs.conv import (
     update_conv_bias,
     update_pool_X,
 )
-from nngibbs.gibbs import SweepSchedule, dense_w_conditional, dense_x_conditional, gibbs_sweep
+from nngibbs.datasets import generate_teacher_student
+from nngibbs.gibbs import SweepSchedule, dense_w_conditional, dense_x_conditional, gibbs_sweep, update_bias_layer
 from nngibbs.kernels import RngStream
 from nngibbs.network import (
     Activation,
@@ -536,6 +537,23 @@ class TestConvBias:
         var_q = float(np.trapezoid(grid**2 * wgt, grid) / np.trapezoid(wgt, grid)) - mean_q**2
         assert draws.mean() == pytest.approx(mean_q, abs=5 * np.sqrt(var_q / len(draws)))
         assert draws.var() == pytest.approx(var_q, rel=0.1)
+
+    @pytest.mark.parametrize("size, filt", [(3, 3), (4, 2)], ids=["one-pixel-grid", "3x3-grid"])
+    def test_bias_layer_needs_the_conv_product(self, size, filt):
+        """A conv layer's bias draw takes the layer's product: without it
+        the call is refused (a dense X W^T of conv blocks is no residual),
+        and with it the draw is ``update_conv_bias`` bit for bit."""
+        conv = ConvLayer(1, 2, in_height=size, in_width=size, filter_height=filt, filter_width=filt)
+        spec = NetworkSpec(layers=(conv,))
+        noise = NoiseSchedule.uniform(spec, 0.5)
+        prior = PriorSpec.uniform(spec, 1.0)
+        state = generate_teacher_student(spec, prior, 7, 0, RngStream(0), noise_gen=noise).teacher
+        with pytest.raises(ValueError, match="layer 1 is not dense"):
+            update_bias_layer(1, state.copy(), noise, prior, RngStream(2))
+        product = conv.product(state.W[1], state.X[1])
+        drawn = update_bias_layer(1, state.copy(), noise, prior, RngStream(2), product=product)
+        reference = update_conv_bias(conv, state.W[1], state.X[1], state.Z[2], 0.5, 1.0, RngStream(2))
+        assert drawn.tobytes() == reference.tobytes()
 
 
 def random_chain(spec, noise, rng):

@@ -83,7 +83,7 @@ class TestConfig:
             ExperimentConfig.from_dict(base_config(sampler={"kind": "gibbs", "posterior": "classical"}))
 
     def test_informed_requires_synthetic(self):
-        raw = base_config(dataset={"source": "inline", "inline_inputs": [[0.0] * 6], "inline_labels": [0.0]})
+        raw = base_config(dataset={"source": "idx", "images": "img.idx", "labels": "lab.idx"})
         with pytest.raises(ConfigError, match="initializations"):
             ExperimentConfig.from_dict(raw)
 
@@ -155,6 +155,11 @@ class TestConfig:
             (("network",), conv_pool_network(0, "channels_out", 0), r"network\.layers\[0\]: channels_out must be at least 1, got 0"),
             (("network",), conv_pool_network(0, "in_width", -3), r"network\.layers\[0\]: in_width must be at least 1, got -3"),
             (("network",), conv_pool_network(0, "stride_x", 0), r"network\.layers\[0\]: stride_x must be at least 1, got 0"),
+            (("sampler",), {"kind": "hmc", "step_size": -0.01, "leapfrog_steps": 5}, r"sampler\.step_size: must be > 0, got -0\.01"),
+            (("sampler",), {"kind": "hmc", "step_size": 0.01, "leapfrog_steps": 0}, r"sampler\.leapfrog_steps: must be >= 1, got 0"),
+            (("sampler",), {"kind": "mala", "step_size": 0}, r"sampler\.step_size: must be > 0, got 0\.0"),
+            (("dataset", "source"), "inline", r"dataset\.source: expected 'synthetic' or 'idx', got 'inline'"),
+            (("dataset", "inline_inputs"), [[0.0] * 6], r"dataset\.inline_inputs: unknown field"),
         ],
         ids=[
             "schedule-not-object",
@@ -201,6 +206,11 @@ class TestConfig:
             "conv-channels-out-zero",
             "conv-input-negative",
             "conv-stride-zero",
+            "hmc-step-size-negative",
+            "hmc-leapfrog-steps-zero",
+            "mala-step-size-zero",
+            "inline-source",
+            "inline-inputs",
         ],
     )
     def test_malformed_field_is_config_error(self, path, value, field, tmp_path, capsys):
@@ -378,19 +388,6 @@ class TestRunExperiment:
         cfg = ExperimentConfig.from_dict(base_config(sweeps=10_000_000, max_seconds=0.5, spacing=1000))
         summary = run_experiment(cfg, tmp_path)
         assert summary["chains"][0]["records"] >= 1
-
-    def test_inline_dataset(self, tmp_path):
-        gen = np.random.default_rng(8)
-        X = gen.standard_normal((12, 6)).tolist()
-        y = gen.standard_normal(12).tolist()
-        raw = base_config(
-            dataset={"source": "inline", "inline_inputs": X, "inline_labels": y},
-            initializations=["zero"],
-            sweeps=20,
-        )
-        cfg = ExperimentConfig.from_dict(raw)
-        summary = run_experiment(cfg, tmp_path)
-        assert summary["chains"][0]["label"] == "chain0_zero"
 
 
 # sha256 of get_preset(name, delta=d).to_json() joined by newlines over

@@ -153,8 +153,6 @@ class TestIntermediatePosterior:
         sign_spec = mlp([4, 3, 1], activation=Activation.SIGN)
         with pytest.raises(NonDifferentiableActivation):
             intermediate_log_posterior(state, sign_spec, noise, prior)
-        logp, _ = intermediate_log_posterior(state, sign_spec, noise, prior, want_grad=False)
-        assert np.isfinite(logp)
 
     def test_generated_state_is_finite_and_probit_feasible(self):
         spec = mlp([4, 3, 3], output="probit")
@@ -166,11 +164,11 @@ class TestIntermediatePosterior:
         W = {1: gen.standard_normal((3, 4)), 2: gen.standard_normal((3, 3))}
         b = {1: gen.standard_normal(3), 2: gen.standard_normal(3)}
         state, _ = forward_generate(spec, noise, W, b, X, rng)
-        logp, _ = intermediate_log_posterior(state, spec, noise, prior, want_grad=False)
+        logp = intermediate_log_posterior(state, spec, noise, prior)[0]
         assert np.isfinite(logp)
         # break the constraint: density must vanish
         state.labels = (state.labels + 1) % 3
-        logp_bad, _ = intermediate_log_posterior(state, spec, noise, prior, want_grad=False)
+        logp_bad = intermediate_log_posterior(state, spec, noise, prior)[0]
         assert logp_bad == -np.inf
 
     def test_single_layer_matches_classical_up_to_constant(self):
@@ -187,8 +185,8 @@ class TestIntermediatePosterior:
             W = {1: gen.standard_normal((1, 5))}
             b = {1: gen.standard_normal(1)}
             state = ChainState(W=W, b=b, X={1: X}, Z={2: y})
-            lp_int, _ = intermediate_log_posterior(state, spec, noise, prior, want_grad=False)
-            lp_cls, _ = classical_log_posterior(W, b, dataset, spec, delta, prior, want_grad=False)
+            lp_int = intermediate_log_posterior(state, spec, noise, prior)[0]
+            lp_cls = classical_log_posterior(W, b, dataset, spec, delta, prior)[0]
             diffs.append(lp_int - lp_cls)
         diffs = np.asarray(diffs)
         assert np.max(np.abs(diffs - diffs[0])) < 1e-9
@@ -229,13 +227,31 @@ class TestFlatGradient:
     @pytest.mark.parametrize("stack", ["dense", "conv-pool", "probit"])
     def test_target_gradient_is_the_state_api_grads(self, stack):
         """The target's flat vector and the state API's blocks come from one
-        body: bitwise equal, block by block, and the blocks view one vector."""
+        body: bitwise equal, block by block, and the blocks view one vector.
+        The state API gets a state whose blocks view the target's position,
+        and the generated state, whose blocks view no flat vector."""
         spec, noise, prior, dataset, state = _generated_problem(stack)
         target, packer = make_intermediate_target(dataset, spec, noise, prior)
         vec = packer.pack(vars(state))
         logp, flat = target(vec)
-        view_state = packer.state(vec, clamped_frame(spec, dataset))
-        logp_api, grads = intermediate_log_posterior(view_state, spec, noise, prior)
+        for given in (packer.state(vec, clamped_frame(spec, dataset)), state):
+            logp_api, grads = intermediate_log_posterior(given, spec, noise, prior)
+            assert flat.shape == (packer.size,) and logp_api == logp
+            owner = grads["W"][1].base
+            assert owner is not None and owner.shape == (packer.size,)
+            for kind, l, shape in packer.blocks:
+                block = grads[kind][l]
+                assert block.shape == shape and block.base is owner, (kind, l)
+                assert block.tobytes() == packer.view(flat, kind, l).tobytes(), (kind, l)
+
+    @pytest.mark.parametrize("stack", ["dense", "conv-pool", "probit", "bias-free"])
+    def test_classical_target_gradient_is_the_api_grads(self, stack):
+        """The loss posterior's target and its W/b API run one pass: the
+        same density and gradient bits, the API's blocks viewing one vector."""
+        spec, noise, prior, dataset, state = _generated_problem(stack)
+        target, packer = make_classical_target(dataset, spec, 0.2, prior)
+        logp, flat = target(packer.pack({"W": state.W, "b": state.b}))
+        logp_api, grads = classical_log_posterior(state.W, state.b, dataset, spec, 0.2, prior)
         assert flat.shape == (packer.size,) and logp_api == logp
         owner = grads["W"][1].base
         assert owner is not None and owner.shape == (packer.size,)

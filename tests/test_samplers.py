@@ -227,10 +227,11 @@ class TestRunChain:
     def test_budget_one_records_initial_plus_one(self):
         rng = RngStream(9)
         step = lambda x: mala_step(x, flat_target, MalaSettings(0.1), rng)
-        run = run_chain(step, np.zeros(2), n_steps=1)
+        obs = lambda x, rate: x
+        run = run_chain(step, np.zeros(2), n_steps=1, observer=obs)
         assert list(run.times) == [0, 1]
         with pytest.raises(ValueError):
-            run_chain(step, np.zeros(2), n_steps=0)
+            run_chain(step, np.zeros(2), n_steps=0, observer=obs)
 
     def test_acceptance_bookkeeping_exact(self):
         target = gaussian_target(np.eye(2))
@@ -242,7 +243,7 @@ class TestRunChain:
             return target(x)
 
         rng = RngStream(10)
-        run = run_chain(lambda x: mala_step(x, counting_target, MalaSettings(0.9), rng), np.zeros(2), n_steps=500)
+        run = run_chain(lambda x: mala_step(x, counting_target, MalaSettings(0.9), rng), np.zeros(2), n_steps=500, observer=lambda x, rate: x)
         # replay with an identical stream to count acceptances independently
         rng2 = RngStream(10)
         x = np.zeros(2)
@@ -260,6 +261,20 @@ class TestRunChain:
         run = run_chain(step, np.zeros(1), n_steps=1000, observer=obs, spacing=100)
         assert list(run.times) == [0, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
         assert run.values.shape == (11, 1)
+
+    @pytest.mark.parametrize("n_steps, times", [(25, [0, 10, 20, 25]), (5, [0, 5])], ids=["25-at-10", "5-at-10"])
+    def test_budget_end_records_the_last_step(self, n_steps, times):
+        rates = []
+
+        def obs(x, rate):
+            rates.append(rate)
+            return x
+
+        run = run_chain(lambda x: (x + 1.0, True), 0.0, n_steps=n_steps, observer=obs, spacing=10)
+        assert list(run.times) == times
+        assert list(run.values) == [float(t) for t in times]
+        assert run.steps == n_steps and run.final_position == float(n_steps)
+        assert rates == [0.0] + [1.0] * (len(times) - 1)
 
     def test_past_deadline_records_the_step_taken_and_stops(self):
         rates = []
