@@ -16,6 +16,7 @@ from . import datasets as ds
 from . import diagnostics, presets
 from .harness import ConfigError, ExperimentConfig, build_dataset, read_trace, run_experiment
 from .kernels import RngStream
+from .network import ShapeMismatch
 
 __all__ = ["main"]
 
@@ -184,7 +185,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ds.BadMagic, ds.TruncatedFile, ds.CountMismatch) as exc:
+    except (OSError, ShapeMismatch, ds.BadMagic, ds.TruncatedFile, ds.CountMismatch) as exc:
         # each message names the file it is about
         print(f"input error: {exc}", file=sys.stderr)
         return 2

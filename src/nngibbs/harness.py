@@ -36,6 +36,7 @@ from .network import (
     NetworkSpec,
     NoiseSchedule,
     PriorSpec,
+    ShapeMismatch,
     error_rate,
     forward_generate,
     output_mse,
@@ -337,7 +338,9 @@ def build_dataset(cfg: ExperimentConfig, rng: RngStream) -> Dataset:
     dc = cfg.dataset
     spec = cfg.network
     if dc.path is not None:
-        return ds.load_dataset(dc.path)
+        dataset = ds.load_dataset(dc.path)
+        _check_fits(spec, dataset, dc.path)
+        return dataset
     if dc.source == "synthetic":
         n = ds.four_times_params(spec) if dc.n in (None, "4x_params") else dc.n
         # noiseless labels draw no generation noise, whatever the schedule
@@ -352,6 +355,37 @@ def build_dataset(cfg: ExperimentConfig, rng: RngStream) -> Dataset:
         timg, tlab = ds.load_idx(dc.test_images, dc.test_labels, dc.test_subset)
         test_inputs, test_labels = _shape_inputs(spec, timg), tlab
     return Dataset(inputs=inputs, labels=labels, test_inputs=test_inputs, test_labels=test_labels)
+
+
+def _check_fits(spec: NetworkSpec, dataset: Dataset, path) -> None:
+    """A loaded dataset fits the network, or ShapeMismatch names the file:
+    every input has the first layer's input shape, and each label row is
+    ``spec.out_width`` regression outputs (a 1-D label for a width of 1)
+    or an integer class in [0, out_width) for probit. The test split, where
+    there is one, is held to the same rules, and a stored teacher has the
+    network's weight and bias shapes."""
+    splits = [("", dataset.inputs, dataset.labels)]
+    if dataset.test_inputs is not None:
+        splits.append(("test_", dataset.test_inputs, dataset.test_labels))
+    want = spec.layers[0].in_shape
+    for prefix, inputs, labels in splits:
+        inputs, labels = np.asarray(inputs), np.asarray(labels)
+        if inputs.shape[1:] != want:
+            raise ShapeMismatch(
+                f"{path}: {prefix}inputs have shape {inputs.shape}, the network's first layer wants (n, {', '.join(map(str, want))})"
+            )
+        if len(labels) != len(inputs):
+            raise ShapeMismatch(f"{path}: {len(labels)} {prefix}labels for {len(inputs)} {prefix}inputs")
+        if spec.output == OUTPUT_REGRESSION:
+            if (labels.shape[1:] or (1,)) != (spec.out_width,):
+                raise ShapeMismatch(f"{path}: {prefix}labels have shape {labels.shape}, the network has {spec.out_width} regression outputs")
+        elif not (labels.ndim == 1 and labels.dtype.kind in "iu" and np.all((labels >= 0) & (labels < spec.out_width))):
+            raise ShapeMismatch(f"{path}: {prefix}labels are not integer classes in [0, {spec.out_width}) for the probit output")
+    if dataset.teacher is not None:
+        got = [(l, np.shape(w), np.shape(dataset.teacher.b.get(l))) for l, w in sorted(dataset.teacher.W.items())]
+        fits = [(l, spec.weight_shape(l), (spec.bias_width(l),) if spec.has_bias(l) else ()) for l in range(1, spec.depth + 1)]
+        if got != fits:
+            raise ShapeMismatch(f"{path}: the stored teacher's (layer, W, b) shapes are {got}, the network's are {fits}")
 
 
 def _shape_inputs(spec: NetworkSpec, flat: np.ndarray) -> np.ndarray:
@@ -451,9 +485,14 @@ class _Observer:
                 self.test_target = predict(spec, dataset.teacher.W, dataset.teacher.b, dataset.test_inputs)
             else:
                 self.test_target = np.asarray(dataset.test_labels, dtype=float).reshape(len(dataset.test_inputs), -1)
-        self.differentiable = spec.activation is not Activation.SIGN
-        if self.differentiable:
+        if spec.activation is not Activation.SIGN:
             self.columns.append("score_U")
+            # the score's gradient layout, built once per chain
+            design = spec.weighted_layers[0].design(np.asarray(dataset.inputs, dtype=float))
+            if cfg.sampler.posterior == "intermediate":
+                self.layout = posteriors.FlatLayout.for_intermediate(spec, dataset.n, cfg.prior, design)
+            else:
+                self.layout = posteriors.FlatLayout.for_classical(spec, cfg.prior, design)
         if cfg.sampler.posterior == "intermediate":
             self.columns.append("train_residual")
         if cfg.sampler.kind in ("hmc", "mala"):
@@ -462,8 +501,8 @@ class _Observer:
 
     def _log_posterior_grads(self, state: ChainState) -> dict:
         if self.cfg.sampler.posterior == "intermediate":
-            return posteriors.intermediate_log_posterior(state, self.spec, self.cfg.noise, self.cfg.prior)[1]
-        return posteriors.classical_log_posterior(state.W, state.b, self.dataset, self.spec, self.delta, self.cfg.prior)[1]
+            return posteriors.intermediate_log_posterior(state, self.spec, self.cfg.noise, self.cfg.prior, layout=self.layout)[1]
+        return posteriors.classical_log_posterior(state.W, state.b, self.dataset, self.spec, self.delta, self.cfg.prior, layout=self.layout)[1]
 
     def observe_state(self, state: ChainState, acceptance: float | None = None) -> dict[str, float]:
         spec, dataset = self.spec, self.dataset

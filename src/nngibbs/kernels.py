@@ -185,7 +185,10 @@ def trunc_norm_lower(mean, var, lower, rng: RngStream) -> np.ndarray:
     sd = np.sqrt(np.asarray(var, dtype=float))
     lower = np.asarray(lower, dtype=float)
     mean, sd, lower = np.broadcast_arrays(mean, sd, lower)
-    a = (lower - mean) / sd
+    # a zero variance gives a NaN or infinite bound, which
+    # std_lower_truncated reports before drawing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (lower - mean) / sd
     return mean + sd * std_lower_truncated(a, ndtr(-a), rng.generator)
 
 

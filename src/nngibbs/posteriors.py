@@ -9,6 +9,7 @@ probit output adds a hard argmax constraint instead of a loss.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,9 @@ from .network import (
     PriorSpec,
     OUTPUT_PROBIT,
     OUTPUT_REGRESSION,
+    PoolLayer,
+    as_rows,
     noiseless_pass,
-    residual,
 )
 
 __all__ = [
@@ -65,12 +67,13 @@ def _backward_from_output(spec, fwd: ChainState, d_out, layout: FlatLayout, g: n
     """Propagate a gradient at the network output back to all parameters
     through the noiseless pass ``fwd``, adding it into ``g``."""
     delta = d_out
-    for l in range(spec.depth, 0, -1):
+    for t in reversed(layout.weighted):
+        l = t.l
         layer = spec.weighted_layers[l - 1]
-        grad_w = layout.packer.view(g, "W", l)
+        grad_w = g[t.w].reshape(t.w_shape)
         grad_w += layer.weight_grad(delta, fwd.X[l], layout.design if l == 1 else None)
-        if spec.has_bias(l):
-            grad_b = layout.packer.view(g, "b", l)
+        if t.b is not None:
+            grad_b = g[t.b]
             grad_b += layer.bias_grad(delta)
         if l > 1:
             pre = fwd.P[l] if l in spec.pools else fwd.Z[l]
@@ -96,18 +99,19 @@ def classical_log_posterior(
     prediction-time device). ReLU uses the zero subgradient at the kink.
 
     The gradient is written into one new flat vector laid out by
-    ``FlatPacker.for_classical``. With a target's ``layout`` it comes back
-    as that vector, otherwise as {"W": {l: block}, "b": {l: block}} views
-    of it. With a ``layout``, ``position`` is the flat vector that W and b
-    view; without one, the position is packed from W and b once, and the
-    pass is the same.
+    ``FlatPacker.for_classical``. Given a ``position`` (the flat vector
+    that W and b view, see ``make_classical_target``) it comes back as
+    that vector. Without one, the position is packed from W and b once,
+    the pass is the same, and the gradient comes back as
+    {"W": {l: block}, "b": {l: block}} views of it. A ``layout`` (see
+    ``FlatLayout.for_classical``) is built when none is given.
     """
     inputs = np.asarray(dataset.inputs, dtype=float)
-    flat = layout is not None
+    if layout is None:
+        layout = FlatLayout.for_classical(spec, prior, spec.weighted_layers[0].design(inputs))
+    flat = position is not None
     if not flat:
-        layout = FlatLayout.build(FlatPacker.for_classical(spec), prior, spec.weighted_layers[0].design(inputs))
         position = layout.packer.pack({"W": W, "b": b})
-    packer = layout.packer
     logp, g = _prior(layout, position)
 
     n = inputs.shape[0]
@@ -128,7 +132,7 @@ def classical_log_posterior(
             onehot[np.arange(n), y] = 1.0
             d_out = -(q - onehot) / (2.0 * delta)
         _backward_from_output(spec, fwd, d_out, layout, g)
-    return logp, (g if flat else packer.unpack(g))
+    return logp, (g if flat else layout.packer.unpack(g))
 
 
 def intermediate_log_posterior(
@@ -147,71 +151,93 @@ def intermediate_log_posterior(
     region its score block is the plain residual term. The gradient is
     exact almost everywhere for relu/abs/linear; sign has none.
 
-    The gradient is written block by block into one new flat vector laid
-    out by ``FlatPacker.for_intermediate``. With a target's ``layout``
-    (see ``make_intermediate_target``) it comes back as that vector,
-    otherwise as {kind: {l: block}} views of it. With a ``layout``,
-    ``position`` is the flat vector that ``state`` views; without one, the
-    position is packed from ``state`` once, and the pass is the same.
+    One pass reads the sampled blocks from a flat position laid out by
+    ``FlatPacker.for_intermediate`` and writes the gradient block by
+    block, in place, into one new flat vector in the same layout: a
+    residual is built in its pre-activation's gradient block, and only a
+    clamped output's residual is a temporary. ``state`` supplies what the
+    data clamps, the regression output Z[L+1] and the probit labels; the
+    first layer's design of X[1] is the ``layout``'s (see
+    ``FlatLayout.for_intermediate``; built when none is given).
+
+    Given a ``position`` (see ``make_intermediate_target``) the gradient
+    comes back as that vector. Without one, the position is packed from
+    ``state`` once, and the gradient comes back as {kind: {l: block}}
+    views of it; the weight products then read ``state``'s own W and X
+    arrays, whose memory order (a Gibbs draw is transposed) can move the
+    last bit of a matrix product.
     """
     if spec.activation is Activation.SIGN:
         raise NonDifferentiableActivation("sign activation has no usable gradient")
-    flat = layout is not None
+    if layout is None:
+        layout = FlatLayout.for_intermediate(spec, state.n, prior, state.first_design(spec))
+    flat = position is not None
     if not flat:
-        layout = FlatLayout.build(FlatPacker.for_intermediate(spec, state.n), prior, state.first_design(spec))
         position = layout.packer.pack(vars(state))
-    packer = layout.packer
     logp, g = _prior(layout, position)
 
-    def block(kind, l):
-        return packer.view(g, kind, l)
-
     # every block of g is first written whole, then added to
-    big_l = spec.depth
-    act = spec.activation
-    for l, layer in enumerate(spec.weighted_layers, start=1):
-        x, w = state.X[l], state.W[l]
-        design = layout.design if l == 1 else None
-        resid = residual(state.Z[l + 1], layer.product(w, x, design), state.b.get(l))
-        dz = noise.delta_z[l + 1]
+    for t in layout.weighted:
+        if flat:
+            w = position[t.w].reshape(t.w_rows)
+            x = layout.design if t.x is None else position[t.x].reshape(t.x_rows)
+        else:
+            w = state.W[t.l].reshape(t.w_rows)
+            x = layout.design if t.x is None else as_rows(state.X[t.l])
+        dz = noise.delta_z[t.l + 1]
+        n, units = t.z_shape[:2]
+        product = x @ w.T  # one row per sample, or per sample and output position (conv)
+        if t.grid:
+            product = product.reshape(n, -1, units).transpose(0, 2, 1).reshape(t.z_shape)
+        if t.z is None:
+            resid = state.Z[t.l + 1] - product
+        else:
+            resid = np.subtract(position[t.z].reshape(t.z_shape), product, out=g[t.z].reshape(t.z_shape))
+        if t.b is not None:
+            resid -= position[t.b].reshape(t.b_cast)
         logp -= _sumsq(resid) / (2.0 * dz)
+        # units or channels as rows: the view resid.T for dense, one copy for conv
+        rows = resid.reshape(n, units, -1).transpose(1, 0, 2).reshape(units, -1) if t.grid else resid.T
         # score_U reads W[1]: its bits are (-lambda W) + weight_grad / dz
-        grad_w = block("W", l)
-        grad_w += layer.weight_grad(resid, x, design) / dz
-        if spec.has_bias(l):
-            grad_b = block("b", l)
-            grad_b += layer.bias_grad(resid) / dz
-        if l >= 2:
-            np.dot(resid / dz, w, out=block("X", l).reshape(len(x), -1))
-        if l < big_l or spec.output == OUTPUT_PROBIT:
-            np.divide(resid, -dz, out=block("Z", l + 1))
-    for l in range(2, big_l + 1):
-        pre, pre_kind = state.Z[l], "Z"
-        pool = spec.pools.get(l)
-        if pool is not None:
-            dpool = noise.delta_pool[l]
-            rp = state.P[l] - pool.pool_mean(state.Z[l])
-            logp -= _sumsq(rp) / (2.0 * dpool)
-            scaled = rp / dpool
-            np.negative(scaled, out=block("P", l))
-            gz = block("Z", l)
-            gz += pool.spread(scaled, state.Z[l])
-            pre, pre_kind = state.P[l], "P"
-        dx = noise.delta_x[l]
-        mismatch = state.X[l] - act.apply(pre)
+        grad_w = g[t.w].reshape(t.w_rows)
+        grad_w += (rows @ x) / dz
+        if t.b is not None:
+            grad_b = g[t.b]
+            grad_b += (t.ones @ rows.T) / dz
+        # X[l] takes (resid / dz)·W; Z[l+1] ends as -(resid / dz), bitwise resid / -dz
+        if t.x is not None:
+            resid /= dz
+            np.dot(resid, w, out=g[t.x].reshape(t.x_rows))
+            if t.z is not None:
+                np.negative(resid, out=resid)
+        elif t.z is not None:
+            resid /= -dz
+    act = spec.activation
+    for h in layout.hidden:
+        pre = position[h.z].reshape(h.z_shape)
+        g_pre = g[h.z].reshape(h.z_shape)
+        if h.pool is not None:
+            dpool = noise.delta_pool[h.l]
+            pooled = position[h.p].reshape(h.x_shape)
+            scaled = np.subtract(pooled, h.pool.pool_mean(pre), out=g[h.p].reshape(h.x_shape))
+            logp -= _sumsq(scaled) / (2.0 * dpool)
+            scaled /= dpool
+            g_pre += h.pool.spread(scaled, pre)
+            pre, g_pre = pooled, np.negative(scaled, out=scaled)
+        dx = noise.delta_x[h.l]
+        mismatch = position[h.x].reshape(h.x_shape) - act.apply(pre)
         logp -= _sumsq(mismatch) / (2.0 * dx)
-        scaled = mismatch / dx
-        gx = block("X", l)
-        gx -= scaled
-        scaled *= act.derivative(pre)
-        g_pre = block(pre_kind, l)
-        g_pre += scaled
+        mismatch /= dx
+        grad_x = g[h.x].reshape(h.x_shape)
+        grad_x -= mismatch
+        mismatch *= act.derivative(pre)
+        g_pre += mismatch
 
     if spec.output == OUTPUT_PROBIT:
-        top = state.Z[spec.depth + 1]
-        if np.any(np.argmax(top, axis=1) != state.labels):
+        top = layout.weighted[-1]
+        if np.any(np.argmax(position[top.z].reshape(top.z_shape), axis=1) != state.labels):
             logp = -np.inf
-    return logp, (g if flat else packer.unpack(g))
+    return logp, (g if flat else layout.packer.unpack(g))
 
 
 class FlatPacker:
@@ -269,11 +295,6 @@ class FlatPacker:
             out[kind][l] = vec[sl].reshape(shape)
         return out
 
-    def view(self, vec: np.ndarray, kind: str, l: int) -> np.ndarray:
-        """Block (kind, l) of ``vec`` as a shaped view: writing it writes ``vec``."""
-        sl, shape = self.slices[kind, l]
-        return vec[sl].reshape(shape)
-
     def state(self, vec: np.ndarray, frame: ChainState) -> ChainState:
         """The chain state at ``vec``: every packed block is a view into
         ``vec``, and what the data clamps comes from ``frame``
@@ -310,37 +331,128 @@ def clamped_frame(spec: NetworkSpec, dataset: Dataset) -> ChainState:
 
 
 @dataclass(frozen=True)
+class WeightedBlocks:
+    """Where weighted layer l's part of a gradient pass lives in a flat
+    vector, and the shapes it is read in.
+
+    ``w`` and ``b`` slice its weights (read as ``w_shape``, or as
+    ``w_rows``: one row per unit or output channel) and its bias (None
+    without one), which broadcasts over the residual as ``b_cast``. ``x``
+    slices X[l], read as its design rows ``x_rows`` (None for the clamped
+    input, whose design the layout holds), and ``z`` slices Z[l+1], shaped
+    ``z_shape`` (None for a clamped regression output). ``grid`` is a
+    conv layer's output grid, empty for dense: a conv product has one row
+    per sample and output position, and its residual is copied once into
+    one row per channel. ``ones`` sums the residual per unit or channel.
+    """
+
+    l: int
+    w: slice
+    w_shape: tuple[int, ...]
+    w_rows: tuple[int, int]
+    b: slice | None
+    b_cast: tuple[int, ...]
+    x: slice | None
+    x_rows: tuple[int, int]
+    z: slice | None
+    z_shape: tuple[int, ...]
+    grid: tuple[int, ...]
+    ones: np.ndarray
+
+
+@dataclass(frozen=True)
+class HiddenBlocks:
+    """Hidden layer l's X[l] and Z[l] slices and, where ``pool`` feeds
+    X[l], its P[l] slice; X[l] and P[l] have ``x_shape``."""
+
+    l: int
+    x: slice
+    z: slice
+    p: slice | None
+    x_shape: tuple[int, ...]
+    z_shape: tuple[int, ...]
+    pool: PoolLayer | None
+
+
+@dataclass(frozen=True)
 class FlatLayout:
-    """What a flat gradient pass needs besides the state, built once per
-    target: the packer that lays out position and gradient, the negated
-    prior precision of each of its ``n_params`` W/b coordinates, and the
-    first layer's design of the clamped inputs (a view for a dense layer,
-    the im2col patches for conv)."""
+    """What a flat gradient pass needs besides the position, built once
+    per target: the packer that lays out position and gradient, the
+    negated prior precision of each of its ``n_params`` W/b coordinates,
+    the first layer's design of the clamped inputs (a view for a dense
+    layer, the im2col patches for conv), and the block table: one
+    ``WeightedBlocks`` per weighted layer and one ``HiddenBlocks`` per
+    hidden layer of the packed vector. A pass makes its views from these
+    slices and shapes, with no ``FlatPacker`` lookups."""
 
     packer: FlatPacker
     neg_lam: np.ndarray
     design: np.ndarray
+    weighted: tuple[WeightedBlocks, ...]
+    hidden: tuple[HiddenBlocks, ...]
 
     @classmethod
-    def build(cls, packer: FlatPacker, prior: PriorSpec, design: np.ndarray) -> "FlatLayout":
+    def for_classical(cls, spec: NetworkSpec, prior: PriorSpec, design: np.ndarray) -> "FlatLayout":
+        return cls._build(spec, FlatPacker.for_classical(spec), prior, design)
+
+    @classmethod
+    def for_intermediate(cls, spec: NetworkSpec, n: int, prior: PriorSpec, design: np.ndarray) -> "FlatLayout":
+        return cls._build(spec, FlatPacker.for_intermediate(spec, n), prior, design)
+
+    @classmethod
+    def _build(cls, spec: NetworkSpec, packer: FlatPacker, prior: PriorSpec, design: np.ndarray) -> "FlatLayout":
         neg_lam = np.empty(packer.n_params)
         for kind, l, _ in packer.blocks:
             if kind in ("W", "b"):
                 neg_lam[packer.slices[kind, l][0]] = -(prior.lambda_w if kind == "W" else prior.lambda_b)[l]
-        return cls(packer, neg_lam, design)
+        # the first layer's design has one row per sample and output position
+        n = len(design) // math.prod(spec.weighted_layers[0].out_grid)
+
+        def cut(kind, l):
+            entry = packer.slices.get((kind, l))
+            return None if entry is None else entry[0]
+
+        weighted = []
+        for l, layer in enumerate(spec.weighted_layers, start=1):
+            units, fan_in, grid = layer.weight_shape[0], math.prod(layer.weight_shape[1:]), layer.out_grid
+            weighted.append(WeightedBlocks(
+                l=l,
+                w=cut("W", l),
+                w_shape=layer.weight_shape,
+                w_rows=(units, fan_in),
+                b=cut("b", l),
+                b_cast=(units,) + (1,) * len(grid),
+                x=cut("X", l),
+                x_rows=(n, fan_in),
+                z=cut("Z", l + 1),
+                z_shape=(n, *layer.out_shape),
+                grid=grid,
+                ones=np.ones(n * math.prod(grid)),
+            ))
+        hidden = tuple(
+            HiddenBlocks(l, cut("X", l), cut("Z", l), cut("P", l), packer.slices["X", l][1], packer.slices["Z", l][1], spec.pools.get(l))
+            for l in range(2, spec.depth + 1)
+            if ("X", l) in packer.slices
+        )
+        return cls(packer, neg_lam, design, tuple(weighted), hidden)
+
+    def weights(self, vec: np.ndarray) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray | None]]:
+        """W and b of ``vec`` as {l: view}, None for a layer without a bias."""
+        W = {t.l: vec[t.w].reshape(t.w_shape) for t in self.weighted}
+        b = {t.l: None if t.b is None else vec[t.b] for t in self.weighted}
+        return W, b
 
 
 def make_classical_target(dataset: Dataset, spec: NetworkSpec, delta: float, prior: PriorSpec):
     """(flat position) -> (log density, new flat gradient) for the loss posterior."""
     design = spec.weighted_layers[0].design(np.asarray(dataset.inputs, dtype=float))
-    layout = FlatLayout.build(FlatPacker.for_classical(spec), prior, design)
-    packer = layout.packer
+    layout = FlatLayout.for_classical(spec, prior, design)
 
     def target(vec: np.ndarray):
-        parts = packer.unpack(vec)
-        return classical_log_posterior(parts["W"], parts["b"], dataset, spec, delta, prior, position=vec, layout=layout)
+        W, b = layout.weights(vec)
+        return classical_log_posterior(W, b, dataset, spec, delta, prior, position=vec, layout=layout)
 
-    return target, packer
+    return target, layout.packer
 
 
 def make_intermediate_target(dataset: Dataset, spec: NetworkSpec, noise: NoiseSchedule, prior: PriorSpec):
@@ -349,14 +461,14 @@ def make_intermediate_target(dataset: Dataset, spec: NetworkSpec, noise: NoiseSc
     Inputs and the output pre-activations stay clamped for regression;
     for probit the output scores are part of the position and the hard
     constraint shows up as a -inf density outside the feasible cone.
-    Every call returns a new gradient vector, so a caller may hold one
-    across the next call.
+    Every call returns a new gradient vector and keeps no view of the
+    position, so a caller may hold a gradient across the next call and
+    update the position in place.
     """
     frame = clamped_frame(spec, dataset)
-    layout = FlatLayout.build(FlatPacker.for_intermediate(spec, dataset.n), prior, frame.first_design(spec))
-    packer = layout.packer
+    layout = FlatLayout.for_intermediate(spec, dataset.n, prior, frame.first_design(spec))
 
     def target(vec: np.ndarray):
-        return intermediate_log_posterior(packer.state(vec, frame), spec, noise, prior, position=vec, layout=layout)
+        return intermediate_log_posterior(frame, spec, noise, prior, position=vec, layout=layout)
 
-    return target, packer
+    return target, layout.packer

@@ -31,6 +31,7 @@ from nngibbs.network import (
     NetworkSpec,
     NoiseSchedule,
     PriorSpec,
+    ShapeMismatch,
     predict,
 )
 from nngibbs.presets import PRESETS, get_preset, mnist_cnn_gibbs, mnist_mlp_gibbs, preset_names, ts_criterion
@@ -634,6 +635,64 @@ class TestCli:
         assert err.startswith(f"input error: {data_path}: ") and err.count("\n") == 1
         assert "'inputs' array" in err
         assert not out.exists()
+
+    def test_data_for_another_network_is_an_input_error(self, tmp_path, capsys):
+        data_path = tmp_path / "ts.npz"
+        assert cli_main(["generate", "--preset", "ts-criterion", "--out", str(data_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert cli_main(["run", "--preset", "mnist-mlp-gibbs", "--data", str(data_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {data_path}: inputs have shape (2084, 50)") and err.count("\n") == 1
+        assert "(n, 784)" in err
+        assert not out.exists()
+
+    def test_probit_run_on_regression_data_is_an_input_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config()), encoding="utf-8")
+        data_path = tmp_path / "data.npz"
+        assert cli_main(["generate", "--config", str(cfg_path), "--out", str(data_path)]) == 0
+        capsys.readouterr()
+        probit = base_config(initializations=["zero"])
+        probit["network"] = dict(probit["network"], output="probit")
+        probit["network"]["layers"][1] = dict(probit["network"]["layers"][1], out_width=3)
+        cfg_path.write_text(json.dumps(probit), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--data", str(data_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: {data_path}: labels are not integer classes in [0, 3) for the probit output\n"
+        assert not out.exists()
+
+    def test_teacher_of_another_network_is_an_input_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config()), encoding="utf-8")
+        data_path = tmp_path / "data.npz"
+        assert cli_main(["generate", "--config", str(cfg_path), "--out", str(data_path)]) == 0
+        capsys.readouterr()
+        wider = base_config()
+        wider["network"]["layers"] = [dict(wider["network"]["layers"][0], out_width=4), dict(wider["network"]["layers"][1], in_width=4)]
+        cfg_path.write_text(json.dumps(wider), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--data", str(data_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {data_path}: the stored teacher's (layer, W, b) shapes are [(1, (3, 6), (3,))")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "labels, why",
+        [
+            (np.zeros((8, 2)), "labels have shape (8, 2), the network has 1 regression outputs"),
+            (np.zeros(7), "7 labels for 8 inputs"),
+        ],
+        ids=["regression-width", "label-count"],
+    )
+    def test_labels_that_do_not_fit_are_reported(self, tmp_path, labels, why):
+        data_path = tmp_path / "data.npz"
+        np.savez(data_path, inputs=np.zeros((8, 6)), labels=labels)
+        cfg = ExperimentConfig.from_dict(base_config(dataset={"source": "synthetic", "path": str(data_path)}))
+        with pytest.raises(ShapeMismatch) as info:
+            build_dataset(cfg, RngStream(0))
+        assert str(info.value) == f"{data_path}: {why}"
 
     @pytest.mark.parametrize("missing", ["config", "data", "idx", "trace"])
     def test_missing_input_file_is_reported(self, tmp_path, capsys, missing):

@@ -7,6 +7,8 @@ two posterior forms.
 import numpy as np
 import pytest
 
+from nngibbs.datasets import generate_teacher_student
+from nngibbs.gibbs import SweepSchedule, gibbs_sweep
 from nngibbs.kernels import RngStream
 from nngibbs.network import (
     Activation,
@@ -20,6 +22,8 @@ from nngibbs.network import (
     PoolLayer,
     PriorSpec,
     forward_generate,
+    noiseless_pass,
+    residual,
 )
 from nngibbs.posteriors import (
     FlatPacker,
@@ -239,10 +243,11 @@ class TestFlatGradient:
             assert flat.shape == (packer.size,) and logp_api == logp
             owner = grads["W"][1].base
             assert owner is not None and owner.shape == (packer.size,)
+            flat_blocks = packer.unpack(flat)
             for kind, l, shape in packer.blocks:
                 block = grads[kind][l]
                 assert block.shape == shape and block.base is owner, (kind, l)
-                assert block.tobytes() == packer.view(flat, kind, l).tobytes(), (kind, l)
+                assert block.tobytes() == flat_blocks[kind][l].tobytes(), (kind, l)
 
     @pytest.mark.parametrize("stack", ["dense", "conv-pool", "probit", "bias-free"])
     def test_classical_target_gradient_is_the_api_grads(self, stack):
@@ -255,10 +260,11 @@ class TestFlatGradient:
         assert flat.shape == (packer.size,) and logp_api == logp
         owner = grads["W"][1].base
         assert owner is not None and owner.shape == (packer.size,)
+        flat_blocks = packer.unpack(flat)
         for kind, l, shape in packer.blocks:
             block = grads[kind][l]
             assert block.shape == shape and block.base is owner, (kind, l)
-            assert block.tobytes() == packer.view(flat, kind, l).tobytes(), (kind, l)
+            assert block.tobytes() == flat_blocks[kind][l].tobytes(), (kind, l)
 
     @pytest.mark.parametrize("stack", ["probit", "bias-free"])
     def test_flat_target_matches_finite_differences(self, stack):
@@ -289,6 +295,10 @@ class TestFlatGradient:
         assert g2 is not g1 and not np.shares_memory(g1, g2)
         assert g1.tobytes() == kept.tobytes()
         assert not np.array_equal(g1, g2)
+        # hmc_step moves its position in place: no gradient views it
+        assert not np.shares_memory(g1, vec)
+        vec += 0.01
+        assert g1.tobytes() == kept.tobytes()
 
 
 class TestFlatPacker:
@@ -360,3 +370,194 @@ class TestFlatPacker:
         frame = clamped_frame(spec, Dataset(inputs=np.zeros((6, 4)), labels=np.arange(6)))
         assert frame.Z[3].shape == (6, 1) and frame.Z[3].dtype == float
         assert frame.labels is None and frame.W == {}
+
+
+# -- the passes as they were before the block table ---------------------------
+#
+# The bodies below are the noisy-layer and loss-posterior passes before
+# ``FlatLayout`` held the block table: every layer term through the layer
+# methods (``product``, ``weight_grad``, ``bias_grad``) and ``residual``,
+# into views of the gradient's blocks, reading the sampled blocks from a
+# chain state. The in-place pass must give the same bytes.
+
+
+def _sumsq(a):
+    r = a.ravel()
+    return float(r @ r)
+
+
+def _reference_prior(packer, prior, position):
+    neg_lam = np.empty(packer.n_params)
+    for kind, l, _ in packer.blocks:
+        if kind in ("W", "b"):
+            neg_lam[packer.slices[kind, l][0]] = -(prior.lambda_w if kind == "W" else prior.lambda_b)[l]
+    theta = position[: packer.n_params]
+    g = np.empty(packer.size)
+    grad = np.multiply(neg_lam, theta, out=g[: packer.n_params])
+    return 0.5 * float(theta @ grad), g
+
+
+def _reference_intermediate(state, spec, noise, prior):
+    packer = FlatPacker.for_intermediate(spec, state.n)
+    design = state.first_design(spec)
+    logp, g = _reference_prior(packer, prior, packer.pack(vars(state)))
+    views = packer.unpack(g)
+
+    def block(kind, l):
+        return views[kind][l]
+
+    big_l = spec.depth
+    act = spec.activation
+    for l, layer in enumerate(spec.weighted_layers, start=1):
+        x, w = state.X[l], state.W[l]
+        d = design if l == 1 else None
+        resid = residual(state.Z[l + 1], layer.product(w, x, d), state.b.get(l))
+        dz = noise.delta_z[l + 1]
+        logp -= _sumsq(resid) / (2.0 * dz)
+        grad_w = block("W", l)
+        grad_w += layer.weight_grad(resid, x, d) / dz
+        if spec.has_bias(l):
+            grad_b = block("b", l)
+            grad_b += layer.bias_grad(resid) / dz
+        if l >= 2:
+            np.dot(resid / dz, w, out=block("X", l).reshape(len(x), -1))
+        if l < big_l or spec.output == "probit":
+            np.divide(resid, -dz, out=block("Z", l + 1))
+    for l in range(2, big_l + 1):
+        pre, pre_kind = state.Z[l], "Z"
+        pool = spec.pools.get(l)
+        if pool is not None:
+            dpool = noise.delta_pool[l]
+            rp = state.P[l] - pool.pool_mean(state.Z[l])
+            logp -= _sumsq(rp) / (2.0 * dpool)
+            scaled = rp / dpool
+            np.negative(scaled, out=block("P", l))
+            gz = block("Z", l)
+            gz += pool.spread(scaled, state.Z[l])
+            pre, pre_kind = state.P[l], "P"
+        dx = noise.delta_x[l]
+        mismatch = state.X[l] - act.apply(pre)
+        logp -= _sumsq(mismatch) / (2.0 * dx)
+        scaled = mismatch / dx
+        gx = block("X", l)
+        gx -= scaled
+        scaled *= act.derivative(pre)
+        g_pre = block(pre_kind, l)
+        g_pre += scaled
+    if spec.output == "probit":
+        if np.any(np.argmax(state.Z[spec.depth + 1], axis=1) != state.labels):
+            logp = -np.inf
+    return logp, g
+
+
+def _reference_classical(W, b, dataset, spec, delta, prior):
+    inputs = np.asarray(dataset.inputs, dtype=float)
+    packer = FlatPacker.for_classical(spec)
+    design = spec.weighted_layers[0].design(inputs)
+    logp, g = _reference_prior(packer, prior, packer.pack({"W": W, "b": b}))
+    n = inputs.shape[0]
+    fwd = noiseless_pass(spec, W, b, inputs, design)
+    out = fwd.Z[spec.depth + 1]
+    if spec.output == "regression":
+        y = np.asarray(dataset.labels, dtype=float).reshape(out.shape)
+        resid = out - y
+        logp += -_sumsq(resid) / (2.0 * delta)
+        d_out = -resid / delta
+    else:
+        y = np.asarray(dataset.labels, dtype=int)
+        e = np.exp(out - out.max(axis=1, keepdims=True))
+        q = e / e.sum(axis=1, keepdims=True)
+        picked = np.clip(q[np.arange(n), y], 1e-300, None)
+        logp += float(np.log(picked).sum()) / (2.0 * delta)
+        onehot = np.zeros_like(q)
+        onehot[np.arange(n), y] = 1.0
+        d_out = -(q - onehot) / (2.0 * delta)
+    views = packer.unpack(g)
+    dl = d_out
+    for l in range(spec.depth, 0, -1):
+        layer = spec.weighted_layers[l - 1]
+        grad_w = views["W"][l]
+        grad_w += layer.weight_grad(dl, fwd.X[l], design if l == 1 else None)
+        if spec.has_bias(l):
+            grad_b = views["b"][l]
+            grad_b += layer.bias_grad(dl)
+        if l > 1:
+            pre = fwd.P[l] if l in spec.pools else fwd.Z[l]
+            dl = np.dot(dl, fwd.W[l]).reshape(pre.shape) * spec.activation.derivative(pre)
+            if l in spec.pools:
+                dl = spec.pools[l].spread(dl, fwd.Z[l])
+    return logp, g
+
+
+def _oracle_problem(stack):
+    """A spec, its noise and prior, a dataset and its generating state:
+    acceptance 4's 10-4-1 net at n = 100, or a small stack at n = 7."""
+    if stack == "10-4-1":
+        spec = mlp([10, 4, 1])
+        noise = NoiseSchedule.uniform(spec, 1e-2)
+        prior = PriorSpec.fan_in(spec)
+        data = generate_teacher_student(spec, prior, 100, 0, RngStream(4000, (0,)), noise_gen=noise)
+        return spec, noise, prior, data, data.teacher.copy()
+    conv = ConvLayer(1, 2, in_height=5, in_width=5, filter_height=2, filter_width=2)
+    spec = {
+        "relu-bias": lambda: mlp([4, 3, 2, 1]),
+        "relu-no-bias": lambda: mlp([4, 3, 2, 1], bias=False),
+        "abs-bias": lambda: mlp([4, 3, 2, 1], activation=Activation.ABS),
+        "abs-no-bias": lambda: mlp([4, 3, 2, 1], activation=Activation.ABS, bias=False),
+        "probit-3": lambda: mlp([4, 3, 3], output="probit"),
+        "conv-pool-probit": lambda: NetworkSpec(layers=(conv, PoolLayer(2, 4, 4, 2, 2), DenseLayer(8, 3)), output="probit"),
+    }[stack]()
+    noise = NoiseSchedule.uniform(spec, 0.2)
+    prior = PriorSpec.fan_in(spec)
+    rng = RngStream(14)
+    gen = rng.generator
+    X = gen.standard_normal((7, *spec.layers[0].in_shape))
+    W = {l: gen.standard_normal(spec.weight_shape(l)) for l in range(1, spec.depth + 1)}
+    b = {l: gen.standard_normal(spec.bias_width(l)) if spec.has_bias(l) else None for l in range(1, spec.depth + 1)}
+    state, labels = forward_generate(spec, noise, W, b, X, rng)
+    return spec, noise, prior, Dataset(inputs=X, labels=labels), state
+
+
+ORACLE_STACKS = ["relu-bias", "relu-no-bias", "abs-bias", "abs-no-bias", "probit-3", "conv-pool-probit", "10-4-1"]
+
+
+def _same_bytes(logp, g, ref_logp, ref_g):
+    assert np.float64(logp).tobytes() == np.float64(ref_logp).tobytes()
+    assert g.tobytes() == ref_g.tobytes()
+
+
+class TestBitwiseOracle:
+    @pytest.mark.parametrize("stack", ORACLE_STACKS)
+    def test_intermediate_target_is_the_reference_pass(self, stack):
+        spec, noise, prior, dataset, state = _oracle_problem(stack)
+        target, packer = make_intermediate_target(dataset, spec, noise, prior)
+        vec = packer.pack(vars(state))
+        # off the generating point; a probit top keeps its argmax cone
+        free = packer.slices["Z", spec.depth + 1][0].start if spec.output == "probit" else packer.size
+        vec[:free] += 0.05 * np.random.default_rng(15).standard_normal(free)
+        logp, g = target(vec)
+        assert np.isfinite(logp)
+        _same_bytes(logp, g, *_reference_intermediate(packer.state(vec, clamped_frame(spec, dataset)), spec, noise, prior))
+
+    @pytest.mark.parametrize("stack", ORACLE_STACKS)
+    def test_state_api_on_a_gibbs_state_is_the_reference_pass(self, stack):
+        """A Gibbs draw leaves W transposed in memory; the state API reads
+        the chain's own arrays, so the observer's score keeps its bits."""
+        spec, noise, prior, dataset, state = _oracle_problem(stack)
+        for _ in range(3):
+            gibbs_sweep(state, spec, noise, prior, SweepSchedule(), RngStream(16))
+        assert not state.W[1].flags.c_contiguous
+        logp, grads = intermediate_log_posterior(state, spec, noise, prior)
+        ref_logp, ref_g = _reference_intermediate(state, spec, noise, prior)
+        packer = FlatPacker.for_intermediate(spec, state.n)
+        _same_bytes(logp, packer.pack(grads), ref_logp, ref_g)
+
+    @pytest.mark.parametrize("stack", ORACLE_STACKS)
+    def test_classical_target_is_the_reference_pass(self, stack):
+        spec, noise, prior, dataset, state = _oracle_problem(stack)
+        target, packer = make_classical_target(dataset, spec, 0.2, prior)
+        vec = packer.pack({"W": state.W, "b": state.b})
+        vec += 0.05 * np.random.default_rng(17).standard_normal(packer.size)
+        logp, g = target(vec)
+        parts = packer.unpack(vec)
+        _same_bytes(logp, g, *_reference_classical(parts["W"], parts["b"], dataset, spec, 0.2, prior))
