@@ -23,7 +23,7 @@ from .network import (
     predict,
     test_mse,
 )
-from .posteriors import classical_log_posterior, intermediate_log_posterior
+from .posteriors import intermediate_log_posterior
 from .gibbs import SweepSchedule, gibbs_sweep
 from .samplers import ChainRun, HmcSettings, MalaSettings, hmc_step, mala_step, run_chain
 from .diagnostics import (
@@ -32,7 +32,6 @@ from .diagnostics import (
     RhatReport,
     TraceSeries,
     rhat,
-    score_statistic,
     stationarity_onset,
     teacher_student_merge,
 )

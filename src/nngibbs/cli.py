@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,6 +20,17 @@ from .kernels import RngStream
 from .network import ShapeMismatch
 
 __all__ = ["main"]
+
+
+class InputError(Exception):
+    """A trace or flag given to ``diagnose`` that it cannot use."""
+
+
+def _preset(name: str, delta: float | None) -> ExperimentConfig:
+    try:
+        return presets.get_preset(name, delta=delta)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -36,7 +48,7 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from None
         cfg = ExperimentConfig.from_dict(raw)
     elif args.preset is not None:
-        cfg = presets.get_preset(args.preset, delta=args.delta)
+        cfg = _preset(args.preset, args.delta)
     else:
         raise ConfigError("a --config file or --preset name is required")
     raw = cfg.to_dict()
@@ -91,10 +103,12 @@ def _cmd_diagnose(args) -> int:
         try:
             table = read_trace(path)
         except ValueError as exc:
-            raise SystemExit(str(exc)) from None
+            raise InputError(str(exc)) from None
         if args.observable not in table:
-            raise SystemExit(f"{path}: no observable named {args.observable!r} (have {sorted(table)})")
+            raise InputError(f"{path}: no observable named {args.observable!r} (have {sorted(table)})")
         series_by_file[path] = table[args.observable]
+    if args.informed is not None and args.informed not in series_by_file:
+        raise InputError(f"--informed {args.informed}: not one of the trace files")
 
     report = {"observable": args.observable, "window": args.window, "tolerance_sigmas": args.tolerance, "files": {}}
     for path, series in series_by_file.items():
@@ -121,8 +135,6 @@ def _cmd_diagnose(args) -> int:
             report["rhat_blocks"] = {"error": str(exc)}
 
     if args.informed is not None:
-        if args.informed not in series_by_file:
-            raise SystemExit(f"--informed {args.informed}: not one of the trace files")
         report["merge"] = diagnostics.merge_verdicts(series_by_file, args.informed, args.observable, args.window, args.tolerance)
 
     text = json.dumps(report, indent=2, default=float)
@@ -136,7 +148,7 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_presets(args) -> int:
     if args.show is not None:
-        cfg = presets.get_preset(args.show, delta=args.delta)
+        cfg = _preset(args.show, args.delta)
         print(cfg.to_json())
         return 0
     for name in presets.preset_names():
@@ -178,14 +190,14 @@ def main(argv=None) -> int:
         # a window's variance takes two samples
         if args.window < 2:
             p_diag.error(f"argument --window: must be >= 2, got {args.window}")
-        if not args.tolerance > 0:
-            p_diag.error(f"argument --tolerance: must be > 0, got {args.tolerance}")
+        if not 0 < args.tolerance < math.inf:
+            p_diag.error(f"argument --tolerance: must be > 0 and finite, got {args.tolerance}")
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ShapeMismatch, ds.BadMagic, ds.TruncatedFile, ds.CountMismatch) as exc:
+    except (OSError, InputError, ShapeMismatch, ds.BadMagic, ds.TruncatedFile, ds.CountMismatch) as exc:
         # each message names the file it is about
         print(f"input error: {exc}", file=sys.stderr)
         return 2

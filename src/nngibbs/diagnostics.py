@@ -1,6 +1,6 @@
 """Thermalization diagnostics: the pooled/within variance-ratio statistic
-over parallel chains, the rescaled score statistic, windowed stationarity
-detection, and the informed-chain merge criterion.
+over parallel chains, windowed stationarity detection, and the
+informed-chain merge criterion.
 
 The merge criterion exploits a synthetic-data fact: a chain started at
 the generating network is already an equilibrium sample, so its
@@ -22,7 +22,6 @@ __all__ = [
     "RhatReport",
     "rhat",
     "rhat_series",
-    "score_statistic",
     "stationarity_onset",
     "teacher_student_merge",
     "merge_verdicts",
@@ -139,23 +138,13 @@ def rhat_series(chains: list[TraceSeries], block: int = 50):
     return np.asarray(times), reports
 
 
-def score_statistic(state, grad_fn, delta: float) -> float:
-    """Temperature-rescaled mean log-density gradient over the first
-    weight layer.
-
-    At equilibrium the gradient of the log density has zero mean, so this
-    statistic fluctuates around zero.
-    """
-    return float(delta * np.mean(grad_fn(state)["W"][1]))
-
-
 def _check_window(window: int, tolerance_sigmas: float):
     # a window's variance takes two samples; a band of width 0 or NaN
-    # accepts nothing
+    # accepts nothing, and an infinite one accepts everything
     if window < 2:
         raise ValueError(f"window must be >= 2, got {window}")
-    if not tolerance_sigmas > 0:
-        raise ValueError(f"tolerance_sigmas must be > 0, got {tolerance_sigmas}")
+    if not 0 < tolerance_sigmas < np.inf:
+        raise ValueError(f"tolerance_sigmas must be > 0 and finite, got {tolerance_sigmas}")
 
 
 def _window_stats(values: np.ndarray, window: int):

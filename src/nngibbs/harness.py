@@ -117,11 +117,13 @@ class ExperimentConfig:
             if isinstance(value, numbers.Real) and value < low:
                 raise ConfigError(f"{name}: must be >= {low}, got {value}")
         for name, value in (
-            ("merge_tolerance", self.merge_tolerance), ("dataset.delta_gen", self.dataset.delta_gen), ("max_seconds", self.max_seconds),
-            ("sampler.step_size", self.sampler.step_size),
+            ("dataset.delta_gen", self.dataset.delta_gen), ("max_seconds", self.max_seconds), ("sampler.step_size", self.sampler.step_size),
         ):
             if value is not None and not value > 0:
                 raise ConfigError(f"{name}: must be > 0, got {value}")
+        # a band of infinite width calls every chain merged
+        if not 0 < self.merge_tolerance < math.inf:
+            raise ConfigError(f"merge_tolerance: must be > 0 and finite, got {self.merge_tolerance}")
         # the uniform tables hold exactly the layers each table must cover
         for section, full in (("noise", NoiseSchedule.uniform(self.network, 1.0)), ("prior", PriorSpec.uniform(self.network, 1.0))):
             for name, layers in vars(full).items():
@@ -487,22 +489,14 @@ class _Observer:
                 self.test_target = np.asarray(dataset.test_labels, dtype=float).reshape(len(dataset.test_inputs), -1)
         if spec.activation is not Activation.SIGN:
             self.columns.append("score_U")
-            # the score's gradient layout, built once per chain
-            design = spec.weighted_layers[0].design(np.asarray(dataset.inputs, dtype=float))
-            if cfg.sampler.posterior == "intermediate":
-                self.layout = posteriors.FlatLayout.for_intermediate(spec, dataset.n, cfg.prior, design)
-            else:
-                self.layout = posteriors.FlatLayout.for_classical(spec, cfg.prior, design)
+            if cfg.sampler.posterior == "classical":
+                # the loss posterior's score is its target's W[1] gradient block
+                self.target, self.packer = posteriors.make_classical_target(dataset, spec, self.delta, cfg.prior)
         if cfg.sampler.posterior == "intermediate":
             self.columns.append("train_residual")
         if cfg.sampler.kind in ("hmc", "mala"):
             self.columns.append("acceptance_rate")
         self.columns += [f"w{l}_sqnorm" for l in range(1, spec.depth + 1)]
-
-    def _log_posterior_grads(self, state: ChainState) -> dict:
-        if self.cfg.sampler.posterior == "intermediate":
-            return posteriors.intermediate_log_posterior(state, self.spec, self.cfg.noise, self.cfg.prior, layout=self.layout)[1]
-        return posteriors.classical_log_posterior(state.W, state.b, self.dataset, self.spec, self.delta, self.cfg.prior, layout=self.layout)[1]
 
     def observe_state(self, state: ChainState, acceptance: float | None = None) -> dict[str, float]:
         spec, dataset = self.spec, self.dataset
@@ -513,12 +507,22 @@ class _Observer:
             out["test_mse"] = output_mse(scores, self.test_target)
         if "test_error" in self.columns:
             out["test_error"] = error_rate(scores, dataset.test_labels)
-        if "score_U" in self.columns:
-            out["score_U"] = diagnostics.score_statistic(state, self._log_posterior_grads, self.delta)
-        if "train_residual" in self.columns:
-            product = spec.weighted_layers[0].product(state.W[1], state.X[1], state.first_design(spec))
-            resid = residual(state.Z[2], product, state.b.get(1))
+        if self.cfg.sampler.posterior == "intermediate":
+            # on the noisy-layer posterior the W[1] gradient is the prior's
+            # term plus the first layer's residual times its design
+            layer, design = spec.weighted_layers[0], state.first_design(spec)
+            resid = residual(state.Z[2], layer.product(state.W[1], state.X[1], design), state.b.get(1))
             out["train_residual"] = float(np.sum(resid * resid))
+            if "score_U" in self.columns:
+                # a new C-ordered array: a Gibbs draw leaves W[1] transposed,
+                # and a mean over another memory order can move the last bit
+                grad = np.multiply(-self.cfg.prior.lambda_w[1], state.W[1], out=np.empty(state.W[1].shape))
+                grad += layer.weight_grad(resid, state.X[1], design) / self.cfg.noise.delta_z[2]
+                out["score_U"] = float(self.delta * np.mean(grad))
+        elif "score_U" in self.columns:
+            sl, shape = self.packer.slices["W", 1]
+            grad = self.target(self.packer.pack({"W": state.W, "b": state.b}))[1]
+            out["score_U"] = float(self.delta * np.mean(grad[sl].reshape(shape)))
         if acceptance is not None:
             out["acceptance_rate"] = acceptance
         for l in range(1, spec.depth + 1):

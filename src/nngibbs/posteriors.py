@@ -25,7 +25,6 @@ from .network import (
     OUTPUT_PROBIT,
     OUTPUT_REGRESSION,
     PoolLayer,
-    as_rows,
     noiseless_pass,
 )
 
@@ -82,40 +81,23 @@ def _backward_from_output(spec, fwd: ChainState, d_out, layout: FlatLayout, g: n
                 delta = spec.pools[l].spread(delta, fwd.Z[l])
 
 
-def classical_log_posterior(
-    W: dict[int, np.ndarray],
-    b: dict[int, np.ndarray | None],
-    dataset: Dataset,
-    spec: NetworkSpec,
-    delta: float,
-    prior: PriorSpec,
-    position: np.ndarray | None = None,
-    layout: FlatLayout | None = None,
-):
+def classical_log_posterior(position: np.ndarray, layout: FlatLayout, dataset: Dataset, spec: NetworkSpec, delta: float):
     """Output-loss posterior log density and its gradient over (W, b).
 
     Regression pairs the squared loss with temperature delta; probit
     specs are scored with softmax cross-entropy here (hard argmax stays a
     prediction-time device). ReLU uses the zero subgradient at the kink.
 
-    The gradient is written into one new flat vector laid out by
-    ``FlatPacker.for_classical``. Given a ``position`` (the flat vector
-    that W and b view, see ``make_classical_target``) it comes back as
-    that vector. Without one, the position is packed from W and b once,
-    the pass is the same, and the gradient comes back as
-    {"W": {l: block}, "b": {l: block}} views of it. A ``layout`` (see
-    ``FlatLayout.for_classical``) is built when none is given.
+    W and b are read from the flat ``position`` through ``layout`` (see
+    ``FlatLayout.for_classical``), and the gradient is written into one
+    new flat vector in the same layout.
     """
     inputs = np.asarray(dataset.inputs, dtype=float)
-    if layout is None:
-        layout = FlatLayout.for_classical(spec, prior, spec.weighted_layers[0].design(inputs))
-    flat = position is not None
-    if not flat:
-        position = layout.packer.pack({"W": W, "b": b})
     logp, g = _prior(layout, position)
 
     n = inputs.shape[0]
     if n > 0:
+        W, b = layout.weights(position)
         fwd = noiseless_pass(spec, W, b, inputs, layout.design)
         out = fwd.Z[spec.depth + 1]
         if spec.output == OUTPUT_REGRESSION:
@@ -132,7 +114,7 @@ def classical_log_posterior(
             onehot[np.arange(n), y] = 1.0
             d_out = -(q - onehot) / (2.0 * delta)
         _backward_from_output(spec, fwd, d_out, layout, g)
-    return logp, (g if flat else layout.packer.unpack(g))
+    return logp, g
 
 
 def intermediate_log_posterior(
@@ -162,10 +144,8 @@ def intermediate_log_posterior(
 
     Given a ``position`` (see ``make_intermediate_target``) the gradient
     comes back as that vector. Without one, the position is packed from
-    ``state`` once, and the gradient comes back as {kind: {l: block}}
-    views of it; the weight products then read ``state``'s own W and X
-    arrays, whose memory order (a Gibbs draw is transposed) can move the
-    last bit of a matrix product.
+    ``state`` once, the pass is the same, and the gradient comes back as
+    {kind: {l: block}} views of it.
     """
     if spec.activation is Activation.SIGN:
         raise NonDifferentiableActivation("sign activation has no usable gradient")
@@ -178,12 +158,8 @@ def intermediate_log_posterior(
 
     # every block of g is first written whole, then added to
     for t in layout.weighted:
-        if flat:
-            w = position[t.w].reshape(t.w_rows)
-            x = layout.design if t.x is None else position[t.x].reshape(t.x_rows)
-        else:
-            w = state.W[t.l].reshape(t.w_rows)
-            x = layout.design if t.x is None else as_rows(state.X[t.l])
+        w = position[t.w].reshape(t.w_rows)
+        x = layout.design if t.x is None else position[t.x].reshape(t.x_rows)
         dz = noise.delta_z[t.l + 1]
         n, units = t.z_shape[:2]
         product = x @ w.T  # one row per sample, or per sample and output position (conv)
@@ -198,7 +174,6 @@ def intermediate_log_posterior(
         logp -= _sumsq(resid) / (2.0 * dz)
         # units or channels as rows: the view resid.T for dense, one copy for conv
         rows = resid.reshape(n, units, -1).transpose(1, 0, 2).reshape(units, -1) if t.grid else resid.T
-        # score_U reads W[1]: its bits are (-lambda W) + weight_grad / dz
         grad_w = g[t.w].reshape(t.w_rows)
         grad_w += (rows @ x) / dz
         if t.b is not None:
@@ -449,8 +424,7 @@ def make_classical_target(dataset: Dataset, spec: NetworkSpec, delta: float, pri
     layout = FlatLayout.for_classical(spec, prior, design)
 
     def target(vec: np.ndarray):
-        W, b = layout.weights(vec)
-        return classical_log_posterior(W, b, dataset, spec, delta, prior, position=vec, layout=layout)
+        return classical_log_posterior(vec, layout, dataset, spec, delta)
 
     return target, layout.packer
 

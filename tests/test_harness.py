@@ -4,12 +4,14 @@ surface."""
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import struct
 
 import numpy as np
 import pytest
 
+from nngibbs import posteriors
 from nngibbs.cli import main as cli_main
 from nngibbs.datasets import generate_teacher_student
 from nngibbs.gibbs import SweepSchedule, gibbs_sweep
@@ -18,6 +20,7 @@ from nngibbs.harness import (
     DatasetConfig,
     ExperimentConfig,
     MissingTeacher,
+    _Observer,
     build_dataset,
     initialize_chain,
     read_trace,
@@ -146,6 +149,7 @@ class TestConfig:
             (("dataset", "test_subset"), 0, r"dataset\.test_subset: must be >= 1"),
             (("max_seconds",), -5, r"max_seconds: must be > 0"),
             (("merge_tolerance",), 0, r"merge_tolerance: must be > 0"),
+            (("merge_tolerance",), math.inf, r"merge_tolerance: must be > 0 and finite, got inf"),
             (("initializations",), ["gaussian:abc"], r"initializations: 'gaussian:abc' needs a finite positive scale"),
             (("initializations",), ["gaussian:-1"], r"initializations: 'gaussian:-1' needs a finite positive scale"),
             (("network",), conv_pool_network(1, "window_height", 0), r"network\.layers\[1\]: window_height must be at least 1, got 0"),
@@ -197,6 +201,7 @@ class TestConfig:
             "test-subset-zero",
             "max-seconds-negative",
             "merge-tolerance-zero",
+            "merge-tolerance-infinite",
             "gaussian-scale-not-number",
             "gaussian-scale-negative",
             "pool-window-zero",
@@ -385,6 +390,24 @@ class TestRunExperiment:
         table = read_trace(tmp_path / "trace_chain0_informed.csv")
         assert "train_residual" in table and "score_U" in table
 
+    def test_noisy_layer_record_makes_no_posterior_pass(self, monkeypatch):
+        """score_U and train_residual both come from the first layer's
+        residual: a record packs nothing and runs no posterior pass."""
+        cfg = ExperimentConfig.from_dict(base_config())
+        dataset = build_dataset(cfg, RngStream(0))
+        state = initialize_chain("informed", dataset, cfg.network, cfg.noise, cfg.prior, RngStream(1))
+        gibbs_sweep(state, cfg.network, cfg.noise, cfg.prior, SweepSchedule(), RngStream(2))
+        observer = _Observer(cfg, dataset)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the observer ran a posterior pass")
+
+        monkeypatch.setattr(posteriors, "intermediate_log_posterior", refuse)
+        monkeypatch.setattr(posteriors.FlatPacker, "pack", refuse)
+        monkeypatch.setattr(posteriors.FlatPacker, "unpack", refuse)
+        out = observer.observe_state(state)
+        assert {"score_U", "train_residual"} <= set(out) and np.isfinite(out["score_U"])
+
     def test_max_seconds_flushes(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(sweeps=10_000_000, max_seconds=0.5, spacing=1000))
         summary = run_experiment(cfg, tmp_path)
@@ -566,11 +589,13 @@ class TestCli:
         assert rc == 0
         report = json.loads((tmp_path / "diagnosis.json").read_text())
         assert report["merge"] == {zero: {"error": "series must cover at least two windows"}}
-        with pytest.raises(SystemExit, match="--informed"):
-            cli_main(["diagnose", zero, "--informed", informed])
+        capsys.readouterr()
+        assert cli_main(["diagnose", zero, "--informed", informed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: --informed {informed}: not one of the trace files\n" and captured.out == ""
 
     @pytest.mark.parametrize(
-        "flag, value", [("--window", "0"), ("--window", "1"), ("--window", "-1"), ("--tolerance", "0")]
+        "flag, value", [("--window", "0"), ("--window", "1"), ("--window", "-1"), ("--tolerance", "0"), ("--tolerance", "inf")]
     )
     def test_diagnose_refuses_window_below_two_and_nonpositive_tolerance(self, tmp_path, capsys, flag, value):
         trace = tmp_path / "trace.csv"
@@ -739,8 +764,36 @@ class TestCli:
         garbled.write_text("sweep,wall_s,test_mse\n0,0.001,1.5\n10,0.002,oops\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"garbled\.csv, line 3: expected 3 numbers, got '10,0.002,oops'"):
             read_trace(garbled)
-        with pytest.raises(SystemExit, match=r"header_only\.csv, line 2"):
-            cli_main(["diagnose", str(header_only)])
+        assert cli_main(["diagnose", str(header_only)]) == 2
+        assert re.fullmatch(r"input error: .*header_only\.csv, line 2: no records after the header\n", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("fault", ["garbled", "no-observable"])
+    def test_diagnose_input_faults_are_one_line(self, tmp_path, capsys, fault):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("sweep,wall_s,test_mse\n0,0.001,1.5\n10,0.002,1.25\n", encoding="utf-8")
+        garbled = tmp_path / "garbled.csv"
+        garbled.write_text("sweep,wall_s,test_mse\n0,0.001,1.5\n10,0.002,oops\n", encoding="utf-8")
+        argv, why = {
+            "garbled": ([str(garbled)], "garbled.csv, line 3: expected 3 numbers"),
+            "no-observable": ([str(trace), "--observable", "score_U"], "trace.csv: no observable named 'score_U'"),
+        }[fault]
+        out = tmp_path / "report"
+        assert cli_main(["diagnose", *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1 and why in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--preset", "nope", "--out", "x"], ["generate", "--preset", "nope", "--out", "x.npz"], ["presets", "--show", "nope"]],
+        ids=["run", "generate", "presets-show"],
+    )
+    def test_unknown_preset_is_a_config_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: unknown preset 'nope'; available: {', '.join(preset_names())}\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     def test_informed_start_stationary_end_to_end(self, tmp_path):
         # CLI-run informed chain: no first-half/second-half drift in any

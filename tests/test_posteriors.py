@@ -9,6 +9,7 @@ import pytest
 
 from nngibbs.datasets import generate_teacher_student
 from nngibbs.gibbs import SweepSchedule, gibbs_sweep
+from nngibbs.harness import DatasetConfig, ExperimentConfig, SamplerConfig, _Observer
 from nngibbs.kernels import RngStream
 from nngibbs.network import (
     Activation,
@@ -28,7 +29,6 @@ from nngibbs.network import (
 from nngibbs.posteriors import (
     FlatPacker,
     clamped_frame,
-    classical_log_posterior,
     intermediate_log_posterior,
     make_classical_target,
     make_intermediate_target,
@@ -69,9 +69,10 @@ class TestClassicalPosterior:
         prior = PriorSpec.uniform(spec, 2.0)
         W = {1: np.array([[0.5, -1.0, 2.0]])}
         dataset = Dataset(inputs=np.zeros((0, 3)), labels=np.zeros((0, 1)))
-        logp, grads = classical_log_posterior(W, {1: None}, dataset, spec, 0.1, prior)
+        target, packer = make_classical_target(dataset, spec, 0.1, prior)
+        logp, grad = target(packer.pack({"W": W, "b": {1: None}}))
         assert logp == pytest.approx(-0.5 * 2.0 * float(np.sum(W[1] ** 2)))
-        np.testing.assert_allclose(grads["W"][1], -2.0 * W[1])
+        np.testing.assert_allclose(packer.unpack(grad)["W"][1], -2.0 * W[1])
 
     def test_gradient_matches_finite_differences(self):
         spec, noise, prior, dataset, _ = small_regression_problem()
@@ -184,13 +185,14 @@ class TestIntermediatePosterior:
         X = gen.standard_normal((20, 5))
         y = gen.standard_normal((20, 1))
         dataset = Dataset(inputs=X, labels=y)
+        target, packer = make_classical_target(dataset, spec, delta, prior)
         diffs = []
         for _ in range(100):
             W = {1: gen.standard_normal((1, 5))}
             b = {1: gen.standard_normal(1)}
             state = ChainState(W=W, b=b, X={1: X}, Z={2: y})
             lp_int = intermediate_log_posterior(state, spec, noise, prior)[0]
-            lp_cls = classical_log_posterior(W, b, dataset, spec, delta, prior)[0]
+            lp_cls = target(packer.pack({"W": W, "b": b}))[0]
             diffs.append(lp_int - lp_cls)
         diffs = np.asarray(diffs)
         assert np.max(np.abs(diffs - diffs[0])) < 1e-9
@@ -248,23 +250,6 @@ class TestFlatGradient:
                 block = grads[kind][l]
                 assert block.shape == shape and block.base is owner, (kind, l)
                 assert block.tobytes() == flat_blocks[kind][l].tobytes(), (kind, l)
-
-    @pytest.mark.parametrize("stack", ["dense", "conv-pool", "probit", "bias-free"])
-    def test_classical_target_gradient_is_the_api_grads(self, stack):
-        """The loss posterior's target and its W/b API run one pass: the
-        same density and gradient bits, the API's blocks viewing one vector."""
-        spec, noise, prior, dataset, state = _generated_problem(stack)
-        target, packer = make_classical_target(dataset, spec, 0.2, prior)
-        logp, flat = target(packer.pack({"W": state.W, "b": state.b}))
-        logp_api, grads = classical_log_posterior(state.W, state.b, dataset, spec, 0.2, prior)
-        assert flat.shape == (packer.size,) and logp_api == logp
-        owner = grads["W"][1].base
-        assert owner is not None and owner.shape == (packer.size,)
-        flat_blocks = packer.unpack(flat)
-        for kind, l, shape in packer.blocks:
-            block = grads[kind][l]
-            assert block.shape == shape and block.base is owner, (kind, l)
-            assert block.tobytes() == flat_blocks[kind][l].tobytes(), (kind, l)
 
     @pytest.mark.parametrize("stack", ["probit", "bias-free"])
     def test_flat_target_matches_finite_differences(self, stack):
@@ -518,6 +503,15 @@ def _oracle_problem(stack):
     return spec, noise, prior, Dataset(inputs=X, labels=labels), state
 
 
+def _gibbs_swept(stack):
+    """``_oracle_problem`` after three Gibbs sweeps, which leave W transposed."""
+    spec, noise, prior, dataset, state = _oracle_problem(stack)
+    for _ in range(3):
+        gibbs_sweep(state, spec, noise, prior, SweepSchedule(), RngStream(16))
+    assert not state.W[1].flags.c_contiguous
+    return spec, noise, prior, dataset, state
+
+
 ORACLE_STACKS = ["relu-bias", "relu-no-bias", "abs-bias", "abs-no-bias", "probit-3", "conv-pool-probit", "10-4-1"]
 
 
@@ -541,16 +535,48 @@ class TestBitwiseOracle:
 
     @pytest.mark.parametrize("stack", ORACLE_STACKS)
     def test_state_api_on_a_gibbs_state_is_the_reference_pass(self, stack):
-        """A Gibbs draw leaves W transposed in memory; the state API reads
-        the chain's own arrays, so the observer's score keeps its bits."""
-        spec, noise, prior, dataset, state = _oracle_problem(stack)
-        for _ in range(3):
-            gibbs_sweep(state, spec, noise, prior, SweepSchedule(), RngStream(16))
-        assert not state.W[1].flags.c_contiguous
+        """A Gibbs draw leaves W transposed in memory; the state form packs
+        the state once and runs the target's pass at that position."""
+        spec, noise, prior, dataset, state = _gibbs_swept(stack)
         logp, grads = intermediate_log_posterior(state, spec, noise, prior)
-        ref_logp, ref_g = _reference_intermediate(state, spec, noise, prior)
-        packer = FlatPacker.for_intermediate(spec, state.n)
-        _same_bytes(logp, packer.pack(grads), ref_logp, ref_g)
+        target, packer = make_intermediate_target(dataset, spec, noise, prior)
+        _same_bytes(logp, packer.pack(grads), *target(packer.pack(vars(state))))
+
+    @pytest.mark.parametrize("posterior", ["intermediate", "classical"])
+    @pytest.mark.parametrize("flat", [False, True], ids=["gibbs-state", "flat-state"])
+    @pytest.mark.parametrize("stack", ORACLE_STACKS)
+    def test_observer_score_is_the_reference_score(self, stack, flat, posterior):
+        """The observer's score_U is delta times the mean W[1] block of the
+        reference gradient, and its train_residual the first layer's
+        squared residual, to the bit: on a Gibbs-swept state (W[1]
+        transposed in memory) and on a state that views a flat position.
+        A loss-posterior chain's state always views its position, so its
+        reference reads W and b at the packed position."""
+        spec, noise, prior, dataset, state = _gibbs_swept(stack)
+        cfg = ExperimentConfig(
+            network=spec, noise=noise, prior=prior, dataset=DatasetConfig(source="synthetic"),
+            sampler=SamplerConfig(kind="hmc", posterior=posterior, step_size=1e-3, leapfrog_steps=1),
+        )
+        observer = _Observer(cfg, dataset)
+        if flat:
+            packer = FlatPacker.for_intermediate(spec, state.n) if posterior == "intermediate" else FlatPacker.for_classical(spec)
+            state = packer.state(packer.pack(vars(state)), clamped_frame(spec, dataset))
+        assert state.W[1].flags.c_contiguous == flat
+        out = observer.observe_state(state)
+        delta = noise.output_delta
+        if posterior == "intermediate":
+            ref_g = _reference_intermediate(state, spec, noise, prior)[1]
+            w1 = FlatPacker.for_intermediate(spec, state.n).unpack(ref_g)["W"][1]
+            layer = spec.weighted_layers[0]
+            resid = residual(state.Z[2], layer.product(state.W[1], state.X[1]), state.b.get(1))
+            assert np.float64(out["train_residual"]).tobytes() == np.float64(np.sum(resid * resid)).tobytes()
+        else:
+            packer = FlatPacker.for_classical(spec)
+            parts = packer.unpack(packer.pack({"W": state.W, "b": state.b}))
+            ref_g = _reference_classical(parts["W"], parts["b"], dataset, spec, delta, prior)[1]
+            w1 = packer.unpack(ref_g)["W"][1]
+            assert "train_residual" not in out
+        assert np.float64(out["score_U"]).tobytes() == np.float64(delta * np.mean(w1)).tobytes()
 
     @pytest.mark.parametrize("stack", ORACLE_STACKS)
     def test_classical_target_is_the_reference_pass(self, stack):
