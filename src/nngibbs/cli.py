@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import datasets as ds
 from . import diagnostics, presets
-from .harness import ConfigError, ExperimentConfig, build_dataset, read_trace, run_experiment
+from .harness import ConfigError, ExperimentConfig, MissingTeacher, NonFiniteData, build_dataset, read_trace, run_experiment
 from .kernels import RngStream
 from .network import ShapeMismatch
 
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, InputError, ShapeMismatch, ds.BadMagic, ds.TruncatedFile, ds.CountMismatch) as exc:
+    except (OSError, InputError, ShapeMismatch, MissingTeacher, NonFiniteData, ds.BadMagic, ds.TruncatedFile, ds.CountMismatch) as exc:
         # each message names the file it is about
         print(f"input error: {exc}", file=sys.stderr)
         return 2

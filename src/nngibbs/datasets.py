@@ -132,7 +132,7 @@ def load_idx(images_path, labels_path, subset: int | None = None):
     return images, labels
 
 
-_TEACHER_BLOCKS = ("W", "b", "X", "Z", "P")
+TEACHER_BLOCKS = ("W", "b", "X", "Z", "P")
 
 
 def save_dataset(path, dataset: Dataset) -> None:
@@ -143,7 +143,7 @@ def save_dataset(path, dataset: Dataset) -> None:
         arrays["test_labels"] = dataset.test_labels
     t = dataset.teacher
     if t is not None:
-        for kind in _TEACHER_BLOCKS:
+        for kind in TEACHER_BLOCKS:
             for l, arr in getattr(t, kind).items():
                 if arr is not None:
                     arrays[f"teacher_{kind}_{l}"] = arr
@@ -175,7 +175,7 @@ def load_dataset(path) -> Dataset:
         test_labels = data["test_labels"] if "test_labels" in data else None
         teacher = None
         if any(k.startswith("teacher_W_") for k in data.files):
-            blocks = {kind: {} for kind in _TEACHER_BLOCKS}
+            blocks = {kind: {} for kind in TEACHER_BLOCKS}
             for key in data.files:
                 head, _, l = key.rpartition("_")
                 kind = head.removeprefix("teacher_")

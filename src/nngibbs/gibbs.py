@@ -52,7 +52,6 @@ __all__ = [
     "SweepSchedule",
     "ZBranchMasses",
     "ClampedFactor",
-    "UnsupportedActivation",
     "z_branch_masses",
     "sample_z_scalar",
     "clamped_factor",
@@ -63,10 +62,6 @@ __all__ = [
     "update_probit_output",
     "gibbs_sweep",
 ]
-
-
-class UnsupportedActivation(Exception):
-    """The two-branch Z machinery does not cover this activation."""
 
 
 @dataclass(frozen=True)
@@ -105,15 +100,6 @@ class ZBranchMasses:
     log_tail_neg: np.ndarray
 
 
-# Each two-branch activation is one linear piece slope*z + offset on each
-# half-line: (piece for z >= 0, piece for z < 0).
-_PIECES = {
-    Activation.RELU: ((1.0, 0.0), (0.0, 0.0)),
-    Activation.SIGN: ((0.0, 1.0), (0.0, -1.0)),
-    Activation.ABS: ((1.0, 0.0), (-1.0, 0.0)),
-}
-
-
 def _half_line(side: float, slope: float, offset: float, wx, x_next, dz: float, dx: float):
     """(log mass, mean, variance, log tail) of the branch on the half-line
     side*z >= 0, where the activation is slope*z + offset."""
@@ -139,19 +125,16 @@ def z_branch_masses(activation: Activation, wx, x_next, dz: float, dx: float) ->
 
     The conditional density is exp[-(z - wx)^2 / 2 dz] *
     exp[-(act(z) - x_next)^2 / 2 dx]. On each half-line the activation is
-    one linear piece, so the density there is a (truncated) Gaussian whose
-    mass, mean and variance follow from that piece alone. Mass factors are
-    evaluated in log_ndtr form, so arbitrarily lopsided branches stay
-    finite.
+    one linear piece (``Activation.pieces``), so the density there is a
+    (truncated) Gaussian whose mass, mean and variance follow from that
+    piece alone. Mass factors are evaluated in log_ndtr form, so
+    arbitrarily lopsided branches stay finite.
     """
     if dz <= 0.0 or dx <= 0.0:
         raise ValueError("noise variances must be positive")
-    activation = Activation(activation)
-    if activation not in _PIECES:
-        raise UnsupportedActivation(f"no two-branch decomposition for {activation.value} activation")
     wx = np.asarray(wx, dtype=float)
     x_next = np.asarray(x_next, dtype=float)
-    pos, neg = _PIECES[activation]
+    pos, neg = Activation(activation).pieces
     log_pos, mean_pos, var_pos, tail_pos = _half_line(1.0, *pos, wx, x_next, dz, dx)
     log_neg, mean_neg, var_neg, tail_neg = _half_line(-1.0, *neg, wx, x_next, dz, dx)
     return ZBranchMasses(log_pos, log_neg, mean_pos, var_pos, mean_neg, var_neg, tail_pos, tail_neg)
@@ -161,18 +144,9 @@ def sample_z_scalar(activation: Activation, wx, x_next, dz: float, dx: float, rn
     """Elementwise draw from the scalar pre-activation conditional.
 
     Bernoulli branch choice on the exact mass split, then a one-sided
-    truncated normal from the chosen branch. Linear activation takes the
-    closed-form Gaussian path (the product of the two factors).
+    truncated normal from the chosen branch.
     """
-    activation = Activation(activation)
-    wx = np.asarray(wx, dtype=float)
-    x_next = np.asarray(x_next, dtype=float)
     gen = rng.generator
-    if activation is Activation.LINEAR:
-        v = dz * dx / (dz + dx)
-        mean = (dx * wx + dz * x_next) / (dz + dx)
-        return mean + np.sqrt(v) * gen.standard_normal(mean.shape)
-
     masses = z_branch_masses(activation, wx, x_next, dz, dx)
     p_neg = branch_prob_negative(masses.log_mass_pos, masses.log_mass_neg)
     take_neg = gen.uniform(size=p_neg.shape) < p_neg

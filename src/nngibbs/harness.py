@@ -49,6 +49,7 @@ from .network import (
 __all__ = [
     "ConfigError",
     "MissingTeacher",
+    "NonFiniteData",
     "DatasetConfig",
     "SamplerConfig",
     "ExperimentConfig",
@@ -65,6 +66,11 @@ class ConfigError(Exception):
 
 class MissingTeacher(Exception):
     """Informed initialization asked for on a dataset without a teacher."""
+
+
+class NonFiniteData(Exception):
+    """A dataset file holds a NaN, an infinity, or an array of something
+    other than numbers."""
 
 
 @dataclass(frozen=True)
@@ -116,14 +122,12 @@ class ExperimentConfig:
             value = operator.attrgetter(name)(self)
             if isinstance(value, numbers.Real) and value < low:
                 raise ConfigError(f"{name}: must be >= {low}, got {value}")
-        for name, value in (
-            ("dataset.delta_gen", self.dataset.delta_gen), ("max_seconds", self.max_seconds), ("sampler.step_size", self.sampler.step_size),
-        ):
-            if value is not None and not value > 0:
-                raise ConfigError(f"{name}: must be > 0, got {value}")
-        # a band of infinite width calls every chain merged
-        if not 0 < self.merge_tolerance < math.inf:
-            raise ConfigError(f"merge_tolerance: must be > 0 and finite, got {self.merge_tolerance}")
+        # a variance, step or budget of inf passes every sign check and then
+        # breaks the run; a merge band of infinite width calls every chain merged
+        for name in ("dataset.delta_gen", "max_seconds", "sampler.step_size", "merge_tolerance"):
+            value = operator.attrgetter(name)(self)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name}: must be > 0 and finite, got {value}")
         # the uniform tables hold exactly the layers each table must cover
         for section, full in (("noise", NoiseSchedule.uniform(self.network, 1.0)), ("prior", PriorSpec.uniform(self.network, 1.0))):
             for name, layers in vars(full).items():
@@ -342,6 +346,8 @@ def build_dataset(cfg: ExperimentConfig, rng: RngStream) -> Dataset:
     if dc.path is not None:
         dataset = ds.load_dataset(dc.path)
         _check_fits(spec, dataset, dc.path)
+        if "informed" in cfg.initializations and dataset.teacher is None:
+            raise MissingTeacher(f"{dc.path}: informed initialization needs a stored teacher, and the archive has no teacher_* arrays")
         return dataset
     if dc.source == "synthetic":
         n = ds.four_times_params(spec) if dc.n in (None, "4x_params") else dc.n
@@ -365,7 +371,8 @@ def _check_fits(spec: NetworkSpec, dataset: Dataset, path) -> None:
     ``spec.out_width`` regression outputs (a 1-D label for a width of 1)
     or an integer class in [0, out_width) for probit. The test split, where
     there is one, is held to the same rules, and a stored teacher has the
-    network's weight and bias shapes."""
+    network's weight and bias shapes. Every array is finite numbers, or
+    NonFiniteData names the file and the array."""
     splits = [("", dataset.inputs, dataset.labels)]
     if dataset.test_inputs is not None:
         splits.append(("test_", dataset.test_inputs, dataset.test_labels))
@@ -383,11 +390,19 @@ def _check_fits(spec: NetworkSpec, dataset: Dataset, path) -> None:
                 raise ShapeMismatch(f"{path}: {prefix}labels have shape {labels.shape}, the network has {spec.out_width} regression outputs")
         elif not (labels.ndim == 1 and labels.dtype.kind in "iu" and np.all((labels >= 0) & (labels < spec.out_width))):
             raise ShapeMismatch(f"{path}: {prefix}labels are not integer classes in [0, {spec.out_width}) for the probit output")
+    # every array under its name in the archive
+    named = {prefix + key: a for prefix, inputs, labels in splits for key, a in (("inputs", inputs), ("labels", labels))}
     if dataset.teacher is not None:
         got = [(l, np.shape(w), np.shape(dataset.teacher.b.get(l))) for l, w in sorted(dataset.teacher.W.items())]
         fits = [(l, spec.weight_shape(l), (spec.bias_width(l),) if spec.has_bias(l) else ()) for l in range(1, spec.depth + 1)]
         if got != fits:
             raise ShapeMismatch(f"{path}: the stored teacher's (layer, W, b) shapes are {got}, the network's are {fits}")
+        for kind in ds.TEACHER_BLOCKS:
+            named.update((f"teacher_{kind}_{l}", a) for l, a in getattr(dataset.teacher, kind).items() if a is not None)
+    for name, a in named.items():
+        a = np.asarray(a)
+        if a.dtype.kind not in "biuf" or not np.isfinite(a).all():
+            raise NonFiniteData(f"{path}: array {name!r} holds a value that is not a finite number")
 
 
 def _shape_inputs(spec: NetworkSpec, flat: np.ndarray) -> np.ndarray:
@@ -510,7 +525,8 @@ class _Observer:
         if self.cfg.sampler.posterior == "intermediate":
             # on the noisy-layer posterior the W[1] gradient is the prior's
             # term plus the first layer's residual times its design
-            layer, design = spec.weighted_layers[0], state.first_design(spec)
+            layer = spec.weighted_layers[0]
+            design = layer.design(state.X[1])
             resid = residual(state.Z[2], layer.product(state.W[1], state.X[1], design), state.b.get(1))
             out["train_residual"] = float(np.sum(resid * resid))
             if "score_U" in self.columns:
@@ -629,11 +645,12 @@ def _run_single_chain(cfg: ExperimentConfig, dataset: Dataset, idx: int, kind: s
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Run all configured chains, persist traces, and summarize.
 
-    One trace CSV per chain plus a ``summary.json`` holding final
-    observables, acceptance rates, stationarity onsets, and (when an
-    informed chain exists) the merge verdict of every other chain against
-    the informed equilibrium. Returns the summary dict. The dataset is
-    built before ``out_dir`` is made, so a bad input leaves no directory.
+    One trace CSV per chain plus a ``summary.json`` holding each chain's
+    final observables and record count, the HMC/MALA acceptance rates,
+    the config, and (when an informed chain exists) the merge verdict of
+    every other chain against the informed equilibrium. Returns the
+    summary dict. The dataset is built before ``out_dir`` is made, so a
+    bad input leaves no directory.
     """
     cfg.validate()
     dataset = build_dataset(cfg, RngStream(cfg.seed, (10_000,)))

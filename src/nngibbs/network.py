@@ -66,20 +66,33 @@ class ShapeMismatch(Exception):
     """Array shapes do not compose with the network specification."""
 
 
+# (slope, offset) of the piece for z >= 0, then of the piece for z < 0
+_PIECES = {
+    "relu": ((1.0, 0.0), (0.0, 0.0)),
+    "sign": ((0.0, 1.0), (0.0, -1.0)),
+    "abs": ((1.0, 0.0), (-1.0, 0.0)),
+}
+
+
 class Activation(str, enum.Enum):
+    """An elementwise activation that is one linear piece slope*z + offset
+    on each half-line. ``pieces`` is that pair, which the Gibbs Z law
+    reads; ``apply`` evaluates the activation and ``derivative`` its slope."""
+
     RELU = "relu"
     SIGN = "sign"
     ABS = "abs"
-    LINEAR = "linear"  # exact-oracle testing only
+
+    @property
+    def pieces(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        return _PIECES[self.value]
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         if self is Activation.RELU:
             return np.maximum(z, 0.0)
         if self is Activation.SIGN:
             return np.sign(z)
-        if self is Activation.ABS:
-            return np.abs(z)
-        return np.asarray(z, dtype=float)
+        return np.abs(z)
 
     def derivative(self, z: np.ndarray) -> np.ndarray:
         """Elementwise derivative; zero subgradient at the ReLU kink."""
@@ -87,8 +100,6 @@ class Activation(str, enum.Enum):
             return (z > 0.0).astype(float)
         if self is Activation.ABS:
             return np.sign(z)
-        if self is Activation.LINEAR:
-            return np.ones_like(z, dtype=float)
         raise NonDifferentiableActivation("sign activation has no usable gradient")
 
 
@@ -525,6 +536,15 @@ class NetworkSpec:
         return self.weighted_layers[l - 1].has_bias
 
 
+def _require_finite_positive(tables):
+    """Every entry of every per-layer table of a noise schedule or prior
+    (a variance or a precision) is finite and positive."""
+    for f in fields(tables):
+        for l, v in getattr(tables, f.name).items():
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{f.name}[{l}] must be > 0 and finite, got {v!r}")
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Per-layer noise variances of the generative process.
@@ -540,10 +560,7 @@ class NoiseSchedule:
     delta_pool: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, table in (("delta_z", self.delta_z), ("delta_x", self.delta_x), ("delta_pool", self.delta_pool)):
-            for l, v in table.items():
-                if not v > 0.0:
-                    raise ValueError(f"{name}[{l}] must be positive, got {v!r}")
+        _require_finite_positive(self)
 
     @classmethod
     def uniform(cls, spec: NetworkSpec, delta: float) -> "NoiseSchedule":
@@ -566,10 +583,7 @@ class PriorSpec:
     lambda_b: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, table in (("lambda_w", self.lambda_w), ("lambda_b", self.lambda_b)):
-            for l, v in table.items():
-                if not v > 0.0:
-                    raise ValueError(f"{name}[{l}] must be positive, got {v!r}")
+        _require_finite_positive(self)
 
     @classmethod
     def uniform(cls, spec: NetworkSpec, lam: float) -> "PriorSpec":
@@ -614,16 +628,6 @@ class ChainState:
     labels: np.ndarray | None = None
     # gibbs.ClampedFactor of the first weighted layer; copy() leaves it behind
     _clamped: object | None = field(default=None, compare=False, repr=False)
-
-    def first_design(self, spec: NetworkSpec) -> np.ndarray:
-        """The first layer's design of X[1]: the one cached with the
-        first-layer factor while it belongs to this X[1] and layer, else
-        a fresh one (a view for a dense layer, an im2col gather for conv)."""
-        layer = spec.weighted_layers[0]
-        entry = self._clamped
-        if entry is not None and entry.x is self.X[1] and entry.key[0] == layer:
-            return entry.design
-        return layer.design(self.X[1])
 
     def copy(self) -> "ChainState":
         return ChainState(

@@ -131,7 +131,7 @@ def intermediate_log_posterior(
     Every layer contributes one Gaussian quadratic; a probit output adds
     -inf when the argmax constraint is broken, and within the feasible
     region its score block is the plain residual term. The gradient is
-    exact almost everywhere for relu/abs/linear; sign has none.
+    exact almost everywhere for relu and abs; sign has none.
 
     One pass reads the sampled blocks from a flat position laid out by
     ``FlatPacker.for_intermediate`` and writes the gradient block by
@@ -150,7 +150,7 @@ def intermediate_log_posterior(
     if spec.activation is Activation.SIGN:
         raise NonDifferentiableActivation("sign activation has no usable gradient")
     if layout is None:
-        layout = FlatLayout.for_intermediate(spec, state.n, prior, state.first_design(spec))
+        layout = FlatLayout.for_intermediate(spec, state.n, prior, spec.weighted_layers[0].design(state.X[1]))
     flat = position is not None
     if not flat:
         position = layout.packer.pack(vars(state))
@@ -440,7 +440,7 @@ def make_intermediate_target(dataset: Dataset, spec: NetworkSpec, noise: NoiseSc
     update the position in place.
     """
     frame = clamped_frame(spec, dataset)
-    layout = FlatLayout.for_intermediate(spec, dataset.n, prior, frame.first_design(spec))
+    layout = FlatLayout.for_intermediate(spec, dataset.n, prior, spec.weighted_layers[0].design(frame.X[1]))
 
     def target(vec: np.ndarray):
         return intermediate_log_posterior(frame, spec, noise, prior, position=vec, layout=layout)

@@ -21,8 +21,6 @@ def z_conditional_density(activation: str, z, wx, x_next, dz, dx):
         s = np.sign(z)
     elif activation == "abs":
         s = np.abs(z)
-    elif activation == "linear":
-        s = z
     else:
         raise ValueError(activation)
     return np.exp(-((z - wx) ** 2) / (2 * dz) - ((s - x_next) ** 2) / (2 * dx))

@@ -39,9 +39,7 @@ from nngibbs.network import (
     forward_generate,
 )
 from nngibbs.gibbs import (
-    _PIECES,
     SweepSchedule,
-    UnsupportedActivation,
     clamped_factor,
     dense_w_conditional,
     dense_x_conditional,
@@ -304,10 +302,6 @@ class TestZBranchMasses:
         assert probs[0] < probs[1] < probs[2]
         assert probs[2] > 0.999
 
-    def test_linear_unsupported(self):
-        with pytest.raises(UnsupportedActivation):
-            z_branch_masses(Activation.LINEAR, 0.0, 0.0, 1.0, 1.0)
-
     @pytest.mark.parametrize("activation", ["relu", "sign", "abs"])
     def test_bitwise_equal_to_per_activation_reference(self, activation):
         gen = np.random.default_rng(36)
@@ -345,9 +339,10 @@ class TestZBranchMasses:
             assert law.var() == pytest.approx(want_var, rel=1e-7)
 
     def test_pieces_match_activation(self):
-        assert set(_PIECES) == set(Activation) - {Activation.LINEAR}
+        assert [a.value for a in Activation] == ["relu", "sign", "abs"]
         z = np.geomspace(1e-6, 1e6, 49)
-        for activation, ((pos_slope, pos_offset), (neg_slope, neg_offset)) in _PIECES.items():
+        for activation in Activation:
+            (pos_slope, pos_offset), (neg_slope, neg_offset) = activation.pieces
             np.testing.assert_array_equal(pos_slope * z + pos_offset, activation.apply(z))
             np.testing.assert_array_equal(neg_slope * -z + neg_offset, activation.apply(-z))
 
@@ -370,14 +365,6 @@ class TestZUpdate:
     def test_sign_output_follows_branch(self):
         draws = sample_z_scalar(Activation.SIGN, np.full(5000, -0.3), np.full(5000, 0.2), 0.5, 0.5, RngStream(11))
         assert np.all(draws != 0)
-
-    def test_linear_exact_gaussian_path(self):
-        dz, dx, wx, xn = 0.4, 0.9, 0.2, -0.5
-        draws = sample_z_scalar(Activation.LINEAR, np.full(80_000, wx), np.full(80_000, xn), dz, dx, RngStream(12))
-        v = dz * dx / (dz + dx)
-        mean = (dx * wx + dz * xn) / (dz + dx)
-        assert draws.mean() == pytest.approx(mean, abs=5 * np.sqrt(v / len(draws)))
-        assert draws.var() == pytest.approx(v, rel=0.05)
 
     def test_update_layer_wiring(self):
         # identical rows -> the layer update gives i.i.d. draws of one law

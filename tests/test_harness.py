@@ -20,6 +20,7 @@ from nngibbs.harness import (
     DatasetConfig,
     ExperimentConfig,
     MissingTeacher,
+    NonFiniteData,
     _Observer,
     build_dataset,
     initialize_chain,
@@ -160,9 +161,21 @@ class TestConfig:
             (("network",), conv_pool_network(0, "channels_out", 0), r"network\.layers\[0\]: channels_out must be at least 1, got 0"),
             (("network",), conv_pool_network(0, "in_width", -3), r"network\.layers\[0\]: in_width must be at least 1, got -3"),
             (("network",), conv_pool_network(0, "stride_x", 0), r"network\.layers\[0\]: stride_x must be at least 1, got 0"),
-            (("sampler",), {"kind": "hmc", "step_size": -0.01, "leapfrog_steps": 5}, r"sampler\.step_size: must be > 0, got -0\.01"),
+            (("sampler",), {"kind": "hmc", "step_size": -0.01, "leapfrog_steps": 5}, r"sampler\.step_size: must be > 0 and finite, got -0\.01"),
             (("sampler",), {"kind": "hmc", "step_size": 0.01, "leapfrog_steps": 0}, r"sampler\.leapfrog_steps: must be >= 1, got 0"),
-            (("sampler",), {"kind": "mala", "step_size": 0}, r"sampler\.step_size: must be > 0, got 0\.0"),
+            (("sampler",), {"kind": "mala", "step_size": 0}, r"sampler\.step_size: must be > 0 and finite, got 0\.0"),
+            (("sampler",), {"kind": "hmc", "step_size": math.inf, "leapfrog_steps": 5}, r"sampler\.step_size: must be > 0 and finite, got inf"),
+            (("max_seconds",), math.inf, r"max_seconds: must be > 0 and finite, got inf"),
+            (("dataset", "delta_gen"), math.inf, r"dataset\.delta_gen: must be > 0 and finite, got inf"),
+            (("noise", "delta"), math.inf, r"noise\.delta: delta_z\[2\] must be > 0 and finite, got inf"),
+            (("noise", "delta"), math.nan, r"noise\.delta: delta_z\[2\] must be > 0 and finite, got nan"),
+            (("noise",), {"delta_z": {"2": 0.01, "3": math.inf}, "delta_x": {"2": 0.01}}, r"noise: delta_z\[3\] must be > 0 and finite, got inf"),
+            (("noise",), {"delta_z": {"2": 0.01, "3": 0.01}, "delta_x": {"2": math.inf}}, r"noise: delta_x\[2\] must be > 0 and finite, got inf"),
+            (("noise",), {"delta_z": {"2": 0.01, "3": 0.01}, "delta_x": {"2": 0.01}, "delta_pool": {"2": math.inf}}, r"noise: delta_pool\[2\] must be > 0 and finite, got inf"),
+            (("prior",), {"lambda": math.inf}, r"prior\.lambda: lambda_w\[1\] must be > 0 and finite, got inf"),
+            (("prior",), {"lambda_w": {"1": math.inf, "2": 1.0}, "lambda_b": {"1": 1.0, "2": 1.0}}, r"prior: lambda_w\[1\] must be > 0 and finite, got inf"),
+            (("prior",), {"lambda_w": {"1": 1.0, "2": 1.0}, "lambda_b": {"1": 1.0, "2": math.inf}}, r"prior: lambda_b\[2\] must be > 0 and finite, got inf"),
+            (("network", "activation"), "linear", r"network\.activation: expected 'relu' or 'sign' or 'abs', got 'linear'"),
             (("dataset", "source"), "inline", r"dataset\.source: expected 'synthetic' or 'idx', got 'inline'"),
             (("dataset", "inline_inputs"), [[0.0] * 6], r"dataset\.inline_inputs: unknown field"),
         ],
@@ -215,6 +228,18 @@ class TestConfig:
             "hmc-step-size-negative",
             "hmc-leapfrog-steps-zero",
             "mala-step-size-zero",
+            "hmc-step-size-infinite",
+            "max-seconds-infinite",
+            "delta-gen-infinite",
+            "noise-delta-infinite",
+            "noise-delta-nan",
+            "delta-z-infinite",
+            "delta-x-infinite",
+            "delta-pool-infinite",
+            "prior-lambda-infinite",
+            "lambda-w-infinite",
+            "lambda-b-infinite",
+            "activation-linear",
             "inline-source",
             "inline-inputs",
         ],
@@ -701,6 +726,73 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--data", str(data_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {data_path}: the stored teacher's (layer, W, b) shapes are [(1, (3, 6), (3,))")
+        assert not out.exists()
+
+    def test_informed_start_on_data_without_teacher_is_an_input_error(self, tmp_path, capsys):
+        data_path = tmp_path / "data.npz"
+        np.savez(data_path, inputs=np.zeros((8, 6)), labels=np.zeros(8))
+        why = f"{data_path}: informed initialization needs a stored teacher, and the archive has no teacher_* arrays"
+        cfg = ExperimentConfig.from_dict(base_config(dataset={"source": "synthetic", "path": str(data_path)}))
+        with pytest.raises(MissingTeacher) as info:
+            build_dataset(cfg, RngStream(0))
+        assert str(info.value) == why
+        ts_data = tmp_path / "ts.npz"
+        np.savez(ts_data, inputs=np.zeros((8, 50)), labels=np.zeros(8))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--preset", "ts-criterion", "--data", str(ts_data), "--sweeps", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {why.replace(str(data_path), str(ts_data))}\n" and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "array, value",
+        [
+            ("inputs", np.nan),
+            ("labels", np.inf),
+            ("test_inputs", -np.inf),
+            ("test_labels", np.nan),
+            ("teacher_W_1", np.nan),
+            ("teacher_b_2", np.inf),
+            ("teacher_X_2", np.nan),
+            ("teacher_Z_3", -np.inf),
+            ("inputs", "text"),
+        ],
+        ids=["inputs-nan", "labels-inf", "test-inputs-inf", "test-labels-nan", "teacher-w-nan", "teacher-b-inf", "teacher-x-nan", "teacher-z-inf", "inputs-text"],
+    )
+    def test_non_finite_data_is_an_input_error(self, tmp_path, capsys, array, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config()), encoding="utf-8")
+        data_path = tmp_path / "data.npz"
+        assert cli_main(["generate", "--config", str(cfg_path), "--out", str(data_path)]) == 0
+        capsys.readouterr()
+        with np.load(data_path) as data:
+            arrays = dict(data)
+        if value == "text":
+            arrays[array] = arrays[array].astype(str)
+        else:
+            arrays[array].flat[-1] = value
+        np.savez(data_path, **arrays)
+        why = f"{data_path}: array {array!r} holds a value that is not a finite number"
+        cfg = ExperimentConfig.from_dict(base_config(dataset={"source": "synthetic", "path": str(data_path)}))
+        with pytest.raises(NonFiniteData) as info:
+            build_dataset(cfg, RngStream(0))
+        assert str(info.value) == why
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--data", str(data_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {why}\n" and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--preset", "ts-criterion", "--sweeps", "2"], ["run", "--preset", "mnist-mlp-gibbs"], ["presets", "--show", "ts-criterion"]],
+        ids=["run-noise-sweep", "run-mnist", "presets-show"],
+    )
+    def test_infinite_delta_is_a_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli_main(argv + ["--delta", "inf"] + (["--out", str(out)] if argv[0] == "run" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: noise.delta: delta_z[2] must be > 0 and finite, got inf\n" and captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize(

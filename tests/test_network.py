@@ -62,7 +62,7 @@ class TestSpecs:
 
 class TestForwardGenerate:
     def test_noiseless_linear_is_exact(self):
-        spec = mlp([4, 2], activation=Activation.LINEAR, bias=False)
+        spec = mlp([4, 2], bias=False)
         noise = NoiseSchedule.uniform(spec, 1.0)
         rng = RngStream(0)
         X = rng.generator.standard_normal((7, 4))

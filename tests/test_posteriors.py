@@ -384,7 +384,7 @@ def _reference_prior(packer, prior, position):
 
 def _reference_intermediate(state, spec, noise, prior):
     packer = FlatPacker.for_intermediate(spec, state.n)
-    design = state.first_design(spec)
+    design = spec.weighted_layers[0].design(state.X[1])
     logp, g = _reference_prior(packer, prior, packer.pack(vars(state)))
     views = packer.unpack(g)
 
