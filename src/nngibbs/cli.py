@@ -15,15 +15,10 @@ from pathlib import Path
 
 from . import datasets as ds
 from . import diagnostics, presets
-from .harness import ConfigError, ExperimentConfig, MissingTeacher, NonFiniteData, build_dataset, read_trace, run_experiment
+from .harness import ConfigError, ExperimentConfig, build_dataset, read_trace, run_experiment
 from .kernels import RngStream
-from .network import ShapeMismatch
 
 __all__ = ["main"]
-
-
-class InputError(Exception):
-    """A trace or flag given to ``diagnose`` that it cannot use."""
 
 
 def _preset(name: str, delta: float | None) -> ExperimentConfig:
@@ -103,12 +98,12 @@ def _cmd_diagnose(args) -> int:
         try:
             table = read_trace(path)
         except ValueError as exc:
-            raise InputError(str(exc)) from None
+            raise ds.InputError(str(exc)) from None
         if args.observable not in table:
-            raise InputError(f"{path}: no observable named {args.observable!r} (have {sorted(table)})")
+            raise ds.InputError(f"{path}: no observable named {args.observable!r} (have {sorted(table)})")
         series_by_file[path] = table[args.observable]
     if args.informed is not None and args.informed not in series_by_file:
-        raise InputError(f"--informed {args.informed}: not one of the trace files")
+        raise ds.InputError(f"--informed {args.informed}: not one of the trace files")
 
     report = {"observable": args.observable, "window": args.window, "tolerance_sigmas": args.tolerance, "files": {}}
     for path, series in series_by_file.items():
@@ -197,7 +192,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, InputError, ShapeMismatch, MissingTeacher, NonFiniteData, ds.BadMagic, ds.TruncatedFile, ds.CountMismatch) as exc:
+    except (OSError, ds.InputError) as exc:
         # each message names the file it is about
         print(f"input error: {exc}", file=sys.stderr)
         return 2

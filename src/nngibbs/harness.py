@@ -36,7 +36,6 @@ from .network import (
     NetworkSpec,
     NoiseSchedule,
     PriorSpec,
-    ShapeMismatch,
     error_rate,
     forward_generate,
     output_mse,
@@ -48,8 +47,6 @@ from .network import (
 
 __all__ = [
     "ConfigError",
-    "MissingTeacher",
-    "NonFiniteData",
     "DatasetConfig",
     "SamplerConfig",
     "ExperimentConfig",
@@ -62,15 +59,6 @@ __all__ = [
 
 class ConfigError(Exception):
     """A config field is missing, malformed, or inconsistent."""
-
-
-class MissingTeacher(Exception):
-    """Informed initialization asked for on a dataset without a teacher."""
-
-
-class NonFiniteData(Exception):
-    """A dataset file holds a NaN, an infinity, or an array of something
-    other than numbers."""
 
 
 @dataclass(frozen=True)
@@ -334,6 +322,8 @@ def _dataset_from_dict(raw: dict) -> DatasetConfig:
     dc = _typed(DatasetConfig, raw, "dataset")
     if dc.source == "idx" and (dc.images is None or dc.labels is None):
         raise ConfigError("dataset: idx source needs images and labels")
+    if dc.source == "idx" and (dc.test_images is None) != (dc.test_labels is None):
+        raise ConfigError("dataset: an idx test split needs test_images and test_labels")
     return dc
 
 
@@ -341,72 +331,27 @@ def _dataset_from_dict(raw: dict) -> DatasetConfig:
 
 
 def build_dataset(cfg: ExperimentConfig, rng: RngStream) -> Dataset:
-    dc = cfg.dataset
-    spec = cfg.network
-    if dc.path is not None:
-        dataset = ds.load_dataset(dc.path)
-        _check_fits(spec, dataset, dc.path)
-        if "informed" in cfg.initializations and dataset.teacher is None:
-            raise MissingTeacher(f"{dc.path}: informed initialization needs a stored teacher, and the archive has no teacher_* arrays")
-        return dataset
-    if dc.source == "synthetic":
+    dc, spec = cfg.dataset, cfg.network
+    if dc.path is None and dc.source == "synthetic":
         n = ds.four_times_params(spec) if dc.n in (None, "4x_params") else dc.n
         # noiseless labels draw no generation noise, whatever the schedule
         gen_noise = cfg.noise if dc.delta_gen is None else NoiseSchedule.uniform(spec, dc.delta_gen)
         return ds.generate_teacher_student(
             spec, cfg.prior, n, dc.n_test, rng, noise_gen=gen_noise, noiseless=dc.noiseless
         )
-    images, labels = ds.load_idx(dc.images, dc.labels, dc.subset)
-    inputs = _shape_inputs(spec, images)
-    test_inputs = test_labels = None
-    if dc.test_images is not None:
-        timg, tlab = ds.load_idx(dc.test_images, dc.test_labels, dc.test_subset)
-        test_inputs, test_labels = _shape_inputs(spec, timg), tlab
-    return Dataset(inputs=inputs, labels=labels, test_inputs=test_inputs, test_labels=test_labels)
-
-
-def _check_fits(spec: NetworkSpec, dataset: Dataset, path) -> None:
-    """A loaded dataset fits the network, or ShapeMismatch names the file:
-    every input has the first layer's input shape, and each label row is
-    ``spec.out_width`` regression outputs (a 1-D label for a width of 1)
-    or an integer class in [0, out_width) for probit. The test split, where
-    there is one, is held to the same rules, and a stored teacher has the
-    network's weight and bias shapes. Every array is finite numbers, or
-    NonFiniteData names the file and the array."""
-    splits = [("", dataset.inputs, dataset.labels)]
-    if dataset.test_inputs is not None:
-        splits.append(("test_", dataset.test_inputs, dataset.test_labels))
-    want = spec.layers[0].in_shape
-    for prefix, inputs, labels in splits:
-        inputs, labels = np.asarray(inputs), np.asarray(labels)
-        if inputs.shape[1:] != want:
-            raise ShapeMismatch(
-                f"{path}: {prefix}inputs have shape {inputs.shape}, the network's first layer wants (n, {', '.join(map(str, want))})"
-            )
-        if len(labels) != len(inputs):
-            raise ShapeMismatch(f"{path}: {len(labels)} {prefix}labels for {len(inputs)} {prefix}inputs")
-        if spec.output == OUTPUT_REGRESSION:
-            if (labels.shape[1:] or (1,)) != (spec.out_width,):
-                raise ShapeMismatch(f"{path}: {prefix}labels have shape {labels.shape}, the network has {spec.out_width} regression outputs")
-        elif not (labels.ndim == 1 and labels.dtype.kind in "iu" and np.all((labels >= 0) & (labels < spec.out_width))):
-            raise ShapeMismatch(f"{path}: {prefix}labels are not integer classes in [0, {spec.out_width}) for the probit output")
-    # every array under its name in the archive
-    named = {prefix + key: a for prefix, inputs, labels in splits for key, a in (("inputs", inputs), ("labels", labels))}
-    if dataset.teacher is not None:
-        got = [(l, np.shape(w), np.shape(dataset.teacher.b.get(l))) for l, w in sorted(dataset.teacher.W.items())]
-        fits = [(l, spec.weight_shape(l), (spec.bias_width(l),) if spec.has_bias(l) else ()) for l in range(1, spec.depth + 1)]
-        if got != fits:
-            raise ShapeMismatch(f"{path}: the stored teacher's (layer, W, b) shapes are {got}, the network's are {fits}")
-        for kind in ds.TEACHER_BLOCKS:
-            named.update((f"teacher_{kind}_{l}", a) for l, a in getattr(dataset.teacher, kind).items() if a is not None)
-    for name, a in named.items():
-        a = np.asarray(a)
-        if a.dtype.kind not in "biuf" or not np.isfinite(a).all():
-            raise NonFiniteData(f"{path}: array {name!r} holds a value that is not a finite number")
-
-
-def _shape_inputs(spec: NetworkSpec, flat: np.ndarray) -> np.ndarray:
-    return flat.reshape(len(flat), *spec.layers[0].in_shape)
+    if dc.path is not None:
+        dataset, where = ds.load_dataset(dc.path), dc.path
+    else:
+        images, labels = ds.load_idx(dc.images, dc.labels, dc.subset)
+        dataset, where = Dataset(ds.idx_inputs(spec, images, dc.images), labels), f"{dc.images}, {dc.labels}"
+        if dc.test_images is not None:
+            images, labels = ds.load_idx(dc.test_images, dc.test_labels, dc.test_subset)
+            dataset.test_inputs, dataset.test_labels = ds.idx_inputs(spec, images, dc.test_images), labels
+            where += f", {dc.test_images}, {dc.test_labels}"
+    ds.check_fits(spec, dataset, where)
+    if "informed" in cfg.initializations and dataset.teacher is None:
+        raise ds.InputError(f"{where}: informed initialization needs a stored teacher, and the archive has no teacher_* arrays")
+    return dataset
 
 
 # -- chain initialization -------------------------------------------------
@@ -445,7 +390,7 @@ def initialize_chain(
     top = spec.depth + 1
     if kind == "informed":
         if dataset.teacher is None:
-            raise MissingTeacher("informed initialization needs a dataset with a stored teacher")
+            raise ds.InputError("informed initialization needs a dataset with a stored teacher")
         state = dataset.teacher.copy()
     elif kind == "random":
         W, b = ds.sample_prior_weights(spec, prior, rng)
@@ -504,9 +449,9 @@ class _Observer:
                 self.test_target = np.asarray(dataset.test_labels, dtype=float).reshape(len(dataset.test_inputs), -1)
         if spec.activation is not Activation.SIGN:
             self.columns.append("score_U")
-            if cfg.sampler.posterior == "classical":
-                # the loss posterior's score is its target's W[1] gradient block
-                self.target, self.packer = posteriors.make_classical_target(dataset, spec, self.delta, cfg.prior)
+        if cfg.sampler.posterior == "classical":
+            # the target the chain steps on; its W[1] gradient block is the score
+            self.target, self.packer = posteriors.make_classical_target(dataset, spec, self.delta, cfg.prior)
         if cfg.sampler.posterior == "intermediate":
             self.columns.append("train_residual")
         if cfg.sampler.kind in ("hmc", "mala"):
@@ -608,7 +553,7 @@ def _run_single_chain(cfg: ExperimentConfig, dataset: Dataset, idx: int, kind: s
         position, state_of = init_state, lambda state: state
     else:
         if cfg.sampler.posterior == "classical":
-            target, packer = posteriors.make_classical_target(dataset, spec, cfg.noise.output_delta, cfg.prior)
+            target, packer = observer.target, observer.packer
         else:
             target, packer = posteriors.make_intermediate_target(dataset, spec, cfg.noise, cfg.prior)
         if cfg.sampler.kind == "hmc":

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from nngibbs.datasets import (
-    BadMagic,
-    CountMismatch,
-    TruncatedFile,
+    InputError,
     four_times_params,
     generate_teacher_student,
     load_dataset,
@@ -108,7 +106,7 @@ def test_load_dataset_names_file_and_array(tmp_path, content):
     else:
         np.savez(path, inputs=np.zeros((4, 2)))
     array = "labels" if content == "no-labels" else "inputs"
-    with pytest.raises(OSError, match=f"{re.escape(str(path))}: .*'{array}' array"):
+    with pytest.raises(InputError, match=f"{re.escape(str(path))}: .*'{array}' array"):
         load_dataset(path)
 
 
@@ -152,22 +150,22 @@ class TestIdxLoader:
         img, lab = write_idx_pair(tmp_path, np.zeros((2, 3, 3), dtype=np.uint8), [0, 1])
         bad = tmp_path / "bad"
         bad.write_bytes(struct.pack(">IIII", 0x00000999, 2, 3, 3) + bytes(18))
-        with pytest.raises(BadMagic):
+        with pytest.raises(InputError):
             load_idx(bad, lab)
         badlab = tmp_path / "badlab"
         badlab.write_bytes(struct.pack(">II", 0x00000803, 2) + bytes(2))
-        with pytest.raises(BadMagic):
+        with pytest.raises(InputError):
             load_idx(img, badlab)
 
     def test_truncated(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((4, 3, 3), dtype=np.uint8), [0, 1, 2, 0])
         short = tmp_path / "short"
         short.write_bytes(img.read_bytes()[:-5])
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(InputError):
             load_idx(short, lab)
 
     def test_count_mismatch(self, tmp_path):
         img, _ = write_idx_pair(tmp_path, np.zeros((4, 3, 3), dtype=np.uint8), [0, 1, 2, 0])
         _, lab3 = write_idx_pair(tmp_path, np.zeros((3, 3, 3), dtype=np.uint8), [0, 1, 2], prefix="b_")
-        with pytest.raises(CountMismatch):
+        with pytest.raises(InputError):
             load_idx(img, lab3)

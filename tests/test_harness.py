@@ -13,14 +13,12 @@ import pytest
 
 from nngibbs import posteriors
 from nngibbs.cli import main as cli_main
-from nngibbs.datasets import generate_teacher_student
+from nngibbs.datasets import InputError, generate_teacher_student
 from nngibbs.gibbs import SweepSchedule, gibbs_sweep
 from nngibbs.harness import (
     ConfigError,
     DatasetConfig,
     ExperimentConfig,
-    MissingTeacher,
-    NonFiniteData,
     _Observer,
     build_dataset,
     initialize_chain,
@@ -35,7 +33,6 @@ from nngibbs.network import (
     NetworkSpec,
     NoiseSchedule,
     PriorSpec,
-    ShapeMismatch,
     predict,
 )
 from nngibbs.presets import PRESETS, get_preset, mnist_cnn_gibbs, mnist_mlp_gibbs, preset_names, ts_criterion
@@ -334,7 +331,7 @@ class TestInitializeChain:
     def test_missing_teacher(self):
         data = generate_teacher_student(self.spec, self.prior, 10, 0, RngStream(6), noise_gen=self.noise)
         data.teacher = None
-        with pytest.raises(MissingTeacher):
+        with pytest.raises(InputError):
             initialize_chain("informed", data, self.spec, self.noise, self.prior, RngStream(7))
 
 
@@ -725,7 +722,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["run", "--config", str(cfg_path), "--data", str(data_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"input error: {data_path}: the stored teacher's (layer, W, b) shapes are [(1, (3, 6), (3,))")
+        assert err == f"input error: {data_path}: teacher_W_1: the file has shape (3, 6), the network's teacher has shape (4, 6)\n"
         assert not out.exists()
 
     def test_informed_start_on_data_without_teacher_is_an_input_error(self, tmp_path, capsys):
@@ -733,7 +730,7 @@ class TestCli:
         np.savez(data_path, inputs=np.zeros((8, 6)), labels=np.zeros(8))
         why = f"{data_path}: informed initialization needs a stored teacher, and the archive has no teacher_* arrays"
         cfg = ExperimentConfig.from_dict(base_config(dataset={"source": "synthetic", "path": str(data_path)}))
-        with pytest.raises(MissingTeacher) as info:
+        with pytest.raises(InputError) as info:
             build_dataset(cfg, RngStream(0))
         assert str(info.value) == why
         ts_data = tmp_path / "ts.npz"
@@ -774,7 +771,7 @@ class TestCli:
         np.savez(data_path, **arrays)
         why = f"{data_path}: array {array!r} holds a value that is not a finite number"
         cfg = ExperimentConfig.from_dict(base_config(dataset={"source": "synthetic", "path": str(data_path)}))
-        with pytest.raises(NonFiniteData) as info:
+        with pytest.raises(InputError) as info:
             build_dataset(cfg, RngStream(0))
         assert str(info.value) == why
         out = tmp_path / "out"
@@ -807,7 +804,7 @@ class TestCli:
         data_path = tmp_path / "data.npz"
         np.savez(data_path, inputs=np.zeros((8, 6)), labels=labels)
         cfg = ExperimentConfig.from_dict(base_config(dataset={"source": "synthetic", "path": str(data_path)}))
-        with pytest.raises(ShapeMismatch) as info:
+        with pytest.raises(InputError) as info:
             build_dataset(cfg, RngStream(0))
         assert str(info.value) == f"{data_path}: {why}"
 

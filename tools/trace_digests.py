@@ -3,8 +3,11 @@ short runs, so two source trees can be checked for the same bits.
 
 Each run goes through ``run_experiment`` into a temporary directory. A
 trace is hashed without its ``wall_s`` column, the only one that a re-run
-at the same seed may change. The ``nngibbs`` package is whatever is
-importable, so point ``PYTHONPATH`` at the tree to check:
+at the same seed may change. The last run reads the ``ts-criterion`` data
+from an archive that ``save_dataset`` wrote, so its trace lines must equal
+the synthetic run's: reading and checking a dataset file moves no bit.
+The ``nngibbs`` package is whatever is importable, so point
+``PYTHONPATH`` at the tree to check:
 
     PYTHONPATH=src python tools/trace_digests.py > change.txt
     PYTHONPATH=/path/to/parent/src python tools/trace_digests.py > parent.txt
@@ -12,28 +15,33 @@ importable, so point ``PYTHONPATH`` at the tree to check:
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import sys
 import tempfile
 from pathlib import Path
 
 import nngibbs
+from nngibbs.datasets import save_dataset
+from nngibbs.harness import build_dataset, run_experiment
+from nngibbs.kernels import RngStream
 from nngibbs.presets import get_preset
-from nngibbs.harness import run_experiment
 
 # the MNIST presets run on a small synthetic dataset, recorded every sweep
 _SYNTHETIC = {"source": "synthetic", "n": 60, "n_test": 20}
 
-# (preset, noise level or None for the preset's own, overrides)
+# (preset, noise level or None for the preset's own, overrides, whether the
+# dataset is read from an archive of the one the config generates)
 RUNS = [
-    ("ts-criterion", None, {"sweeps": 300}),
-    ("noiseless-gibbs", None, {"sweeps": 100}),
-    ("noiseless-hmc-intermediate", 1e-2, {"sweeps": 20}),
-    ("noiseless-hmc-classical", 1e-2, {"sweeps": 20}),
-    ("noiseless-mala-classical", 1e-2, {"sweeps": 2200}),
-    ("mnist-cnn-gibbs", None, {"sweeps": 30, "spacing": 1, "dataset": _SYNTHETIC}),
-    ("mnist-cnn-hmc", None, {"sweeps": 10, "spacing": 1, "dataset": _SYNTHETIC}),
-    ("mnist-mlp-mala", None, {"sweeps": 50, "spacing": 1, "dataset": _SYNTHETIC}),
+    ("ts-criterion", None, {"sweeps": 300}, False),
+    ("noiseless-gibbs", None, {"sweeps": 100}, False),
+    ("noiseless-hmc-intermediate", 1e-2, {"sweeps": 20}, False),
+    ("noiseless-hmc-classical", 1e-2, {"sweeps": 20}, False),
+    ("noiseless-mala-classical", 1e-2, {"sweeps": 2200}, False),
+    ("mnist-cnn-gibbs", None, {"sweeps": 30, "spacing": 1, "dataset": _SYNTHETIC}, False),
+    ("mnist-cnn-hmc", None, {"sweeps": 10, "spacing": 1, "dataset": _SYNTHETIC}, False),
+    ("mnist-mlp-mala", None, {"sweeps": 50, "spacing": 1, "dataset": _SYNTHETIC}, False),
+    ("ts-criterion", None, {"sweeps": 300}, True),
 ]
 
 
@@ -49,15 +57,21 @@ def trace_digest(path: Path) -> str:
 
 def main() -> int:
     print(f"# nngibbs from {Path(nngibbs.__file__).parent}", file=sys.stderr)
-    for preset, delta, overrides in RUNS:
+    for preset, delta, overrides, from_archive in RUNS:
         cfg = get_preset(preset, delta=delta, **overrides)
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
+            name = preset
+            if from_archive:
+                # what ``nngibbs generate`` writes, then ``run --data``
+                data, name = out / "data.npz", f"{preset}/archive"
+                save_dataset(data, build_dataset(cfg, RngStream(cfg.seed, (10_000,))))
+                cfg = dataclasses.replace(cfg, dataset=dataclasses.replace(cfg.dataset, path=str(data)))
             run_experiment(cfg, out)
             for path in sorted(out.glob("trace_*.csv")):
-                print(f"{preset} {path.name} {trace_digest(path)}")
+                print(f"{name} {path.name} {trace_digest(path)}")
             summary = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
-            print(f"{preset} summary.json {summary}", flush=True)
+            print(f"{name} summary.json {summary}", flush=True)
     return 0
 
 
