@@ -144,8 +144,6 @@ def save_dataset(path, dataset: Dataset) -> None:
             for l, arr in getattr(t, kind).items():
                 if arr is not None:
                     arrays[f"teacher_{kind}_{l}"] = arr
-        if t.labels is not None:
-            arrays["teacher_labels"] = t.labels
     np.savez(path, **arrays)
 
 
@@ -181,6 +179,7 @@ def load_dataset(path) -> Dataset:
         if key in arrays and arrays[key].ndim == 0:
             raise InputError(f"{path}: array {key!r} is a scalar, not one row per sample")
     teacher = None
+    # older archives carry an unused copy of the labels as teacher_labels
     teacher_keys = [key for key in arrays if key.startswith("teacher_") and key != "teacher_labels"]
     if teacher_keys:
         blocks = {kind: {} for kind in TEACHER_BLOCKS}
@@ -190,7 +189,7 @@ def load_dataset(path) -> Dataset:
                 raise InputError(f"{path}: array {key!r} is not named teacher_<W|b|X|Z|P>_<layer>")
             blocks[kind][int(l)] = arrays[key]
         blocks["b"] = {**{l: None for l in blocks["W"]}, **blocks["b"]}
-        teacher = ChainState(**blocks, labels=arrays.get("teacher_labels"))
+        teacher = ChainState(**blocks)
     return Dataset(arrays["inputs"], arrays["labels"], arrays.get("test_inputs"), arrays.get("test_labels"), teacher)
 
 

@@ -20,8 +20,11 @@ Cholesky factor in numpy's matmul); a row draw is then two matrix
 products, so every linear-algebra call of the sweep runs in numpy's BLAS
 and no second thread pool competes for the CPUs. The first-layer weight
 precision depends on the data only through the clamped input X[1], so
-its inverse factor is built once per chain (``clamped_factor``) and only
-its right-hand side is rebuilt each sweep. Each layer's product
+its inverse factor R is built once per chain (``clamped_factor``) and only
+its right-hand side is rebuilt each sweep. When X[1] has fewer design
+rows n than inputs d, the map M = X[1]·R^T (n·d < d² floats, smaller
+than R) is cached with R, and the draw's mean half R·h is one n-row
+product with M instead of a d×d one. Each layer's product
 W[l]·X[l] is computed once per sweep, after its W draw, and serves its
 bias draw, the next Z draw and the probit draw.
 """
@@ -171,7 +174,12 @@ def draw_rows_from_factor(inv_factor: np.ndarray, rhs_rows: np.ndarray, rng: Rng
     draw is R^T (R h + z): two matrix products in numpy's BLAS, so a sweep
     never wakes a second library's thread pool.
     """
-    half = inv_factor @ rhs_rows.T
+    return draw_rows_from_half(inv_factor, inv_factor @ rhs_rows.T, rng)
+
+
+def draw_rows_from_half(inv_factor: np.ndarray, half: np.ndarray, rng: RngStream) -> np.ndarray:
+    """The rows R^T (half + z) of ``draw_rows_from_factor``, given its
+    ``half`` = R h with one column per row."""
     z = rng.generator.standard_normal(half.shape)
     return (inv_factor.T @ (half + z)).T
 
@@ -201,7 +209,9 @@ class ClampedFactor:
 
     ``design`` holds the weight rows' inputs (the rows of X[1], or its
     flattened conv patches); ``jitter`` is what ``kernels.cholesky_factor``
-    had to add.
+    had to add. ``mean_map`` is M = design·R^T, C-ordered, when the design
+    has fewer rows n than R has (so M's n·d floats stay below R's d²),
+    else None.
     """
 
     x: np.ndarray
@@ -209,13 +219,15 @@ class ClampedFactor:
     design: np.ndarray
     inv_factor: np.ndarray
     jitter: float
+    mean_map: np.ndarray | None
 
 
 def clamped_factor(state: ChainState, spec: NetworkSpec, noise: NoiseSchedule, prior: PriorSpec) -> ClampedFactor:
     """The chain's cached first-layer weight factor, built on first use
     by ``kernels.inverse_factor``, the same path as every other row draw.
 
-    The entry is rebuilt whenever X[1] is replaced or its key changes.
+    The entry, with its ``mean_map`` when the design has fewer rows than
+    inputs, is rebuilt whenever X[1] is replaced or its key changes.
     """
     x1 = state.X[1]
     layer = spec.weighted_layers[0]
@@ -224,7 +236,8 @@ def clamped_factor(state: ChainState, spec: NetworkSpec, noise: NoiseSchedule, p
     if entry is None or entry.x is not x1 or entry.key != key:
         design = layer.design(x1)
         inv_factor, jitter = kernels.inverse_factor(ridge_precision(design, key[1], key[2]), return_jitter=True)
-        entry = state._clamped = ClampedFactor(x1, key, design, inv_factor, jitter)
+        mean_map = design @ inv_factor.T if len(design) < len(inv_factor) else None
+        entry = state._clamped = ClampedFactor(x1, key, design, inv_factor, jitter, mean_map)
     return entry
 
 
@@ -270,16 +283,21 @@ def update_W_layer(
 ) -> np.ndarray:
     """Redraw all rows of W[l] from their shared-covariance Gaussian.
 
-    Layer 1 draws from the chain's cached factor (``clamped_factor``); a
-    conv layer's rows are its filters, over packed (channel,
-    filter-position) indices.
+    Layer 1 draws from the chain's cached factor (``clamped_factor``),
+    through its ``mean_map`` M when there is one: then R·h is (z·M)^T/dz,
+    one n-row product in place of a d×d one, and the noise is drawn as in
+    ``draw_rows_from_factor``. A conv layer's rows are its filters, over
+    packed (channel, filter-position) indices.
     """
     z_next = sub_bias(state.Z[l + 1], state.b.get(l))
     dz = noise.delta_z[l + 1]
     if l == 1:
         layer = spec.weighted_layers[0]
         entry = clamped_factor(state, spec, noise, prior)
-        rows = draw_rows_from_factor(entry.inv_factor, layer.w_rhs(entry.design, z_next, dz), rng)
+        if entry.mean_map is None:
+            rows = draw_rows_from_factor(entry.inv_factor, layer.w_rhs(entry.design, z_next, dz), rng)
+        else:
+            rows = draw_rows_from_half(entry.inv_factor, (unit_rows(z_next) @ entry.mean_map).T / dz, rng)
         new_w = rows.reshape(layer.weight_shape)
     else:
         prec, rhs = dense_w_conditional(as_rows(state.X[l]), z_next, dz, prior.lambda_w[l])

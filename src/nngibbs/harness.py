@@ -509,20 +509,24 @@ def _write_trace(path: Path, columns: list[str], run: samplers.ChainRun):
 def read_trace(path) -> dict[str, diagnostics.TraceSeries]:
     """Parse one trace CSV into a TraceSeries per observable column.
 
-    A file with no records, or a record that is not one number per
-    column, is a ValueError naming the file and the line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["sweep", "wall_s"]:
-            raise ValueError(f"{path}: not a trace file (header {header[:2]})")
-        rows = []
-        for number, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            row = [_parsed(float, cell, None) for cell in line.strip().split(",")]
-            if len(row) != len(header) or None in row:
-                raise ValueError(f"{path}, line {number}: expected {len(header)} numbers, got {line.strip()!r}")
-            rows.append(row)
+    A file that is not UTF-8 text, has no records, or has a record that
+    is not one number per column, is a ValueError naming the file (and
+    the line)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            if header[:2] != ["sweep", "wall_s"]:
+                raise ValueError(f"{path}: not a trace file (header {header[:2]})")
+            rows = []
+            for number, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                row = [_parsed(float, cell, None) for cell in line.strip().split(",")]
+                if len(row) != len(header) or None in row:
+                    raise ValueError(f"{path}, line {number}: expected {len(header)} numbers, got {line.strip()!r}")
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a UTF-8 text trace ({exc.reason})") from None
     if not rows:
         raise ValueError(f"{path}, line 2: no records after the header")
     data = np.asarray(rows)

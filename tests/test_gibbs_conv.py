@@ -630,6 +630,7 @@ class TestConvSweep:
         w1 = update_conv_W(imap, state.X[1], state.Z[2], state.b[1], noise.delta_z[2], prior.lambda_w[1], rng)
         b1 = update_conv_bias(imap, w1, state.X[1], state.Z[2], noise.delta_z[2], prior.lambda_b[1], rng)
         gibbs_sweep(state, spec, noise, prior, SweepSchedule(), RngStream(33))
+        assert state._clamped.mean_map is None
         assert state.W[1].tobytes() == w1.tobytes()
         assert state.b[1].tobytes() == b1.tobytes()
 

@@ -37,6 +37,7 @@ from nngibbs.network import (
     NoiseSchedule,
     PriorSpec,
     forward_generate,
+    sub_bias,
 )
 from nngibbs.gibbs import (
     SweepSchedule,
@@ -626,37 +627,44 @@ class TestSweep:
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 5 * se)
 
 
-def jittered_chain():
+def jittered_chain(n=20, k=3):
     """A single-layer chain whose first-layer factor needs jitter:
-    duplicated input columns and the prior lambda_w = 1e-20 make
-    X1^T X1 / dz + lam I numerically singular."""
+    duplicated input columns (n samples, 2k inputs) and the prior
+    lambda_w = 1e-20 make X1^T X1 / dz + lam I numerically singular."""
     gen = np.random.default_rng(49)
-    base = gen.standard_normal((20, 3))
-    X, y = np.hstack([base, base]), gen.standard_normal((20, 1))
-    spec = mlp([6, 1], bias=False)
+    base = gen.standard_normal((n, k))
+    X, y = np.hstack([base, base]), gen.standard_normal((n, 1))
+    spec = mlp([2 * k, 1], bias=False)
     noise = NoiseSchedule(delta_z={2: 0.5}, delta_x={})
     prior = PriorSpec(lambda_w={1: 1e-20})
-    state = ChainState(W={1: np.zeros((1, 6))}, b={1: None}, X={1: X}, Z={2: y})
+    state = ChainState(W={1: np.zeros((1, 2 * k))}, b={1: None}, X={1: X}, Z={2: y})
     return spec, noise, prior, state
 
 
-def probit_chain(seed):
-    """A dense 6-4-3 probit chain generated from random weights, ready to sweep."""
-    spec = mlp([6, 4, 3], output="probit")
+def probit_chain(seed, n=30, d=6):
+    """A dense d-4-3 probit chain on n samples, generated from random
+    weights, ready to sweep."""
+    spec = mlp([d, 4, 3], output="probit")
     noise = NoiseSchedule.uniform(spec, 0.5)
     prior = PriorSpec.fan_in(spec)
     rng = RngStream(seed)
     gen = rng.generator
     W = {l: gen.standard_normal(spec.weight_shape(l)) for l in range(1, spec.depth + 1)}
     b = {l: gen.standard_normal(spec.bias_width(l)) for l in range(1, spec.depth + 1)}
-    state, _ = forward_generate(spec, noise, W, b, gen.standard_normal((30, 6)), rng)
+    state, _ = forward_generate(spec, noise, W, b, gen.standard_normal((n, d)), rng)
     return spec, noise, prior, state
 
 
+# first layers with more samples than inputs, and with fewer (20 x 30),
+# whose factor carries the mean map
+SHAPES = pytest.mark.parametrize("shape", [(30, 6), (20, 30)], ids=["n>d", "n<d"])
+
+
 class TestClampedFactorCache:
-    def test_cached_sweeps_bitwise_equal_to_uncached(self):
+    @SHAPES
+    def test_cached_sweeps_bitwise_equal_to_uncached(self, shape):
         def run(empty_cache):
-            spec, noise, prior, state = probit_chain(40)
+            spec, noise, prior, state = probit_chain(40, *shape)
             rng = RngStream(41)
             built = []
             for _ in range(6):
@@ -670,6 +678,7 @@ class TestClampedFactorCache:
         fresh, _ = run(empty_cache=True)
         # one factor served every sweep of the cached chain
         assert all(entry is built[0] for entry in built)
+        assert (built[0].mean_map is None) == (shape[0] >= shape[1])
         assert_bitwise_equal(cached, fresh)
 
     def test_sweep_layer1_draw_equals_uncached_dense_draw(self):
@@ -678,11 +687,32 @@ class TestClampedFactorCache:
         prec, rhs = dense_w_conditional(state.X[1], z_next, noise.delta_z[2], prior.lambda_w[1])
         want = draw_rows_from_precision(prec, rhs, RngStream(43))
         gibbs_sweep(state, spec, noise, prior, SweepSchedule(), RngStream(43))
+        assert state._clamped.mean_map is None
         assert state.W[1].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        "make_chain", [lambda: probit_chain(44, 20, 30), lambda: jittered_chain(4, 5)], ids=["probit", "jittered"]
+    )
+    def test_mean_map_draw_equals_dense_draw(self, make_chain):
+        # the map moves only the float association of the mean: same
+        # stream, same noise, the same draw to rounding
+        spec, noise, prior, state = make_chain()
+        z_next = sub_bias(state.Z[2], state.b[1])
+        prec, rhs = dense_w_conditional(state.X[1], z_next, noise.delta_z[2], prior.lambda_w[1])
+        want = draw_rows_from_precision(prec, rhs, RngStream(45))
+        got = update_W_layer(1, state, spec, noise, prior, RngStream(45))
+        entry = state._clamped
+        assert entry.mean_map.shape == state.X[1].shape and entry.mean_map.flags.c_contiguous
+        # either order of R·X^T·z rounds by about eps * cond(L) relative:
+        # ~5e-10 for the jittered factor, whose cond(L) is ~2e6
+        L = cholesky_factor(prec + entry.jitter * np.eye(len(prec)))
+        rtol = max(1e-12, np.finfo(float).eps * np.linalg.cond(L))
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= rtol
+
+    @SHAPES
     @pytest.mark.parametrize("change", ["replace_x1", "delta_z", "lambda_w"])
-    def test_change_rebuilds_factor(self, change):
-        spec, noise, prior, state = probit_chain(46)
+    def test_change_rebuilds_factor(self, change, shape):
+        spec, noise, prior, state = probit_chain(46, *shape)
         rng = RngStream(47)
         for _ in range(2):
             gibbs_sweep(state, spec, noise, prior, SweepSchedule(), rng)

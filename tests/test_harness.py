@@ -855,6 +855,12 @@ class TestCli:
             read_trace(garbled)
         assert cli_main(["diagnose", str(header_only)]) == 2
         assert re.fullmatch(r"input error: .*header_only\.csv, line 2: no records after the header\n", capsys.readouterr().err)
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"\xff\xfesweep,wall_s\n")
+        with pytest.raises(ValueError, match=r"binary\.csv: not a UTF-8 text trace"):
+            read_trace(binary)
+        assert cli_main(["diagnose", str(binary)]) == 2
+        assert re.fullmatch(r"input error: .*binary\.csv: not a UTF-8 text trace \(.+\)\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("fault", ["garbled", "no-observable"])
     def test_diagnose_input_faults_are_one_line(self, tmp_path, capsys, fault):

@@ -3,9 +3,13 @@ short runs, so two source trees can be checked for the same bits.
 
 Each run goes through ``run_experiment`` into a temporary directory. A
 trace is hashed without its ``wall_s`` column, the only one that a re-run
-at the same seed may change. The last run reads the ``ts-criterion`` data
-from an archive that ``save_dataset`` wrote, so its trace lines must equal
-the synthetic run's: reading and checking a dataset file moves no bit.
+at the same seed may change. The ``mnist-mlp-gibbs`` run has 60 samples
+for 784 inputs, so it draws W[1] through the first-layer factor's mean
+map. The last run reads the ``ts-criterion`` data from an archive that
+``save_dataset`` wrote, so its trace lines must equal the synthetic run's:
+reading and checking a dataset file moves no bit. Its ``summary.json``
+names that archive, and is hashed with the temporary directory taken out
+of the path, so every line repeats from run to run.
 The ``nngibbs`` package is whatever is importable, so point
 ``PYTHONPATH`` at the tree to check:
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +46,7 @@ RUNS = [
     ("mnist-cnn-gibbs", None, {"sweeps": 30, "spacing": 1, "dataset": _SYNTHETIC}, False),
     ("mnist-cnn-hmc", None, {"sweeps": 10, "spacing": 1, "dataset": _SYNTHETIC}, False),
     ("mnist-mlp-mala", None, {"sweeps": 50, "spacing": 1, "dataset": _SYNTHETIC}, False),
+    ("mnist-mlp-gibbs", None, {"sweeps": 20, "spacing": 1, "dataset": _SYNTHETIC}, False),
     ("ts-criterion", None, {"sweeps": 300}, True),
 ]
 
@@ -70,7 +76,8 @@ def main() -> int:
             run_experiment(cfg, out)
             for path in sorted(out.glob("trace_*.csv")):
                 print(f"{name} {path.name} {trace_digest(path)}")
-            summary = hashlib.sha256((out / "summary.json").read_bytes()).hexdigest()
+            summary = (out / "summary.json").read_bytes().replace(f"{out}{os.sep}".encode(), b"")
+            summary = hashlib.sha256(summary).hexdigest()
             print(f"{name} summary.json {summary}", flush=True)
     return 0
 
