@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import datasets as ds
 from . import diagnostics, presets
-from .harness import ConfigError, ExperimentConfig, build_dataset, read_trace, run_experiment
+from .harness import ConfigError, ExperimentConfig, _object, _section, build_dataset, read_trace, run_experiment
 from .kernels import RngStream
 
 __all__ = ["main"]
@@ -41,20 +41,15 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-        cfg = ExperimentConfig.from_dict(raw)
     elif args.preset is not None:
-        cfg = _preset(args.preset, args.delta)
+        raw = _preset(args.preset, args.delta).to_dict()
     else:
         raise ConfigError("a --config file or --preset name is required")
-    raw = cfg.to_dict()
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.sweeps is not None:
-        raw["sweeps"] = args.sweeps
-    if args.max_seconds is not None:
-        raw["max_seconds"] = args.max_seconds
+    # the flags apply before the one validation: --data may be what makes the config valid
+    flags = {"seed": args.seed, "sweeps": args.sweeps, "max_seconds": args.max_seconds}
+    raw = {**_object(raw, "config"), **{key: value for key, value in flags.items() if value is not None}}
     if getattr(args, "data", None) is not None:
-        raw["dataset"] = dict(raw["dataset"], path=args.data)
+        raw["dataset"] = dict(_section(raw, "dataset"), path=args.data)
     return ExperimentConfig.from_dict(raw)
 
 
@@ -115,13 +110,8 @@ def _cmd_diagnose(args) -> int:
         report["files"][str(path)] = {"stationarity_onset": None if onset is None else int(onset)}
 
     if len(series_by_file) >= 2:
-        chains = list(series_by_file.values())
-        length = min(len(s.times) for s in chains)
         try:
-            times, reports = diagnostics.rhat_series(
-                [diagnostics.TraceSeries(c.times[:length], c.values[:length]) for c in chains],
-                block=args.window,
-            )
+            times, reports = diagnostics.rhat_series(list(series_by_file.values()), block=args.window)
             report["rhat_blocks"] = [
                 {"time": float(t), "rhat": r.mean_rhat, "percentiles": r.percentiles()}
                 for t, r in zip(times, reports)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .kernels import RngStream
 from .network import (
+    BLOCK_KINDS,
     ChainState,
     Dataset,
     NetworkSpec,
@@ -129,22 +130,21 @@ def load_idx(images_path, labels_path, subset: int | None = None):
     return images, labels
 
 
-TEACHER_BLOCKS = ("W", "b", "X", "Z", "P")
-
-
 def save_dataset(path, dataset: Dataset) -> None:
-    """Persist a dataset (and any teacher state) as one .npz archive."""
+    """Persist a dataset (and any teacher state) as one .npz archive at
+    exactly ``path``: no ``.npz`` suffix is added to it."""
     arrays = {"inputs": dataset.inputs, "labels": dataset.labels}
     if dataset.test_inputs is not None:
         arrays["test_inputs"] = dataset.test_inputs
         arrays["test_labels"] = dataset.test_labels
     t = dataset.teacher
     if t is not None:
-        for kind in TEACHER_BLOCKS:
+        for kind in BLOCK_KINDS:
             for l, arr in getattr(t, kind).items():
                 if arr is not None:
                     arrays[f"teacher_{kind}_{l}"] = arr
-    np.savez(path, **arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_dataset(path) -> Dataset:
@@ -182,7 +182,7 @@ def load_dataset(path) -> Dataset:
     # older archives carry an unused copy of the labels as teacher_labels
     teacher_keys = [key for key in arrays if key.startswith("teacher_") and key != "teacher_labels"]
     if teacher_keys:
-        blocks = {kind: {} for kind in TEACHER_BLOCKS}
+        blocks = {kind: {} for kind in BLOCK_KINDS}
         for key in teacher_keys:
             kind, _, l = key.removeprefix("teacher_").rpartition("_")
             if kind not in blocks or not l.isdecimal():
@@ -216,7 +216,7 @@ def check_fits(spec: NetworkSpec, dataset: Dataset, where) -> None:
     # each array under its name in the archive, which is also its Dataset field
     named = {prefix + key: np.asarray(getattr(dataset, prefix + key)) for prefix in prefixes for key in ("inputs", "labels")}
     t = dataset.teacher
-    blocks = {} if t is None else {(kind, l): np.asarray(a) for kind in TEACHER_BLOCKS for l, a in getattr(t, kind).items() if a is not None}
+    blocks = {} if t is None else {(kind, l): np.asarray(a) for kind in BLOCK_KINDS for l, a in getattr(t, kind).items() if a is not None}
     named.update((f"teacher_{kind}_{l}", a) for (kind, l), a in blocks.items())
     for name, a in named.items():
         if a.dtype.kind not in "biuf" or not np.isfinite(a).all():

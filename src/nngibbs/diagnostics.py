@@ -68,11 +68,8 @@ class RhatReport:
     """Per-coordinate variance-ratio decomposition across chains."""
 
     between_chain: np.ndarray  # B/N
-    within_chain_variance: np.ndarray  # W
     pooled_variance: np.ndarray  # sigma^2_+
     rhat: np.ndarray
-    n_chains: int
-    n_samples: int
 
     @property
     def mean_rhat(self) -> float:
@@ -110,14 +107,7 @@ def rhat(chains) -> RhatReport:
         raise DegenerateVariance("a coordinate has zero within-chain variance")
     pooled = (n - 1) / n * within + b_over_n
     r = (m + 1) / m * pooled / within - (n - 1) / (m * n)
-    return RhatReport(
-        between_chain=b_over_n,
-        within_chain_variance=within,
-        pooled_variance=pooled,
-        rhat=r,
-        n_chains=m,
-        n_samples=n,
-    )
+    return RhatReport(between_chain=b_over_n, pooled_variance=pooled, rhat=r)
 
 
 def rhat_series(chains: list[TraceSeries], block: int = 50):
@@ -125,7 +115,9 @@ def rhat_series(chains: list[TraceSeries], block: int = 50):
 
     Follows the measurement protocol of splitting each chain into
     consecutive blocks of ``block`` records and scoring each block.
-    Returns (block mid times, list of RhatReport).
+    Chains of different lengths are scored over their common length, the
+    shortest chain's; block times are the first chain's. Returns (block
+    mid times, list of RhatReport).
     """
     length = min(len(c.times) for c in chains)
     n_blocks = length // block

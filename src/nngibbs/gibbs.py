@@ -166,29 +166,24 @@ def sample_z_scalar(activation: Activation, wx, x_next, dz: float, dx: float, rn
     return signs * (signs * mu + sd * t)
 
 
-def draw_rows_from_factor(inv_factor: np.ndarray, rhs_rows: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Rows drawn from N(A^-1 h, A^-1) given R = L^-1 for the Cholesky
-    factor L of A.
-
-    ``rhs_rows`` holds one h per row. With A = L L^T, A^-1 = R^T R and the
-    draw is R^T (R h + z): two matrix products in numpy's BLAS, so a sweep
-    never wakes a second library's thread pool.
-    """
-    return draw_rows_from_half(inv_factor, inv_factor @ rhs_rows.T, rng)
-
-
 def draw_rows_from_half(inv_factor: np.ndarray, half: np.ndarray, rng: RngStream) -> np.ndarray:
-    """The rows R^T (half + z) of ``draw_rows_from_factor``, given its
-    ``half`` = R h with one column per row."""
+    """Rows drawn from N(A^-1 h, A^-1) given R = L^-1 for the Cholesky
+    factor L of A, and ``half`` = R h with one column per row.
+
+    With A = L L^T, A^-1 = R^T R and the draw is R^T (R h + z): two matrix
+    products in numpy's BLAS, so a sweep never wakes a second library's
+    thread pool. Every Gaussian row draw takes its noise here.
+    """
     z = rng.generator.standard_normal(half.shape)
     return (inv_factor.T @ (half + z)).T
 
 
 def draw_rows_from_precision(prec: np.ndarray, rhs_rows: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Rows drawn from N(A^-1 h, A^-1) for a shared precision A, whose
-    inverse Cholesky factor (``kernels.inverse_factor``) is built once and
-    reused for every row."""
-    return draw_rows_from_factor(kernels.inverse_factor(prec), rhs_rows, rng)
+    """Rows drawn from N(A^-1 h, A^-1) for a shared precision A, one h per
+    row of ``rhs_rows``, whose inverse Cholesky factor
+    (``kernels.inverse_factor``) is built once and reused for every row."""
+    inv_factor = kernels.inverse_factor(prec)
+    return draw_rows_from_half(inv_factor, inv_factor @ rhs_rows.T, rng)
 
 
 def ridge_precision(design: np.ndarray, dz: float, lam: float) -> np.ndarray:
@@ -283,11 +278,11 @@ def update_W_layer(
 ) -> np.ndarray:
     """Redraw all rows of W[l] from their shared-covariance Gaussian.
 
-    Layer 1 draws from the chain's cached factor (``clamped_factor``),
-    through its ``mean_map`` M when there is one: then R·h is (z·M)^T/dz,
-    one n-row product in place of a d×d one, and the noise is drawn as in
-    ``draw_rows_from_factor``. A conv layer's rows are its filters, over
-    packed (channel, filter-position) indices.
+    Layer 1 draws from the chain's cached factor R (``clamped_factor``).
+    R·h is R times the right-hand sides, or, through the ``mean_map`` M
+    when there is one, (z·M)^T/dz: one n-row product in place of a d×d
+    one. A conv layer's rows are its filters, over packed
+    (channel, filter-position) indices.
     """
     z_next = sub_bias(state.Z[l + 1], state.b.get(l))
     dz = noise.delta_z[l + 1]
@@ -295,10 +290,10 @@ def update_W_layer(
         layer = spec.weighted_layers[0]
         entry = clamped_factor(state, spec, noise, prior)
         if entry.mean_map is None:
-            rows = draw_rows_from_factor(entry.inv_factor, layer.w_rhs(entry.design, z_next, dz), rng)
+            half = entry.inv_factor @ layer.w_rhs(entry.design, z_next, dz).T
         else:
-            rows = draw_rows_from_half(entry.inv_factor, (unit_rows(z_next) @ entry.mean_map).T / dz, rng)
-        new_w = rows.reshape(layer.weight_shape)
+            half = (unit_rows(z_next) @ entry.mean_map).T / dz
+        new_w = draw_rows_from_half(entry.inv_factor, half, rng).reshape(layer.weight_shape)
     else:
         prec, rhs = dense_w_conditional(as_rows(state.X[l]), z_next, dz, prior.lambda_w[l])
         new_w = draw_rows_from_precision(prec, rhs, rng)
@@ -312,20 +307,18 @@ def update_Z_layer(
     spec: NetworkSpec,
     noise: NoiseSchedule,
     rng: RngStream,
-    product: np.ndarray | None = None,
+    product: np.ndarray,
 ) -> np.ndarray:
     """Redraw Z[l] (2 <= l <= L) around W[l-1]·X[l-1] + b[l-1].
 
     Every scalar follows the two-branch law, unless a pool feeds X[l]:
     then the pooled values P[l] take that law (they see Z[l] through
     their window average) and Z[l] is redrawn window by window.
-    ``product`` is W[l-1]·X[l-1] when the caller already has it.
+    ``product`` is W[l-1]·X[l-1], the layer spec's ``product``.
     """
     big_l = spec.depth
     if not 2 <= l <= big_l:
         raise ValueError(f"Z update needs 2 <= l <= {big_l}")
-    if product is None:
-        product = spec.weighted_layers[l - 2].product(state.W[l - 1], state.X[l - 1])
     mean = add_bias(product, state.b.get(l - 1))
     pool = spec.pools.get(l)
     if pool is None:

@@ -131,8 +131,9 @@ class ExperimentConfig:
         if self.sampler.kind in ("hmc", "mala") and self.network.activation is Activation.SIGN:
             raise ConfigError("network.activation: sign has no gradient for hmc/mala")
         for init in self.initializations:
-            if init == "informed" and self.dataset.source != "synthetic":
-                raise ConfigError("initializations: informed requires a synthetic dataset with a stored teacher")
+            # an archive at dataset.path replaces the source; build_dataset checks it has a teacher
+            if init == "informed" and self.dataset.source == "idx" and self.dataset.path is None:
+                raise ConfigError("initializations: informed requires a synthetic dataset or an archive with a stored teacher")
             if init.startswith("gaussian:"):
                 if not 0 < _parsed(float, init.removeprefix("gaussian:"), math.nan) < math.inf:
                     raise ConfigError(f"initializations: {init!r} needs a finite positive scale")
@@ -509,14 +510,18 @@ def _write_trace(path: Path, columns: list[str], run: samplers.ChainRun):
 def read_trace(path) -> dict[str, diagnostics.TraceSeries]:
     """Parse one trace CSV into a TraceSeries per observable column.
 
-    A file that is not UTF-8 text, has no records, or has a record that
-    is not one number per column, is a ValueError naming the file (and
-    the line)."""
+    A file that is not UTF-8 text, repeats a column name, has no records,
+    or has a record that is not one number per column or whose sweep is
+    not a 64-bit integer above the previous record's, is a ValueError
+    naming the file (and the line)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             if header[:2] != ["sweep", "wall_s"]:
                 raise ValueError(f"{path}: not a trace file (header {header[:2]})")
+            repeated = [name for i, name in enumerate(header) if name in header[:i]]
+            if repeated:
+                raise ValueError(f"{path}, line 1: repeated column name {repeated[0]!r}")
             rows = []
             for number, line in enumerate(fh, start=2):
                 if not line.strip():
@@ -524,6 +529,11 @@ def read_trace(path) -> dict[str, diagnostics.TraceSeries]:
                 row = [_parsed(float, cell, None) for cell in line.strip().split(",")]
                 if len(row) != len(header) or None in row:
                     raise ValueError(f"{path}, line {number}: expected {len(header)} numbers, got {line.strip()!r}")
+                # a sweep count outside int64 would wrap in the integer times
+                if not (row[0].is_integer() and abs(row[0]) < 2**63):
+                    raise ValueError(f"{path}, line {number}: sweep {row[0]!r} is not a 64-bit integer")
+                if rows and row[0] <= rows[-1][0]:
+                    raise ValueError(f"{path}, line {number}: sweep {int(row[0])} does not follow sweep {int(rows[-1][0])}")
                 rows.append(row)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not a UTF-8 text trace ({exc.reason})") from None

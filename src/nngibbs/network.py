@@ -15,8 +15,9 @@ produces P[l+1], and X[l+1] is the activation of P[l+1] instead of Z[l+1].
 
 Each layer spec is its own arithmetic: ``DenseLayer`` is a ``DenseMap``,
 ``ConvLayer`` a ``ConvIndexMap`` and ``PoolLayer`` a ``PoolMap``. The
-specs add only their dataclass fields and validation; the maps derive
-the output sizes and index tables once per object. A conv map is a
+maps declare the geometry fields and derive the output sizes and index
+tables once per object; the conv and pool specs add only their channels
+and bias flag, keyword-only, and validation. A conv map is a
 ``DenseMap`` whose weight rows see im2col patch rows, so the product,
 the gradients and the bias layout (``unit_rows``) have one body for both
 kinds; only the geometry, the design and the output grid are
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import KW_ONLY, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "NetworkSpec",
     "NoiseSchedule",
     "PriorSpec",
+    "BLOCK_KINDS",
     "ChainState",
     "Dataset",
     "forward_generate",
@@ -186,6 +188,7 @@ class DenseMap:
         return np.ones(rows.shape[1]) @ rows.T
 
 
+@dataclass(frozen=True)
 class ConvIndexMap(DenseMap):
     """A conv layer as a ``DenseMap`` whose weight rows (the filters) see
     im2col patch rows, plus the receptive-field index bookkeeping.
@@ -197,13 +200,12 @@ class ConvIndexMap(DenseMap):
     order of ``im2col``.
     """
 
-    def __init__(self, in_height: int, in_width: int, filter_height: int, filter_width: int, stride_y: int = 1, stride_x: int = 1):
-        self.in_height = in_height
-        self.in_width = in_width
-        self.filter_height = filter_height
-        self.filter_width = filter_width
-        self.stride_y = stride_y
-        self.stride_x = stride_x
+    in_height: int
+    in_width: int
+    filter_height: int
+    filter_width: int
+    stride_y: int = 1
+    stride_x: int = 1
 
     # derived once per object: the hot path reads these on every product
     @cached_property
@@ -286,6 +288,7 @@ class ConvIndexMap(DenseMap):
         return g
 
 
+@dataclass(frozen=True)
 class PoolMap:
     """Average-pooling geometry: window blocks, retained region, leftovers.
 
@@ -295,11 +298,10 @@ class PoolMap:
     through ``window_sum`` and writes them through the ``blocks`` view.
     """
 
-    def __init__(self, in_height: int, in_width: int, window_height: int, window_width: int):
-        self.in_height = in_height
-        self.in_width = in_width
-        self.window_height = window_height
-        self.window_width = window_width
+    in_height: int
+    in_width: int
+    window_height: int
+    window_width: int
 
     # derived once per object: the hot path reads these on every pool_mean
     @cached_property
@@ -394,16 +396,12 @@ class DenseLayer(DenseMap):
 
 @dataclass(frozen=True)
 class ConvLayer(ConvIndexMap):
-    """2-D convolution, no padding, configurable strides."""
+    """2-D convolution, no padding, configurable strides: the geometry of
+    ``ConvIndexMap`` (positional) plus keyword-only channels and bias flag."""
 
+    _: KW_ONLY
     channels_in: int
     channels_out: int
-    in_height: int
-    in_width: int
-    filter_height: int
-    filter_width: int
-    stride_y: int = 1
-    stride_x: int = 1
     has_bias: bool = True
 
     kind = "conv"
@@ -428,13 +426,11 @@ class ConvLayer(ConvIndexMap):
 
 @dataclass(frozen=True)
 class PoolLayer(PoolMap):
-    """Average pooling; trailing pixels that do not fill a window are dropped."""
+    """Average pooling; trailing pixels that do not fill a window are
+    dropped. The geometry of ``PoolMap`` plus keyword-only channels."""
 
+    _: KW_ONLY
     channels: int
-    in_height: int
-    in_width: int
-    window_height: int
-    window_width: int
 
     kind = "pool"
 
@@ -605,6 +601,10 @@ class PriorSpec:
         return cls(lambda_w=lw, lambda_b=lb)
 
 
+# the variable blocks of a chain state, each a {layer: array} table
+BLOCK_KINDS = ("W", "b", "X", "Z", "P")
+
+
 @dataclass
 class ChainState:
     """All sampled variables of one chain.
@@ -630,32 +630,12 @@ class ChainState:
     _clamped: object | None = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "ChainState":
-        return ChainState(
-            W={l: w.copy() for l, w in self.W.items()},
-            b={l: (v.copy() if v is not None else None) for l, v in self.b.items()},
-            X={l: x.copy() for l, x in self.X.items()},
-            Z={l: z.copy() for l, z in self.Z.items()},
-            P={l: p.copy() for l, p in self.P.items()},
-            labels=None if self.labels is None else self.labels.copy(),
-        )
+        blocks = {kind: {l: None if a is None else a.copy() for l, a in getattr(self, kind).items()} for kind in BLOCK_KINDS}
+        return ChainState(**blocks, labels=None if self.labels is None else self.labels.copy())
 
     @property
     def n(self) -> int:
         return self.X[1].shape[0]
-
-    def validate(self, spec: NetworkSpec):
-        for l in range(1, spec.depth + 1):
-            want = spec.weight_shape(l)
-            if self.W[l].shape != want:
-                raise ShapeMismatch(f"W[{l}] has shape {self.W[l].shape}, expected {want}")
-            if spec.has_bias(l) and self.b.get(l) is None:
-                raise ShapeMismatch(f"missing bias for layer {l}")
-        if spec.output == OUTPUT_PROBIT:
-            if self.labels is None:
-                raise ShapeMismatch("probit state needs labels")
-            top = self.Z[spec.depth + 1]
-            if np.any(np.argmax(top, axis=1) != self.labels):
-                raise ShapeMismatch("probit argmax constraint violated")
 
 
 @dataclass

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (
+    BLOCK_KINDS,
     Activation,
     ChainState,
     Dataset,
@@ -263,9 +264,9 @@ class FlatPacker:
         return vec
 
     def unpack(self, vec: np.ndarray) -> dict[str, dict[int, np.ndarray]]:
-        """{kind: {l: view}} for every block of ``vec``; each of the kinds
-        W, b, X, Z and P has an entry, empty where nothing is packed."""
-        out: dict[str, dict[int, np.ndarray]] = {kind: {} for kind in ("W", "b", "X", "Z", "P")}
+        """{kind: {l: view}} for every block of ``vec``; each of the
+        ``BLOCK_KINDS`` has an entry, empty where nothing is packed."""
+        out: dict[str, dict[int, np.ndarray]] = {kind: {} for kind in BLOCK_KINDS}
         for (kind, l), (sl, shape) in self.slices.items():
             out[kind][l] = vec[sl].reshape(shape)
         return out

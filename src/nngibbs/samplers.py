@@ -126,7 +126,6 @@ class ChainRun:
     values: np.ndarray
     accepted: int
     steps: int
-    final_position: object
 
     @property
     def acceptance_rate(self) -> float:
@@ -173,5 +172,4 @@ def run_chain(step, position, n_steps: int, observer, spacing: int = 1, deadline
         values=np.asarray(values, dtype=float),
         accepted=accepted,
         steps=t,
-        final_position=x,
     )

@@ -133,6 +133,26 @@ def assert_bitwise_equal(a, b):
                 assert da[l].shape == db[l].shape and da[l].tobytes() == db[l].tobytes(), f"{kind}[{l}]"
 
 
+def validate_state(state, spec):
+    """The weights have the spec's shapes, every layer with a bias has
+    one, and a probit state has labels that its output scores' argmax
+    keeps; ShapeMismatch names what does not hold."""
+    from nngibbs.network import ShapeMismatch
+
+    for l in range(1, spec.depth + 1):
+        want = spec.weight_shape(l)
+        if state.W[l].shape != want:
+            raise ShapeMismatch(f"W[{l}] has shape {state.W[l].shape}, expected {want}")
+        if spec.has_bias(l) and state.b.get(l) is None:
+            raise ShapeMismatch(f"missing bias for layer {l}")
+    if spec.output == "probit":
+        if state.labels is None:
+            raise ShapeMismatch("probit state needs labels")
+        top = state.Z[spec.depth + 1]
+        if np.any(np.argmax(top, axis=1) != state.labels):
+            raise ShapeMismatch("probit argmax constraint violated")
+
+
 def sweep_by_public_updates(state, spec, noise, prior, rng):
     """One sweep in ``gibbs_sweep``'s block order through the public updates
     alone: every update computes its own W·X product instead of sharing one."""
@@ -145,6 +165,7 @@ def sweep_by_public_updates(state, spec, noise, prior, rng):
         if spec.has_bias(l):
             gibbs.update_bias_layer(l, state, noise, prior, rng, layer.product(state.W[l], state.X[l]))
         if l > 1:
-            gibbs.update_Z_layer(l, state, spec, noise, rng)
+            below = spec.weighted_layers[l - 2]
+            gibbs.update_Z_layer(l, state, spec, noise, rng, below.product(state.W[l - 1], state.X[l - 1]))
     if spec.output == "probit":
         gibbs.update_probit_output(state, spec, noise, rng)

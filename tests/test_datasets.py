@@ -75,8 +75,8 @@ class TestTeacherStudent:
         if teacher == "dense-regression":
             spec = mlp([6, 3, 1])
         else:
-            conv = ConvLayer(1, 2, in_height=5, in_width=5, filter_height=2, filter_width=2)
-            spec = NetworkSpec(layers=(conv, PoolLayer(2, 4, 4, 2, 2), DenseLayer(8, 3)), output="probit")
+            conv = ConvLayer(channels_in=1, channels_out=2, in_height=5, in_width=5, filter_height=2, filter_width=2)
+            spec = NetworkSpec(layers=(conv, PoolLayer(channels=2, in_height=4, in_width=4, window_height=2, window_width=2), DenseLayer(8, 3)), output="probit")
         noise = NoiseSchedule.uniform(spec, 1e-2)
         prior = PriorSpec.fan_in(spec)
         data = generate_teacher_student(spec, prior, 12, 6, RngStream(3), noise_gen=noise)

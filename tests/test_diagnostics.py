@@ -91,6 +91,15 @@ class TestRhat:
         assert len(reports) == 4
         assert times[0] == pytest.approx(np.mean(np.arange(50)))
 
+    def test_series_of_different_lengths_score_their_common_length(self):
+        gen = np.random.default_rng(7)
+        short, long = (TraceSeries(np.arange(k), gen.standard_normal(k)) for k in (170, 230))
+        times, reports = rhat_series([short, long], block=50)
+        trimmed = TraceSeries(long.times[:170], long.values[:170])
+        want_times, want = rhat_series([short, trimmed], block=50)
+        assert len(reports) == 3 and times.tolist() == want_times.tolist()
+        assert [r.rhat.tobytes() for r in reports] == [r.rhat.tobytes() for r in want]
+
 
 def series(values):
     values = np.asarray(values, dtype=float)

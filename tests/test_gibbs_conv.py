@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import assert_bitwise_equal, sweep_by_public_updates
+from conftest import assert_bitwise_equal, sweep_by_public_updates, validate_state
 from nngibbs.conv import (
     ConvIndexMap,
     PoolMap,
@@ -84,7 +84,7 @@ def conv_forward(layer, w, b, x, delta_z, rng):
 
 class TestConvForward:
     def test_one_by_one_filter_scales(self):
-        layer = ConvLayer(1, 1, in_height=3, in_width=3, filter_height=1, filter_width=1, has_bias=True)
+        layer = ConvLayer(channels_in=1, channels_out=1, in_height=3, in_width=3, filter_height=1, filter_width=1, has_bias=True)
         x = np.random.default_rng(1).standard_normal((4, 1, 3, 3))
         w = np.array([[[[2.5]]]])
         b = np.array([0.3])
@@ -92,7 +92,7 @@ class TestConvForward:
         np.testing.assert_allclose(z, 2.5 * x + 0.3, atol=1e-7)
 
     def test_zero_filter_pure_noise(self):
-        layer = ConvLayer(1, 2, in_height=6, in_width=6, filter_height=2, filter_width=2)
+        layer = ConvLayer(channels_in=1, channels_out=2, in_height=6, in_width=6, filter_height=2, filter_width=2)
         x = np.random.default_rng(3).standard_normal((50, 1, 6, 6))
         z = conv_forward(layer, np.zeros((2, 1, 2, 2)), np.zeros(2), x, delta_z=0.8, rng=RngStream(4))
         assert z.shape == (50, 2, 5, 5)
@@ -100,7 +100,7 @@ class TestConvForward:
         assert abs(z.mean()) < 0.02
 
     def test_shape_mismatch(self):
-        layer = ConvLayer(2, 1, in_height=4, in_width=4, filter_height=2, filter_width=2)
+        layer = ConvLayer(channels_in=2, channels_out=1, in_height=4, in_width=4, filter_height=2, filter_width=2)
         with pytest.raises(ShapeMismatch):
             conv_forward(layer, np.zeros((1, 2, 2, 2)), None, np.zeros((3, 1, 4, 4)), 1.0, RngStream(5))
 
@@ -116,7 +116,7 @@ class TestConvOpAgainstLoops:
     @pytest.fixture(params=["map", "layer"])
     def instance(self, request):
         gen = np.random.default_rng(40)
-        layer = ConvLayer(2, 3, in_height=5, in_width=4, filter_height=2, filter_width=3, stride_y=2, stride_x=1)
+        layer = ConvLayer(channels_in=2, channels_out=3, in_height=5, in_width=4, filter_height=2, filter_width=3, stride_y=2, stride_x=1)
         op = layer if request.param == "layer" else ConvIndexMap(5, 4, 2, 3, stride_y=2, stride_x=1)
         n = 4
         x = gen.standard_normal((n, *layer.in_shape))
@@ -453,7 +453,7 @@ class TestPoolMapAgainstLoops:
     )
     def pmap(self, request):
         wh, ww, kind = request.param
-        return PoolLayer(2, 5, 7, wh, ww) if kind == "layer" else PoolMap(5, 7, wh, ww)
+        return PoolLayer(channels=2, in_height=5, in_width=7, window_height=wh, window_width=ww) if kind == "layer" else PoolMap(5, 7, wh, ww)
 
     @pytest.fixture(params=["c-order", "channel-innermost"])
     def x(self, request):
@@ -543,7 +543,7 @@ class TestConvBias:
         """A conv layer's bias draw takes the layer's product: without it
         the call is refused (a dense X W^T of conv blocks is no residual),
         and with it the draw is ``update_conv_bias`` bit for bit."""
-        conv = ConvLayer(1, 2, in_height=size, in_width=size, filter_height=filt, filter_width=filt)
+        conv = ConvLayer(channels_in=1, channels_out=2, in_height=size, in_width=size, filter_height=filt, filter_width=filt)
         spec = NetworkSpec(layers=(conv,))
         noise = NoiseSchedule.uniform(spec, 0.5)
         prior = PriorSpec.uniform(spec, 1.0)
@@ -569,8 +569,8 @@ def random_chain(spec, noise, rng):
 class TestConvSweep:
     def cnn_spec(self, deep=False):
         """conv -> pool -> dense probit; ``deep`` adds a second dense layer."""
-        conv = ConvLayer(1, 2, in_height=5, in_width=5, filter_height=2, filter_width=2, stride_y=1, stride_x=1)
-        pool = PoolLayer(2, 4, 4, 2, 2)
+        conv = ConvLayer(channels_in=1, channels_out=2, in_height=5, in_width=5, filter_height=2, filter_width=2, stride_y=1, stride_x=1)
+        pool = PoolLayer(channels=2, in_height=4, in_width=4, window_height=2, window_width=2)
         dense = (DenseLayer(8, 4), DenseLayer(4, 3)) if deep else (DenseLayer(8, 3),)
         return NetworkSpec(layers=(conv, pool, *dense), activation=Activation.RELU, output="probit")
 
@@ -585,7 +585,7 @@ class TestConvSweep:
             state = random_chain(spec, noise, rng)
             for _ in range(10):
                 gibbs_sweep(state, spec, noise, prior, SweepSchedule(), rng)
-                state.validate(spec)
+                validate_state(state, spec)
             return state
 
         assert_bitwise_equal(run(), run())

@@ -24,6 +24,7 @@ from conftest import (
     branch_log_masses_quadrature,
     z_conditional_density,
     sweep_by_public_updates,
+    validate_state,
     z_conditional_rejection,
 )
 from nngibbs.kernels import RngStream, branch_prob_negative, cholesky_factor, inverse_factor
@@ -44,7 +45,7 @@ from nngibbs.gibbs import (
     clamped_factor,
     dense_w_conditional,
     dense_x_conditional,
-    draw_rows_from_factor,
+    draw_rows_from_half,
     draw_rows_from_precision,
     gibbs_sweep,
     ridge_precision,
@@ -375,7 +376,7 @@ class TestZUpdate:
         state = replicated_state(spec, noise, n, seed=13)
         wx = (state.X[1] @ state.W[1].T + state.b[1])[0]
         x_next = state.X[2][0]
-        new_z = update_Z_layer(2, state, spec, noise, RngStream(14))
+        new_z = update_Z_layer(2, state, spec, noise, RngStream(14), spec.layers[0].product(state.W[1], state.X[1]))
         for j in range(2):
             oracle = z_conditional_rejection("relu", wx[j], x_next[j], noise.delta_z[2], noise.delta_x[2], n, seed=15 + j)
             _, p = stats.ks_2samp(new_z[:, j], oracle)
@@ -461,7 +462,7 @@ class TestProbitUpdate:
         rng = RngStream(24)
         for _ in range(50):
             update_probit_output(state, spec, noise, rng)
-            state.validate(spec)
+            validate_state(state, spec)
 
     def test_three_class_rejection_oracle(self):
         spec, noise, state = self.build(n=1, c=3, seed=25)
@@ -532,7 +533,7 @@ class TestProbitUpdate:
 
         monkeypatch.setattr(kernels, "std_lower_truncated", counted)
         update_probit_output(state, spec, noise, RngStream(46))
-        state.validate(spec)
+        validate_state(state, spec)
         assert len(calls) == 2
 
 
@@ -804,7 +805,8 @@ class TestDrawRowsFromFactor:
         L, jitter = cholesky_factor(prec, return_jitter=True)
         assert (jitter > 0.0) == (case == "jittered")
         h = np.random.default_rng(52).standard_normal((7, d)) * 10.0
-        got = draw_rows_from_factor(inverse_factor(prec), h, RngStream(53))
+        R = inverse_factor(prec)
+        got = draw_rows_from_half(R, R @ h.T, RngStream(53))
         z = RngStream(53).generator.standard_normal((d, len(h)))
         want = solve_triangular(L, solve_triangular(L, h.T, lower=True) + z, trans="T", lower=True).T
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-12

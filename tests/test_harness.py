@@ -11,9 +11,10 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import validate_state
 from nngibbs import posteriors
 from nngibbs.cli import main as cli_main
-from nngibbs.datasets import InputError, generate_teacher_student
+from nngibbs.datasets import InputError, generate_teacher_student, save_dataset
 from nngibbs.gibbs import SweepSchedule, gibbs_sweep
 from nngibbs.harness import (
     ConfigError,
@@ -309,7 +310,7 @@ class TestInitializeChain:
 
     def test_zero_state_valid_with_probit_one_hot(self):
         state = initialize_chain("zero", self.data, self.spec, self.noise, self.prior, RngStream(2))
-        state.validate(self.spec)
+        validate_state(state, self.spec)
         assert np.all(state.W[1] == 0.0) and np.all(state.X[2] == 0.0)
         top = state.Z[3]
         rows = np.arange(len(top))
@@ -319,13 +320,13 @@ class TestInitializeChain:
     def test_random_draws_prior_and_fresh_latents(self):
         s1 = initialize_chain("random", self.data, self.spec, self.noise, self.prior, RngStream(3))
         s2 = initialize_chain("random", self.data, self.spec, self.noise, self.prior, RngStream(4))
-        s1.validate(self.spec)
+        validate_state(s1, self.spec)
         assert not np.allclose(s1.W[1], s2.W[1])
         assert not np.allclose(s1.W[1], self.data.teacher.W[1])
 
     def test_gaussian_scale(self):
         state = initialize_chain("gaussian:0.0001", self.data, self.spec, self.noise, self.prior, RngStream(5))
-        state.validate(self.spec)
+        validate_state(state, self.spec)
         assert 0 < np.abs(state.W[1]).max() < 1e-3
 
     def test_missing_teacher(self):
@@ -578,6 +579,41 @@ class TestCli:
         out_dir = tmp_path / "run"
         assert cli_main(["run", "--config", str(cfg_path), "--data", str(data_path), "--out", str(out_dir)]) == 0
         assert (out_dir / "summary.json").exists()
+
+    def test_generate_writes_the_path_it_prints(self, tmp_path, capsys):
+        # a name without the .npz suffix is written as given, not with one added
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(sweeps=2)), encoding="utf-8")
+        target = tmp_path / "gen" / "data"
+        assert cli_main(["generate", "--config", str(cfg_path), "--out", str(target)]) == 0
+        printed = json.loads(capsys.readouterr().out)["path"]
+        assert printed == str(target) and [p.name for p in target.parent.iterdir()] == ["data"]
+        out_dir = tmp_path / "run"
+        assert cli_main(["run", "--config", str(cfg_path), "--data", printed, "--out", str(out_dir)]) == 0
+        assert (out_dir / "summary.json").exists()
+
+    def test_informed_start_on_an_archive_replacing_an_idx_source(self, tmp_path, capsys):
+        # mnist-mlp-gibbs names an idx source; --data replaces it with an archive
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(mnist_mlp_gibbs(initializations=["informed", "zero"], sweeps=2)), encoding="utf-8")
+        with pytest.raises(ConfigError, match="initializations: informed requires"):
+            get_preset("mnist-mlp-gibbs", initializations=["informed"])
+        synthetic = get_preset("mnist-mlp-gibbs", dataset={"source": "synthetic", "n": 20, "n_test": 5})
+        teacher_path = tmp_path / "teacher.npz"
+        save_dataset(teacher_path, build_dataset(synthetic, RngStream(0)))
+        out_dir = tmp_path / "run"
+        assert cli_main(["run", "--config", str(cfg_path), "--data", str(teacher_path), "--out", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert [c["initialization"] for c in summary["chains"]] == ["informed", "zero"]
+        capsys.readouterr()
+        bare_path = tmp_path / "bare.npz"
+        np.savez(bare_path, inputs=np.zeros((20, 784)), labels=np.arange(20) % 10)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--data", str(bare_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        why = f"{bare_path}: informed initialization needs a stored teacher, and the archive has no teacher_* arrays"
+        assert captured.err == f"input error: {why}\n" and captured.out == ""
+        assert not out.exists()
 
     def test_run_seed_and_sweeps_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -861,6 +897,30 @@ class TestCli:
             read_trace(binary)
         assert cli_main(["diagnose", str(binary)]) == 2
         assert re.fullmatch(r"input error: .*binary\.csv: not a UTF-8 text trace \(.+\)\n", capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "text, why",
+        [
+            ("0,0.1,1.5\n10,0.2,1.25\n10,0.3,1.0\n", "line 4: sweep 10 does not follow sweep 10"),
+            ("0,0.1,1.5\n10,0.2,1.25\n5,0.3,1.0\n", "line 4: sweep 5 does not follow sweep 10"),
+            ("0,0.1,1.5\n1.5,0.2,1.25\n", "line 3: sweep 1.5 is not a 64-bit integer"),
+            ("0,0.1,1.5\n1e20,0.2,1.25\n", "line 3: sweep 1e+20 is not a 64-bit integer"),
+            ("0,0.1,1.5,2.0\n", "line 1: repeated column name 'test_mse'"),
+        ],
+        ids=["repeated-sweep", "decreasing-sweep", "fractional-sweep", "sweep-beyond-int64", "repeated-column"],
+    )
+    def test_trace_sweep_and_column_faults_name_the_file(self, tmp_path, capsys, text, why):
+        header = "sweep,wall_s,test_mse,test_mse\n" if "column" in why else "sweep,wall_s,test_mse\n"
+        trace = tmp_path / "trace.csv"
+        trace.write_text(header + text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_trace(trace)
+        assert str(info.value) == f"{trace}, {why}"
+        out = tmp_path / "report"
+        assert cli_main(["diagnose", str(trace), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {trace}, {why}\n" and captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("fault", ["garbled", "no-observable"])
     def test_diagnose_input_faults_are_one_line(self, tmp_path, capsys, fault):

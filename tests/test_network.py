@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import validate_state
 from nngibbs.kernels import RngStream
 from nngibbs.network import error_rate, test_mse as mse_between
 from nngibbs.network import (
@@ -31,12 +32,24 @@ class TestSpecs:
             NetworkSpec(layers=(DenseLayer(4, 3), DenseLayer(2, 1)))
 
     def test_conv_output_dims(self):
-        conv = ConvLayer(1, 2, in_height=28, in_width=28, filter_height=4, filter_width=4, stride_y=3, stride_x=3)
+        conv = ConvLayer(channels_in=1, channels_out=2, in_height=28, in_width=28, filter_height=4, filter_width=4, stride_y=3, stride_x=3)
         assert (conv.out_height, conv.out_width) == (9, 9)
+
+    def test_channels_are_keyword_only(self):
+        # the old channels-first positions must not bind geometry fields
+        with pytest.raises(TypeError):
+            ConvLayer(1, 2, in_height=5, in_width=5, filter_height=2, filter_width=2)
+        with pytest.raises(TypeError):
+            ConvLayer(1, 2, 5, 5, 2, 2)
+        with pytest.raises(TypeError):
+            PoolLayer(2, 4, 4, 2, 2)
+        conv = ConvLayer(5, 5, 2, 2, channels_in=1, channels_out=2)
+        assert (conv.in_height, conv.filter_height, conv.stride_y, conv.channels_out) == (5, 2, 1, 2)
+        assert PoolLayer(4, 4, 2, 2, channels=2).out_shape == (2, 2, 2)
 
     def test_pool_must_follow_conv(self):
         with pytest.raises(ValueError):
-            NetworkSpec(layers=(DenseLayer(4, 4), PoolLayer(1, 2, 2, 2, 2), DenseLayer(1, 1)))
+            NetworkSpec(layers=(DenseLayer(4, 4), PoolLayer(channels=1, in_height=2, in_width=2, window_height=2, window_width=2), DenseLayer(1, 1)))
 
     def test_noise_schedule_positive(self):
         spec = mlp([3, 2, 1])
@@ -195,7 +208,7 @@ class TestChainStateValidation:
         spec = mlp([2, 3], output="probit", bias=False)
         Z = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         state = ChainState(W={1: np.zeros((3, 2))}, b={1: None}, X={1: np.zeros((2, 2))}, Z={2: Z}, labels=np.array([0, 1]))
-        state.validate(spec)
+        validate_state(state, spec)
         state.labels = np.array([1, 1])
         with pytest.raises(ShapeMismatch):
-            state.validate(spec)
+            validate_state(state, spec)

@@ -99,8 +99,8 @@ class TestClassicalPosterior:
         assert np.max(np.abs(grad - num) / scale) < 1e-5
 
     def test_conv_pipeline_gradient(self):
-        conv = ConvLayer(1, 2, in_height=5, in_width=5, filter_height=2, filter_width=2, stride_y=1, stride_x=1)
-        pool = PoolLayer(2, 4, 4, 2, 2)
+        conv = ConvLayer(channels_in=1, channels_out=2, in_height=5, in_width=5, filter_height=2, filter_width=2, stride_y=1, stride_x=1)
+        pool = PoolLayer(channels=2, in_height=4, in_width=4, window_height=2, window_width=2)
         spec = NetworkSpec(layers=(conv, pool, DenseLayer(8, 3)), activation=Activation.RELU, output="probit")
         prior = PriorSpec.fan_in(spec)
         gen = np.random.default_rng(3)
@@ -133,8 +133,8 @@ class TestIntermediatePosterior:
         ids=["conv-pool-dense", "conv-pool-dense-dense"],
     )
     def test_conv_gradient_matches_finite_differences(self, dense_tail):
-        conv = ConvLayer(1, 2, in_height=4, in_width=4, filter_height=2, filter_width=2)
-        pool = PoolLayer(2, 3, 3, 2, 2)
+        conv = ConvLayer(channels_in=1, channels_out=2, in_height=4, in_width=4, filter_height=2, filter_width=2)
+        pool = PoolLayer(channels=2, in_height=3, in_width=3, window_height=2, window_width=2)
         spec = NetworkSpec(layers=(conv, pool, *dense_tail), activation=Activation.RELU)
         noise = NoiseSchedule.uniform(spec, 0.2)
         prior = PriorSpec.fan_in(spec)
@@ -210,10 +210,10 @@ class TestIntermediatePosterior:
 
 def _generated_problem(stack, seed=12, n=6):
     """A spec, its noise and prior, a dataset and the generating state."""
-    conv = ConvLayer(1, 2, in_height=5, in_width=5, filter_height=2, filter_width=2)
+    conv = ConvLayer(channels_in=1, channels_out=2, in_height=5, in_width=5, filter_height=2, filter_width=2)
     specs = {
         "dense": lambda: mlp([4, 3, 2, 1]),
-        "conv-pool": lambda: NetworkSpec(layers=(conv, PoolLayer(2, 4, 4, 2, 2), DenseLayer(8, 3), DenseLayer(3, 1))),
+        "conv-pool": lambda: NetworkSpec(layers=(conv, PoolLayer(channels=2, in_height=4, in_width=4, window_height=2, window_width=2), DenseLayer(8, 3), DenseLayer(3, 1))),
         "probit": lambda: mlp([4, 3, 3], output="probit"),
         "bias-free": lambda: NetworkSpec(layers=(DenseLayer(4, 3, has_bias=False), DenseLayer(3, 2, has_bias=False), DenseLayer(2, 1))),
     }
@@ -307,13 +307,13 @@ class TestFlatPacker:
         """Every hidden layer packs X, Z, then P where a pool feeds it, the
         same for dense and conv stacks."""
         n = 3
-        conv = ConvLayer(1, 2, in_height=5, in_width=5, filter_height=2, filter_width=2)
+        conv = ConvLayer(channels_in=1, channels_out=2, in_height=5, in_width=5, filter_height=2, filter_width=2)
         if stack == "dense":
             spec = mlp([4, 3, 3, 2], output="probit")
         elif stack == "conv":
             spec = NetworkSpec(layers=(conv, DenseLayer(32, 1)))
         else:
-            layers = (conv, PoolLayer(2, 4, 4, 2, 2), DenseLayer(8, 3), DenseLayer(3, 2))
+            layers = (conv, PoolLayer(channels=2, in_height=4, in_width=4, window_height=2, window_width=2), DenseLayer(8, 3), DenseLayer(3, 2))
             spec = NetworkSpec(layers=layers, output="probit")
         packer = FlatPacker.for_intermediate(spec, n)
         assert " ".join(f"{kind}{l}" for kind, l, _ in packer.blocks) == order
@@ -329,8 +329,8 @@ class TestFlatPacker:
         gen = np.random.default_rng(11)
         n = 5
         if stack == "conv-pool-probit":
-            conv = ConvLayer(1, 2, in_height=5, in_width=5, filter_height=2, filter_width=2)
-            spec = NetworkSpec(layers=(conv, PoolLayer(2, 4, 4, 2, 2), DenseLayer(8, 3)), output="probit")
+            conv = ConvLayer(channels_in=1, channels_out=2, in_height=5, in_width=5, filter_height=2, filter_width=2)
+            spec = NetworkSpec(layers=(conv, PoolLayer(channels=2, in_height=4, in_width=4, window_height=2, window_width=2), DenseLayer(8, 3)), output="probit")
         else:
             spec = mlp([4, 3, 2], output=stack.split("-")[1], bias=False)
         inputs = gen.standard_normal((n, *spec.layers[0].in_shape))
@@ -483,14 +483,14 @@ def _oracle_problem(stack):
         prior = PriorSpec.fan_in(spec)
         data = generate_teacher_student(spec, prior, 100, 0, RngStream(4000, (0,)), noise_gen=noise)
         return spec, noise, prior, data, data.teacher.copy()
-    conv = ConvLayer(1, 2, in_height=5, in_width=5, filter_height=2, filter_width=2)
+    conv = ConvLayer(channels_in=1, channels_out=2, in_height=5, in_width=5, filter_height=2, filter_width=2)
     spec = {
         "relu-bias": lambda: mlp([4, 3, 2, 1]),
         "relu-no-bias": lambda: mlp([4, 3, 2, 1], bias=False),
         "abs-bias": lambda: mlp([4, 3, 2, 1], activation=Activation.ABS),
         "abs-no-bias": lambda: mlp([4, 3, 2, 1], activation=Activation.ABS, bias=False),
         "probit-3": lambda: mlp([4, 3, 3], output="probit"),
-        "conv-pool-probit": lambda: NetworkSpec(layers=(conv, PoolLayer(2, 4, 4, 2, 2), DenseLayer(8, 3)), output="probit"),
+        "conv-pool-probit": lambda: NetworkSpec(layers=(conv, PoolLayer(channels=2, in_height=4, in_width=4, window_height=2, window_width=2), DenseLayer(8, 3)), output="probit"),
     }[stack]()
     noise = NoiseSchedule.uniform(spec, 0.2)
     prior = PriorSpec.fan_in(spec)

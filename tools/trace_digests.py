@@ -3,9 +3,11 @@ short runs, so two source trees can be checked for the same bits.
 
 Each run goes through ``run_experiment`` into a temporary directory. A
 trace is hashed without its ``wall_s`` column, the only one that a re-run
-at the same seed may change. The ``mnist-mlp-gibbs`` run has 60 samples
-for 784 inputs, so it draws W[1] through the first-layer factor's mean
-map. The last run reads the ``ts-criterion`` data from an archive that
+at the same seed may change. The second ``mnist-cnn-gibbs`` run samples
+that net's noisy-layer posterior by HMC: it is the one run through the
+conv and pool branches of ``intermediate_log_posterior``. The
+``mnist-mlp-gibbs`` run has 60 samples for 784 inputs, so it draws W[1]
+through the first-layer factor's mean map. The last run reads the ``ts-criterion`` data from an archive that
 ``save_dataset`` wrote, so its trace lines must equal the synthetic run's:
 reading and checking a dataset file moves no bit. Its ``summary.json``
 names that archive, and is hashed with the temporary directory taken out
@@ -34,6 +36,8 @@ from nngibbs.presets import get_preset
 
 # the MNIST presets run on a small synthetic dataset, recorded every sweep
 _SYNTHETIC = {"source": "synthetic", "n": 60, "n_test": 20}
+# HMC on the noisy-layer posterior of the conv+pool net
+_CNN_HMC = {"kind": "hmc", "posterior": "intermediate", "step_size": 1e-3, "leapfrog_steps": 10}
 
 # (preset, noise level or None for the preset's own, overrides, whether the
 # dataset is read from an archive of the one the config generates)
@@ -45,6 +49,7 @@ RUNS = [
     ("noiseless-mala-classical", 1e-2, {"sweeps": 2200}, False),
     ("mnist-cnn-gibbs", None, {"sweeps": 30, "spacing": 1, "dataset": _SYNTHETIC}, False),
     ("mnist-cnn-hmc", None, {"sweeps": 10, "spacing": 1, "dataset": _SYNTHETIC}, False),
+    ("mnist-cnn-gibbs", None, {"sweeps": 5, "spacing": 1, "dataset": _SYNTHETIC, "sampler": _CNN_HMC}, False),
     ("mnist-mlp-mala", None, {"sweeps": 50, "spacing": 1, "dataset": _SYNTHETIC}, False),
     ("mnist-mlp-gibbs", None, {"sweeps": 20, "spacing": 1, "dataset": _SYNTHETIC}, False),
     ("ts-criterion", None, {"sweeps": 300}, True),
