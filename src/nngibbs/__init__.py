@@ -25,7 +25,7 @@ from .network import (
 )
 from .posteriors import intermediate_log_posterior
 from .gibbs import SweepSchedule, gibbs_sweep
-from .samplers import ChainRun, HmcSettings, MalaSettings, hmc_step, mala_step, run_chain
+from .samplers import HmcSettings, MalaSettings, hmc_step, mala_step, run_chain
 from .diagnostics import (
     DegenerateVariance,
     InformedNotStationary,

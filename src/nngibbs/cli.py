@@ -90,10 +90,7 @@ def _cmd_run(args) -> int:
 def _cmd_diagnose(args) -> int:
     series_by_file = {}
     for path in args.traces:
-        try:
-            table = read_trace(path)
-        except ValueError as exc:
-            raise ds.InputError(str(exc)) from None
+        table = read_trace(path)
         if args.observable not in table:
             raise ds.InputError(f"{path}: no observable named {args.observable!r} (have {sorted(table)})")
         series_by_file[path] = table[args.observable]

@@ -3,9 +3,11 @@ multi-chain runs with trace persistence, and post-run merge verdicts.
 
 Configs are plain JSON (nested key/value); traces are one CSV per chain
 with a ``sweep,wall_s,<observable...>`` header so any plotting stack can
-consume them. Chains run concurrently on independent RNG streams, and a
-re-run with the same seed reproduces every trace byte-for-byte except
-the wall-clock column.
+consume them. A chain writes each record to its trace as it is taken,
+and the summary and merge verdicts are read back from the traces.
+Chains run concurrently on independent RNG streams, and a re-run with
+the same seed reproduces every trace byte-for-byte except the
+wall-clock column.
 """
 from __future__ import annotations
 
@@ -499,46 +501,42 @@ def _chain_label(idx: int, kind: str) -> str:
     return f"chain{idx}_{kind.replace(':', '')}"
 
 
-def _write_trace(path: Path, columns: list[str], run: samplers.ChainRun):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sweep,wall_s," + ",".join(columns) + "\n")
-        for sweep, wall, values in zip(run.times.tolist(), run.wall.tolist(), run.values.tolist()):
-            cells = [str(sweep), f"{wall:.3f}"] + [f"{v:.17g}" for v in values]
-            fh.write(",".join(cells) + "\n")
-
-
 def read_trace(path) -> dict[str, diagnostics.TraceSeries]:
     """Parse one trace CSV into a TraceSeries per observable column.
 
     A file that is not UTF-8 text, repeats a column name, has no records,
-    or has a record that is not one number per column or whose sweep is
-    not a 64-bit integer above the previous record's, is a ValueError
-    naming the file (and the line)."""
+    or has a record that is not one finite number per column or whose
+    sweep is not a 64-bit integer above the previous record's, is a
+    ``datasets.InputError`` naming the file (and the line and column)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             if header[:2] != ["sweep", "wall_s"]:
-                raise ValueError(f"{path}: not a trace file (header {header[:2]})")
+                raise ds.InputError(f"{path}: not a trace file (header {header[:2]})")
             repeated = [name for i, name in enumerate(header) if name in header[:i]]
             if repeated:
-                raise ValueError(f"{path}, line 1: repeated column name {repeated[0]!r}")
+                raise ds.InputError(f"{path}, line 1: repeated column name {repeated[0]!r}")
             rows = []
             for number, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                row = [_parsed(float, cell, None) for cell in line.strip().split(",")]
+                cells = line.strip().split(",")
+                row = [_parsed(float, cell, None) for cell in cells]
                 if len(row) != len(header) or None in row:
-                    raise ValueError(f"{path}, line {number}: expected {len(header)} numbers, got {line.strip()!r}")
+                    raise ds.InputError(f"{path}, line {number}: expected {len(header)} numbers, got {line.strip()!r}")
+                for name, cell, value in zip(header, cells, row):
+                    if not math.isfinite(value):
+                        raise ds.InputError(f"{path}, line {number}, column {name!r}: {cell!r} is not a finite number")
                 # a sweep count outside int64 would wrap in the integer times
                 if not (row[0].is_integer() and abs(row[0]) < 2**63):
-                    raise ValueError(f"{path}, line {number}: sweep {row[0]!r} is not a 64-bit integer")
+                    raise ds.InputError(f"{path}, line {number}: sweep {row[0]!r} is not a 64-bit integer")
                 if rows and row[0] <= rows[-1][0]:
-                    raise ValueError(f"{path}, line {number}: sweep {int(row[0])} does not follow sweep {int(rows[-1][0])}")
+                    raise ds.InputError(f"{path}, line {number}: sweep {int(row[0])} does not follow sweep {int(rows[-1][0])}")
                 rows.append(row)
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not a UTF-8 text trace ({exc.reason})") from None
+        raise ds.InputError(f"{path}: not a UTF-8 text trace ({exc.reason})") from None
     if not rows:
-        raise ValueError(f"{path}, line 2: no records after the header")
+        raise ds.InputError(f"{path}, line 2: no records after the header")
     data = np.asarray(rows)
     times = data[:, 0].astype(int)
     wall = data[:, 1]
@@ -549,8 +547,9 @@ def read_trace(path) -> dict[str, diagnostics.TraceSeries]:
 
 
 def _run_single_chain(cfg: ExperimentConfig, dataset: Dataset, idx: int, kind: str, deadline: float | None, out: Path):
-    """Run one chain and write its trace into ``out``. Returns the chain's
-    summary entry and its series of each observable column."""
+    """Run one chain, writing its trace into ``out`` record by record.
+    Returns the chain's summary entry and its series of each observable
+    column, both read back from the trace."""
     spec = cfg.network
     chain_rng = RngStream(cfg.seed, (idx,))
     step_rng = chain_rng.child(1)
@@ -579,25 +578,31 @@ def _run_single_chain(cfg: ExperimentConfig, dataset: Dataset, idx: int, kind: s
         frame = posteriors.clamped_frame(spec, dataset)
         position, state_of = packer.pack(vars(init_state)), lambda vec: packer.state(vec, frame)
 
-    def observe(x, rate):
-        values = observer.observe_state(state_of(x), rate)
-        return [values[c] for c in observer.columns]
-
-    run = samplers.run_chain(step, position, cfg.sweeps, observe, cfg.spacing, deadline)
     columns = observer.columns
     label = _chain_label(idx, kind)
     path = out / f"trace_{label}.csv"
-    _write_trace(path, columns, run)
+    # one flushed line per record, so a chain that stops keeps every record it took
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("sweep,wall_s," + ",".join(columns) + "\n")
+        start = time.monotonic()
+
+        def record(t, x, rate):
+            wall = time.monotonic() - start
+            values = observer.observe_state(state_of(x), rate)
+            fh.write(",".join([str(t), f"{wall:.3f}"] + [f"{values[c]:.17g}" for c in columns]) + "\n")
+            fh.flush()
+
+        accepted, steps = samplers.run_chain(step, position, cfg.sweeps, record, cfg.spacing, deadline)
+    series = read_trace(path)
     entry = {
         "label": label,
         "initialization": kind,
         "file": path.name,
-        "records": len(run.times),
-        "final": dict(zip(columns, run.values[-1].tolist())),
+        "records": len(series[columns[0]].times),
+        "final": {c: float(s.values[-1]) for c, s in series.items()},
     }
     if cfg.sampler.kind != "gibbs":
-        entry["acceptance_rate"] = run.acceptance_rate
-    series = {c: diagnostics.TraceSeries(times=run.times, values=run.values[:, j]) for j, c in enumerate(columns)}
+        entry["acceptance_rate"] = accepted / steps
     return entry, series
 
 

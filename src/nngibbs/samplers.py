@@ -20,7 +20,6 @@ from .kernels import RngStream
 __all__ = [
     "HmcSettings",
     "MalaSettings",
-    "ChainRun",
     "hmc_step",
     "mala_step",
     "run_chain",
@@ -112,48 +111,21 @@ def mala_step(position: np.ndarray, target, settings: MalaSettings, rng: RngStre
     return position, False
 
 
-@dataclass
-class ChainRun:
-    """Recorded trajectory of one Markov chain.
-
-    ``times`` are the step counts of the records, ``wall`` the seconds
-    from the start of the run to each record, and ``steps`` the steps
-    actually taken.
-    """
-
-    times: np.ndarray
-    wall: np.ndarray
-    values: np.ndarray
-    accepted: int
-    steps: int
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.steps if self.steps else float("nan")
-
-
-def run_chain(step, position, n_steps: int, observer, spacing: int = 1, deadline: float | None = None) -> ChainRun:
+def run_chain(step, position, n_steps: int, record, spacing: int = 1, deadline: float | None = None) -> tuple[int, int]:
     """Iterate ``step`` from ``position``, recording every ``spacing`` steps.
 
     ``step`` maps a state to ``(next state, accepted)``; a Gibbs sweep
-    always counts as accepted. ``observer(state, rate)`` also receives the
-    running acceptance rate, 0.0 at t=0. The initial state is always
+    always counts as accepted. ``record(t, x, rate)`` receives the step
+    count, the state and the running acceptance rate, 0.0 at t=0, and
+    keeps whatever it wants of them. The initial state is always
     recorded, and records land on step multiples of ``spacing``. The run
     ends after ``n_steps`` steps, or earlier, after the first step that
     finds the ``time.monotonic()`` ``deadline`` passed; either way the last
-    step taken is recorded too, unless it just was. The accepted/total
-    bookkeeping is exact.
+    step taken is recorded too, unless it just was. Returns the accepted
+    count and the steps taken, an exact tally.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    start = time.monotonic()
-    times, wall, values = [], [], []
-
-    def record(t, x, rate):
-        times.append(t)
-        wall.append(time.monotonic() - start)
-        values.append(observer(x, rate))
-
     x = position
     record(0, x, 0.0)
     accepted = 0
@@ -164,12 +136,6 @@ def run_chain(step, position, n_steps: int, observer, spacing: int = 1, deadline
             record(t, x, accepted / t)
         if deadline is not None and time.monotonic() > deadline:
             break
-    if times[-1] != t:
+    if t % spacing != 0:
         record(t, x, accepted / t)
-    return ChainRun(
-        times=np.asarray(times),
-        wall=np.asarray(wall),
-        values=np.asarray(values, dtype=float),
-        accepted=accepted,
-        steps=t,
-    )
+    return accepted, t

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import validate_state
-from nngibbs import posteriors
+from nngibbs import gibbs, posteriors
 from nngibbs.cli import main as cli_main
 from nngibbs.datasets import InputError, generate_teacher_student, save_dataset
 from nngibbs.gibbs import SweepSchedule, gibbs_sweep
@@ -376,6 +376,10 @@ class TestRunExperiment:
         table = read_trace(tmp_path / files[0])
         assert "test_mse" in table and "w1_sqnorm" in table
         assert list(table["test_mse"].times[:3]) == [0, 10, 20]
+        # one wall_s per record, read before each record's observables
+        wall = table["test_mse"].wall
+        assert len(wall) == summary["chains"][0]["records"] == 7
+        assert np.all(np.diff(wall) >= 0)
 
     def test_rerun_byte_identical_modulo_wall(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config())
@@ -435,6 +439,44 @@ class TestRunExperiment:
         cfg = ExperimentConfig.from_dict(base_config(sweeps=10_000_000, max_seconds=0.5, spacing=1000))
         summary = run_experiment(cfg, tmp_path)
         assert summary["chains"][0]["records"] >= 1
+
+    def test_raising_chain_keeps_its_records(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_dict(base_config(sweeps=50, spacing=5, initializations=["zero"]))
+        run_experiment(cfg, tmp_path / "whole")
+        sweep = gibbs.gibbs_sweep
+        calls = []
+
+        def sweep_until_23(*args):
+            calls.append(None)
+            if len(calls) == 23:
+                raise RuntimeError("sweep 23 fails")
+            return sweep(*args)
+
+        monkeypatch.setattr(gibbs, "gibbs_sweep", sweep_until_23)
+        with pytest.raises(RuntimeError, match="sweep 23 fails"):
+            run_experiment(cfg, tmp_path / "cut")
+        assert not (tmp_path / "cut" / "summary.json").exists()
+        strip = lambda path: [",".join(r.split(",")[:1] + r.split(",")[2:]) for r in path.read_text().splitlines()]
+        cut = strip(tmp_path / "cut" / "trace_chain0_zero.csv")
+        whole = strip(tmp_path / "whole" / "trace_chain0_zero.csv")
+        assert [row.split(",")[0] for row in cut[1:]] == ["0", "5", "10", "15", "20"]
+        assert cut == whole[:6]
+
+    def test_summary_merge_is_what_diagnose_reads(self, tmp_path, capsys):
+        # a noise level at which the zero chain merges within 100 sweeps
+        raw = base_config(noise={"delta": 1.0}, sweeps=100, spacing=1, merge_window=10, merge_tolerance=2.5)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "run"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        informed, zero = (str(out / chain["file"]) for chain in summary["chains"])
+        capsys.readouterr()
+        argv = ["diagnose", informed, zero, "--informed", informed, "--window", "10", "--tolerance", "2.5"]
+        assert cli_main([*argv, "--observable", summary["merge"]["chain1_zero"]["observable"]]) == 0
+        report = json.loads(capsys.readouterr().out)
+        verdict = {k: v for k, v in summary["merge"]["chain1_zero"].items() if k != "observable"}
+        assert "equilibrium" in verdict and report["merge"] == {zero: verdict}
 
 
 # sha256 of get_preset(name, delta=d).to_json() joined by newlines over
@@ -883,17 +925,17 @@ class TestCli:
     def test_unreadable_trace_is_reported(self, tmp_path, capsys):
         header_only = tmp_path / "header_only.csv"
         header_only.write_text("sweep,wall_s,test_mse\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"header_only\.csv, line 2: no records"):
+        with pytest.raises(InputError, match=r"header_only\.csv, line 2: no records"):
             read_trace(header_only)
         garbled = tmp_path / "garbled.csv"
         garbled.write_text("sweep,wall_s,test_mse\n0,0.001,1.5\n10,0.002,oops\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"garbled\.csv, line 3: expected 3 numbers, got '10,0.002,oops'"):
+        with pytest.raises(InputError, match=r"garbled\.csv, line 3: expected 3 numbers, got '10,0.002,oops'"):
             read_trace(garbled)
         assert cli_main(["diagnose", str(header_only)]) == 2
         assert re.fullmatch(r"input error: .*header_only\.csv, line 2: no records after the header\n", capsys.readouterr().err)
         binary = tmp_path / "binary.csv"
         binary.write_bytes(b"\xff\xfesweep,wall_s\n")
-        with pytest.raises(ValueError, match=r"binary\.csv: not a UTF-8 text trace"):
+        with pytest.raises(InputError, match=r"binary\.csv: not a UTF-8 text trace"):
             read_trace(binary)
         assert cli_main(["diagnose", str(binary)]) == 2
         assert re.fullmatch(r"input error: .*binary\.csv: not a UTF-8 text trace \(.+\)\n", capsys.readouterr().err)
@@ -906,14 +948,15 @@ class TestCli:
             ("0,0.1,1.5\n1.5,0.2,1.25\n", "line 3: sweep 1.5 is not a 64-bit integer"),
             ("0,0.1,1.5\n1e20,0.2,1.25\n", "line 3: sweep 1e+20 is not a 64-bit integer"),
             ("0,0.1,1.5,2.0\n", "line 1: repeated column name 'test_mse'"),
+            ("0,0.1,1.5\n10,0.2,inf\n", "line 3, column 'test_mse': 'inf' is not a finite number"),
         ],
-        ids=["repeated-sweep", "decreasing-sweep", "fractional-sweep", "sweep-beyond-int64", "repeated-column"],
+        ids=["repeated-sweep", "decreasing-sweep", "fractional-sweep", "sweep-beyond-int64", "repeated-column", "infinite-cell"],
     )
     def test_trace_sweep_and_column_faults_name_the_file(self, tmp_path, capsys, text, why):
-        header = "sweep,wall_s,test_mse,test_mse\n" if "column" in why else "sweep,wall_s,test_mse\n"
+        header = "sweep,wall_s,test_mse,test_mse\n" if "repeated column" in why else "sweep,wall_s,test_mse\n"
         trace = tmp_path / "trace.csv"
         trace.write_text(header + text, encoding="utf-8")
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(InputError) as info:
             read_trace(trace)
         assert str(info.value) == f"{trace}, {why}"
         out = tmp_path / "report"
@@ -921,6 +964,30 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"input error: {trace}, {why}\n" and captured.out == ""
         assert not out.exists()
+
+    def test_run_recording_a_non_finite_value_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        observe = _Observer.observe_state
+        calls = []
+
+        def nan_from_third_call(self, state, acceptance=None):
+            values = observe(self, state, acceptance)
+            calls.append(None)
+            if len(calls) >= 3:
+                values["test_mse"] = math.nan
+            return values
+
+        monkeypatch.setattr(_Observer, "observe_state", nan_from_third_call)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(initializations=["zero"])), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        trace = out / "trace_chain0_zero.csv"
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {trace}, line 4, column 'test_mse': 'nan' is not a finite number\n"
+        assert captured.out == ""
+        # the chain ran to its budget, and its records stay on disk
+        assert len(trace.read_text(encoding="utf-8").splitlines()) == 8
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("fault", ["garbled", "no-observable"])
     def test_diagnose_input_faults_are_one_line(self, tmp_path, capsys, fault):

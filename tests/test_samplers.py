@@ -8,7 +8,7 @@ import pytest
 
 from conftest import batch_mean_se
 from nngibbs.kernels import RngStream
-from nngibbs.samplers import ChainRun, HmcSettings, MalaSettings, hmc_step, mala_step, run_chain
+from nngibbs.samplers import HmcSettings, MalaSettings, hmc_step, mala_step, run_chain
 
 
 def gaussian_target(cov):
@@ -223,58 +223,66 @@ class TestMala:
             HmcSettings(0.1, 0)
 
 
+def recorded(step, position, n_steps, observer, **kw):
+    """run_chain with a ``record`` that keeps each record's step count
+    and ``observer(x, rate)``: (times, values, accepted, steps)."""
+    times, values = [], []
+
+    def record(t, x, rate):
+        times.append(t)
+        values.append(observer(x, rate))
+
+    accepted, steps = run_chain(step, position, n_steps, record, **kw)
+    return times, values, accepted, steps
+
+
 class TestRunChain:
     def test_budget_one_records_initial_plus_one(self):
         rng = RngStream(9)
         step = lambda x: mala_step(x, flat_target, MalaSettings(0.1), rng)
         obs = lambda x, rate: x
-        run = run_chain(step, np.zeros(2), n_steps=1, observer=obs)
-        assert list(run.times) == [0, 1]
+        times, _values, _accepted, _steps = recorded(step, np.zeros(2), 1, obs)
+        assert times == [0, 1]
         with pytest.raises(ValueError):
-            run_chain(step, np.zeros(2), n_steps=0, observer=obs)
+            run_chain(step, np.zeros(2), 0, lambda t, x, rate: None)
 
     def test_acceptance_bookkeeping_exact(self):
         target = gaussian_target(np.eye(2))
-        accepted_flags = []
-
-        real_step = mala_step
-
-        def counting_target(x):
-            return target(x)
-
         rng = RngStream(10)
-        run = run_chain(lambda x: mala_step(x, counting_target, MalaSettings(0.9), rng), np.zeros(2), n_steps=500, observer=lambda x, rate: x)
+        _times, _values, accepted, steps = recorded(
+            lambda x: mala_step(x, target, MalaSettings(0.9), rng), np.zeros(2), 500, lambda x, rate: x
+        )
         # replay with an identical stream to count acceptances independently
         rng2 = RngStream(10)
         x = np.zeros(2)
         acc = 0
         for _ in range(500):
-            x, ok = real_step(x, counting_target, MalaSettings(0.9), rng2)
+            x, ok = mala_step(x, target, MalaSettings(0.9), rng2)
             acc += ok
-        assert run.accepted == acc
-        assert run.acceptance_rate == acc / 500
+        assert accepted == acc
+        assert accepted / steps == acc / 500
 
     def test_measurement_spacing(self):
         obs = lambda x, rate: x
         rng = RngStream(11)
         step = lambda x: hmc_step(x, gaussian_target(np.eye(1)), HmcSettings(0.1, 5), rng)[:2]
-        run = run_chain(step, np.zeros(1), n_steps=1000, observer=obs, spacing=100)
-        assert list(run.times) == [0, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
-        assert run.values.shape == (11, 1)
+        times, values, _accepted, _steps = recorded(step, np.zeros(1), 1000, obs, spacing=100)
+        assert times == [0, 100, 200, 300, 400, 500, 600, 700, 800, 900, 1000]
+        assert np.asarray(values).shape == (11, 1)
 
-    @pytest.mark.parametrize("n_steps, times", [(25, [0, 10, 20, 25]), (5, [0, 5])], ids=["25-at-10", "5-at-10"])
-    def test_budget_end_records_the_last_step(self, n_steps, times):
+    @pytest.mark.parametrize("n_steps, expected", [(25, [0, 10, 20, 25]), (5, [0, 5])], ids=["25-at-10", "5-at-10"])
+    def test_budget_end_records_the_last_step(self, n_steps, expected):
         rates = []
 
         def obs(x, rate):
             rates.append(rate)
             return x
 
-        run = run_chain(lambda x: (x + 1.0, True), 0.0, n_steps=n_steps, observer=obs, spacing=10)
-        assert list(run.times) == times
-        assert list(run.values) == [float(t) for t in times]
-        assert run.steps == n_steps
-        assert rates == [0.0] + [1.0] * (len(times) - 1)
+        times, values, _accepted, steps = recorded(lambda x: (x + 1.0, True), 0.0, n_steps, obs, spacing=10)
+        assert times == expected
+        assert values == [float(t) for t in expected]
+        assert steps == n_steps
+        assert rates == [0.0] + [1.0] * (len(expected) - 1)
 
     def test_past_deadline_records_the_step_taken_and_stops(self):
         rates = []
@@ -283,9 +291,10 @@ class TestRunChain:
             rates.append(rate)
             return x
 
-        run = run_chain(lambda x: (x + 1.0, True), 0.0, n_steps=1000, observer=obs, spacing=100, deadline=time.monotonic() - 1.0)
-        assert list(run.times) == [0, 1]
-        assert len(run.wall) == 2
-        assert run.steps == 1
-        assert run.accepted == 1 and run.acceptance_rate == 1.0
+        times, _values, accepted, steps = recorded(
+            lambda x: (x + 1.0, True), 0.0, 1000, obs, spacing=100, deadline=time.monotonic() - 1.0
+        )
+        assert times == [0, 1]
+        assert steps == 1
+        assert accepted == 1 and accepted / steps == 1.0
         assert rates == [0.0, 1.0]
