@@ -125,11 +125,11 @@ def update_pool_X(
     Window means shift toward the pooled output by the variance-weighted
     factor; the window covariance (a multiple of identity minus a rank-one
     part) is sampled by subtracting q times the window sum from white
-    noise. Both window reductions go through ``PoolMap.window_sum``, and
-    the draw is written straight into the windows of the result through
-    ``PoolMap.blocks``. Pixels outside the retained region just fluctuate
-    around their upstream means. The noise is drawn over the window blocks
-    first, then over the bottom and right border slabs.
+    noise: each retained pixel is (upstream + shift) + (noise - q * window
+    sum), the window terms reduced by ``PoolMap.window_sum`` and repeated
+    over their pixels by ``PoolMap.expand``. Other pixels just fluctuate
+    around their upstream means. The noise is drawn over the retained
+    region first, then over the bottom and right border slabs.
     """
     gen = rng.generator
     k = pmap.k
@@ -140,12 +140,12 @@ def update_pool_X(
     sd = np.sqrt(var_in)
     rh, rw = pmap.retained_height, pmap.retained_width
     z = gen.normal(scale=sd, size=(*upstream_mean.shape[:-2], rh, rw))
-    zbar = pmap.blocks(z) - q * pmap.window_sum(z)[..., :, None, :, None]
+    z -= pmap.expand(q * pmap.window_sum(z))
 
     out = np.empty(upstream_mean.shape)
-    windows = pmap.blocks(out)
-    np.add(pmap.blocks(upstream_mean), shift[..., :, None, :, None], out=windows)
-    windows += zbar
+    windows = out[..., :rh, :rw]
+    np.add(upstream_mean[..., :rh, :rw], pmap.expand(shift), out=windows)
+    windows += z
     for sl in (np.s_[..., rh:, :], np.s_[..., :rh, rw:]):
         np.add(upstream_mean[sl], gen.normal(scale=sd, size=out[sl].shape), out=out[sl])
     return out

@@ -146,37 +146,40 @@ def std_lower_truncated(a: np.ndarray, surv: np.ndarray, gen: np.random.Generato
     a = np.asarray(a, dtype=float)
     if not np.all(a < np.inf):
         raise ValueError("truncation bound is NaN or +inf: NaN mean/bound or zero variance")
-    out = np.empty(a.shape, dtype=float)
-
     body = a <= _TAIL_SPLIT
-    if body.any():
-        ab = a[body]
-        sb = np.broadcast_to(surv, a.shape)[body]
-        u = gen.uniform(size=ab.shape)
-        # right of 0 invert on the survival side, which keeps a small tail
-        # mass representable: -ndtri(u s); left of 0 the CDF side
-        # ndtri((1 - s) + u s) is well conditioned
-        right = ab > 0.0
-        r = ndtri(np.where(right, 0.0, 1.0 - sb) + u * sb)
-        out[body] = np.where(right, -r, r)
+    if body.all():
+        # every bound in the body: the same uniforms in the same order, no masks
+        return _invert_body(a, surv, gen.uniform(size=a.shape))
+    out = np.empty(a.shape, dtype=float)
+    ab = a[body]
+    out[body] = _invert_body(ab, np.broadcast_to(surv, a.shape)[body], gen.uniform(size=ab.shape))
 
     tail = ~body
-    if tail.any():
-        at = a[tail]
-        lam = 0.5 * (at + np.sqrt(at * at + 4.0))
-        res = np.empty(at.shape, dtype=float)
-        pending = np.ones(at.shape, dtype=bool)
-        while pending.any():
-            k = int(pending.sum())
-            u1 = gen.uniform(size=k)
-            u2 = gen.uniform(size=k)
-            prop = at[pending] - np.log(u1) / lam[pending]
-            accept = u2 <= np.exp(-0.5 * (prop - lam[pending]) ** 2)
-            idx = np.flatnonzero(pending)[accept]
-            res[idx] = prop[accept]
-            pending[idx] = False
-        out[tail] = res
+    at = a[tail]
+    lam = 0.5 * (at + np.sqrt(at * at + 4.0))
+    res = np.empty(at.shape, dtype=float)
+    pending = np.ones(at.shape, dtype=bool)
+    while pending.any():
+        k = int(pending.sum())
+        u1 = gen.uniform(size=k)
+        u2 = gen.uniform(size=k)
+        prop = at[pending] - np.log(u1) / lam[pending]
+        accept = u2 <= np.exp(-0.5 * (prop - lam[pending]) ** 2)
+        idx = np.flatnonzero(pending)[accept]
+        res[idx] = prop[accept]
+        pending[idx] = False
+    out[tail] = res
     return out
+
+
+def _invert_body(a: np.ndarray, surv: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws above body bounds ``a`` from uniforms ``u``. Right
+    of 0 invert on the survival side, which keeps a small tail mass
+    representable: -ndtri(u s); left of 0 the CDF side ndtri((1 - s) + u s)
+    is well conditioned."""
+    right = a > 0.0
+    r = ndtri(np.where(right, 0.0, 1.0 - surv) + u * surv)
+    return np.where(right, -r, r)
 
 
 def trunc_norm_lower(mean, var, lower, rng: RngStream) -> np.ndarray:
@@ -209,7 +212,8 @@ def branch_prob_negative(log_mass_pos: np.ndarray, log_mass_neg: np.ndarray) -> 
     """
     lp, ln = np.asarray(log_mass_pos, float), np.asarray(log_mass_neg, float)
     d = ln - lp
-    p = 1.0 / (1.0 + np.exp(-np.abs(d)))
+    # past |d| = 37, 1 + exp(-|d|) is 1.0 already; the clip spares exp its slow underflow path
+    p = 1.0 / (1.0 + np.exp(np.maximum(-np.abs(d), -40.0)))
     out = np.where(d >= 0.0, p, 1.0 - p)
     # equal -inf masses carry no preference
     return np.where((lp == -np.inf) & (ln == -np.inf), 0.5, out)

@@ -149,9 +149,9 @@ class DenseMap:
     ``design(x)`` holds what each weight row sees as its inputs, one row
     per sample (dense) or per sample and output position (conv, whose
     rows are ``im2col`` patches). The product and the gradients have one
-    body for both kinds, with residuals laid out by ``unit_rows``; only
-    ``w_rhs`` keeps a conv GEMM orientation. ``out_grid`` and
-    ``filter_shape`` are empty for a dense layer.
+    body for both kinds, with rows shaped by ``pre_activation`` and
+    ``unit_rows``; only ``w_rhs`` keeps a conv GEMM orientation.
+    ``out_grid`` and ``filter_shape`` are empty for a dense layer.
     """
 
     out_grid: tuple[int, ...] = ()
@@ -165,8 +165,12 @@ class DenseMap:
         when the caller already has it."""
         if design is None:
             design = self.design(x)
-        n, c = len(x), len(w)
-        rows = design @ w.reshape(c, -1).T  # (n * positions, units)
+        return self.pre_activation(design @ w.reshape(len(w), -1).T, len(x))
+
+    def pre_activation(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """Product rows (n * positions, units), one per design row, as the
+        pre-activation (n, units, *out_grid); a view for a dense layer."""
+        c = rows.shape[1]
         return rows.reshape(n, math.prod(self.out_grid), c).transpose(0, 2, 1).reshape(n, c, *self.out_grid)
 
     def w_rhs(self, design: np.ndarray, z: np.ndarray, dz: float) -> np.ndarray:
@@ -290,12 +294,13 @@ class ConvIndexMap(DenseMap):
 
 @dataclass(frozen=True)
 class PoolMap:
-    """Average-pooling geometry: window blocks, retained region, leftovers.
+    """Average-pooling geometry: windows, retained region, leftovers.
 
     Every retained input pixel belongs to exactly one window; trailing
     rows/columns that do not fill a window are the discarded set and are
     resampled around their upstream means. Every pool op reduces windows
-    through ``window_sum`` and writes them through the ``blocks`` view.
+    through ``window_sum`` and writes them through ``expand``, on the 4-D
+    retained region ``x[..., :retained_height, :retained_width]``.
     """
 
     in_height: int
@@ -324,40 +329,35 @@ class PoolMap:
     def retained_width(self) -> int:
         return self.out_width * self.window_width
 
-    def blocks(self, x: np.ndarray) -> np.ndarray:
-        """View leading (..., H, W) as (..., out_h, win_h, out_w, win_w).
-
-        Splitting the two pixel axes never copies, so writing into the
-        result writes into ``x``."""
-        lead = x.shape[:-2]
-        ret = x[..., : self.retained_height, : self.retained_width]
-        return ret.reshape(*lead, self.out_height, self.window_height, self.out_width, self.window_width)
-
     def window_sum(self, x: np.ndarray) -> np.ndarray:
         """Sum of each window, shape (..., out_h, out_w).
 
         One add per window pixel over the strided slices: each window row
         sums across its columns, then the row sums add up. On C-ordered
-        input this is bitwise numpy's sum over the two window axes of
-        ``blocks(x)``, which is about ten times slower on those strides."""
-        b = self.blocks(x)
+        input this is bitwise numpy's sum over the window axes of the region
+        split 6-D, which is about ten times slower on those strides."""
+        rh, rw, wh, ww = self.retained_height, self.retained_width, self.window_height, self.window_width
         total = None
-        for i in range(self.window_height):
-            row = b[..., :, i, :, 0].copy()
-            for j in range(1, self.window_width):
-                row += b[..., :, i, :, j]
+        for i in range(wh):
+            row = x[..., i:rh:wh, 0:rw:ww].copy()
+            for j in range(1, ww):
+                row += x[..., i:rh:wh, j:rw:ww]
             total = row if total is None else total + row
         return total
 
     def pool_mean(self, x: np.ndarray) -> np.ndarray:
         return self.window_sum(x) / self.k
 
+    def expand(self, w: np.ndarray) -> np.ndarray:
+        """(..., out_h, out_w) -> the retained region, each window's value on its pixels."""
+        return np.repeat(np.repeat(w, self.window_height, axis=-2), self.window_width, axis=-1)
+
     def spread(self, d: np.ndarray, like: np.ndarray) -> np.ndarray:
         """Adjoint of ``pool_mean``: each pooled entry split evenly over its
         window; discarded pixels get zero. The result has the shape and
         memory layout of ``like``, the pool's input."""
         out = np.zeros_like(like)
-        self.blocks(out)[...] = (d / self.k)[..., :, None, :, None]
+        out[..., : self.retained_height, : self.retained_width] = self.expand(d / self.k)
         return out
 
 

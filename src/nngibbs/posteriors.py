@@ -27,6 +27,7 @@ from .network import (
     OUTPUT_REGRESSION,
     PoolLayer,
     noiseless_pass,
+    unit_rows,
 )
 
 __all__ = [
@@ -158,14 +159,11 @@ def intermediate_log_posterior(
     logp, g = _prior(layout, position)
 
     # every block of g is first written whole, then added to
-    for t in layout.weighted:
+    for t, layer in zip(layout.weighted, spec.weighted_layers):
         w = position[t.w].reshape(t.w_rows)
         x = layout.design if t.x is None else position[t.x].reshape(t.x_rows)
         dz = noise.delta_z[t.l + 1]
-        n, units = t.z_shape[:2]
-        product = x @ w.T  # one row per sample, or per sample and output position (conv)
-        if t.grid:
-            product = product.reshape(n, -1, units).transpose(0, 2, 1).reshape(t.z_shape)
+        product = layer.pre_activation(x @ w.T, t.z_shape[0])
         if t.z is None:
             resid = state.Z[t.l + 1] - product
         else:
@@ -173,8 +171,7 @@ def intermediate_log_posterior(
         if t.b is not None:
             resid -= position[t.b].reshape(t.b_cast)
         logp -= _sumsq(resid) / (2.0 * dz)
-        # units or channels as rows: the view resid.T for dense, one copy for conv
-        rows = resid.reshape(n, units, -1).transpose(1, 0, 2).reshape(units, -1) if t.grid else resid.T
+        rows = unit_rows(resid)  # the view resid.T for dense, one copy for conv
         grad_w = g[t.w].reshape(t.w_rows)
         grad_w += (rows @ x) / dz
         if t.b is not None:
@@ -316,10 +313,10 @@ class WeightedBlocks:
     without one), which broadcasts over the residual as ``b_cast``. ``x``
     slices X[l], read as its design rows ``x_rows`` (None for the clamped
     input, whose design the layout holds), and ``z`` slices Z[l+1], shaped
-    ``z_shape`` (None for a clamped regression output). ``grid`` is a
-    conv layer's output grid, empty for dense: a conv product has one row
-    per sample and output position, and its residual is copied once into
-    one row per channel. ``ones`` sums the residual per unit or channel.
+    ``z_shape`` (None for a clamped regression output). The layer's own
+    map turns product rows into the pre-activation and the residual into
+    one row per unit or channel (``DenseMap.pre_activation``,
+    ``unit_rows``). ``ones`` sums the residual per unit or channel.
     """
 
     l: int
@@ -332,7 +329,6 @@ class WeightedBlocks:
     x_rows: tuple[int, int]
     z: slice | None
     z_shape: tuple[int, ...]
-    grid: tuple[int, ...]
     ones: np.ndarray
 
 
@@ -402,7 +398,6 @@ class FlatLayout:
                 x_rows=(n, fan_in),
                 z=cut("Z", l + 1),
                 z_shape=(n, *layer.out_shape),
-                grid=grid,
                 ones=np.ones(n * math.prod(grid)),
             ))
         hidden = tuple(

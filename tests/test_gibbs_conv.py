@@ -336,6 +336,13 @@ def discarded_per_channel(pmap):
     return pmap.in_height * pmap.in_width - pmap.k * pmap.out_height * pmap.out_width
 
 
+def window_blocks(pmap, x):
+    """The retained region of (..., H, W) split into (..., out_h, win_h,
+    out_w, win_w): axes -3 and -1 run over a window's pixels."""
+    ret = x[..., : pmap.retained_height, : pmap.retained_width]
+    return ret.reshape(*x.shape[:-2], pmap.out_height, pmap.window_height, pmap.out_width, pmap.window_width)
+
+
 class TestPoolUpdate:
     def test_window_of_one_matches_direct_formula(self):
         pmap = PoolMap(2, 2, 1, 1)
@@ -397,7 +404,7 @@ class TestPoolUpdate:
     def test_preimages_partition_retained_pixels(self):
         pmap = PoolMap(5, 7, 2, 3)
         x = np.arange(5 * 7).reshape(5, 7)
-        windows = pmap.blocks(x).transpose(0, 2, 1, 3).reshape(-1, pmap.k)
+        windows = window_blocks(pmap, x).transpose(0, 2, 1, 3).reshape(-1, pmap.k)
         # every retained pixel lies in exactly one window, the one the loop oracle names
         retained = x[: pmap.retained_height, : pmap.retained_width]
         assert sorted(windows.ravel()) == sorted(retained.ravel())
@@ -408,27 +415,35 @@ class TestPoolUpdate:
     def test_rng_use_is_window_blocks_then_border_slabs(self):
         pmap = PoolMap(5, 7, 2, 3)
         gen = np.random.default_rng(23)
-        up = gen.standard_normal((4, 2, 5, 7))
-        pooled = gen.standard_normal((4, 2, 2, 2))
-        vin, vout = 0.4, 0.3
-        rng = RngStream(24, (3,))
-        out = update_pool_X(pmap, up, pooled, vin, vout, rng)
-        rh, rw, sd = pmap.retained_height, pmap.retained_width, np.sqrt(vin)
-        fresh = RngStream(24, (3,)).generator
-        z = fresh.normal(scale=sd, size=pmap.blocks(up).shape)
-        bottom = fresh.normal(scale=sd, size=up[..., rh:, :].shape)
-        right = fresh.normal(scale=sd, size=up[..., :rh, rw:].shape)
-        assert repr(rng.generator.bit_generator.state) == repr(fresh.bit_generator.state)
-        # the same draws land in the same places: the count alone would not
-        # tell the order apart
-        np.testing.assert_array_equal(out[..., rh:, :], up[..., rh:, :] + bottom)
-        np.testing.assert_array_equal(out[..., :rh, rw:], up[..., :rh, rw:] + right)
-        k = pmap.k
-        q = (1.0 - np.sqrt(k * vout / (k * vout + vin))) / k
-        zbar = z - q * z.sum(axis=(-3, -1), keepdims=True)
-        up_blocks = pmap.blocks(up)
-        shift = vin / (vin + k * vout) * (pooled - up_blocks.mean(axis=(-3, -1)))
-        np.testing.assert_allclose(pmap.blocks(out), up_blocks + shift[..., :, None, :, None] + zbar, rtol=1e-13)
+        # C order, and channels innermost as a conv product leaves them
+        for up in (gen.standard_normal((4, 2, 5, 7)), channel_innermost(gen, 4, 2, 5, 7)):
+            pooled = gen.standard_normal((4, 2, 2, 2))
+            vin, vout = 0.4, 0.3
+            rng = RngStream(24, (3,))
+            out = update_pool_X(pmap, up, pooled, vin, vout, rng)
+            rh, rw, sd = pmap.retained_height, pmap.retained_width, np.sqrt(vin)
+            fresh = RngStream(24, (3,)).generator
+            z = fresh.normal(scale=sd, size=up[..., :rh, :rw].shape)
+            bottom = fresh.normal(scale=sd, size=up[..., rh:, :].shape)
+            right = fresh.normal(scale=sd, size=up[..., :rh, rw:].shape)
+            assert repr(rng.generator.bit_generator.state) == repr(fresh.bit_generator.state)
+            # the same draws land in the same places: the count alone would not
+            # tell the order apart
+            np.testing.assert_array_equal(out[..., rh:, :], up[..., rh:, :] + bottom)
+            np.testing.assert_array_equal(out[..., :rh, rw:], up[..., :rh, rw:] + right)
+            k = pmap.k
+            q = (1.0 - np.sqrt(k * vout / (k * vout + vin))) / k
+            z_blocks = window_blocks(pmap, z)
+            zbar = z_blocks - q * z_blocks.sum(axis=(-3, -1), keepdims=True)
+            up_blocks = window_blocks(pmap, up)
+            shift = vin / (vin + k * vout) * (pooled - up_blocks.mean(axis=(-3, -1)))
+            np.testing.assert_allclose(window_blocks(pmap, out), up_blocks + shift[..., :, None, :, None] + zbar, rtol=1e-13)
+            # to the bit: (upstream + shift) + (noise - q * window sum) per
+            # retained pixel, with the pool's own window reductions
+            shift = vin / (vin + k * vout) * (pooled - pmap.pool_mean(up))
+            zbar = z_blocks - (q * pmap.window_sum(z))[..., :, None, :, None]
+            want = (up_blocks + shift[..., :, None, :, None]) + zbar
+            assert window_blocks(pmap, out).tobytes() == want.tobytes()
 
 
 def channel_innermost(gen, n, channels, height, width):
@@ -477,7 +492,22 @@ class TestPoolMapAgainstLoops:
         np.testing.assert_allclose(pmap.window_sum(x), want, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(pmap.pool_mean(x), want / pmap.k, rtol=1e-14, atol=1e-14)
         if x.flags.c_contiguous:
-            assert pmap.window_sum(x).tobytes() == pmap.blocks(x).sum(axis=(-3, -1)).tobytes()
+            assert pmap.window_sum(x).tobytes() == window_blocks(pmap, x).sum(axis=(-3, -1)).tobytes()
+
+    def test_expand_and_spread_are_the_window_broadcast(self, pmap, x):
+        """``expand`` repeats each window's value over its pixels, and
+        ``spread`` writes ``expand(d / k)`` into the retained region of
+        zeros: to the bit, what broadcasting over the split retained region
+        writes."""
+        d = np.random.default_rng(27).standard_normal((*x.shape[:2], pmap.out_height, pmap.out_width))
+        want = np.zeros((*x.shape[:2], pmap.retained_height, pmap.retained_width))
+        window_blocks(pmap, want)[...] = d[..., :, None, :, None]
+        got = pmap.expand(d)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        want_spread = np.zeros(x.shape)
+        window_blocks(pmap, want_spread)[...] = (d / pmap.k)[..., :, None, :, None]
+        assert pmap.spread(d, x).tobytes() == want_spread.tobytes()
 
     def test_spread_and_adjoint(self, pmap, x):
         gen = np.random.default_rng(26)

@@ -27,7 +27,7 @@ from conftest import (
     validate_state,
     z_conditional_rejection,
 )
-from nngibbs.kernels import RngStream, branch_prob_negative, cholesky_factor, inverse_factor
+from nngibbs.kernels import RngStream, branch_prob_negative, cholesky_factor, inverse_factor, std_lower_truncated
 from nngibbs.network import (
     Activation,
     ChainState,
@@ -363,6 +363,31 @@ class TestZUpdate:
         oracle = z_conditional_rejection(activation, wx, x_next, dz, dx, n, seed=10)
         _, p = stats.ks_2samp(mine, oracle)
         assert p > 0.01
+
+    @pytest.mark.parametrize("activation", ["relu", "sign", "abs"])
+    def test_draw_is_one_mirrored_truncated_pass(self, activation):
+        """To the bit: branch choice on the exact mass split, then one
+        standardized truncated draw mirrored by the branch sign, with the
+        signs picked by np.where, bounds in both the body and the tail,
+        and the stream left where the kernel leaves it."""
+        gen = np.random.default_rng(32)
+        wx, x_next = 3.0 * gen.standard_normal(3000), 3.0 * gen.standard_normal(3000)
+        dz, dx = 0.3, 0.05
+        act = Activation(activation)
+        rng = RngStream(33)
+        got = sample_z_scalar(act, wx, x_next, dz, dx, rng)
+        ref = RngStream(33).generator
+        m = z_branch_masses(act, wx, x_next, dz, dx)
+        take_neg = ref.uniform(size=wx.shape) < branch_prob_negative(m.log_mass_pos, m.log_mass_neg)
+        signs = np.where(take_neg, -1.0, 1.0)
+        mu = np.where(take_neg, m.mean_neg, m.mean_pos)
+        sd = np.sqrt(np.where(take_neg, m.var_neg, m.var_pos))
+        bound = -signs * mu / sd
+        assert np.any(bound > 4.0) and np.any(bound <= 4.0)
+        surv = np.exp(np.where(take_neg, m.log_tail_neg, m.log_tail_pos))
+        want = signs * (signs * mu + sd * std_lower_truncated(bound, surv, ref))
+        assert got.tobytes() == want.tobytes()
+        assert repr(rng.generator.bit_generator.state) == repr(ref.bit_generator.state)
 
     def test_sign_output_follows_branch(self):
         draws = sample_z_scalar(Activation.SIGN, np.full(5000, -0.3), np.full(5000, 0.2), 0.5, 0.5, RngStream(11))

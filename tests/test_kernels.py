@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm, truncnorm
 
 from nngibbs.gibbs import draw_rows_from_precision, ridge_precision
@@ -214,6 +214,32 @@ class TestTruncatedNormal:
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.03
 
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 0), (37,), (5, 6)], ids=["0-d", "empty", "empty-2d", "1-d", "2-d"])
+    def test_all_body_bounds_draw_as_the_masked_path(self, shape):
+        """With every bound in the body the mask-free draw gives the bytes
+        that the masked path gives those bounds from the same generator
+        state: one bound in the rejection tail, appended last, sends the
+        same bounds down the masked path, and its uniforms come after
+        theirs."""
+        gen = np.random.default_rng(28)
+        a = gen.uniform(-6.0, 4.0, size=shape)
+        if a.size:
+            a.flat[0] = 4.0  # the split itself is a body bound
+        if a.size > 2:
+            a.flat[1], a.flat[2] = -np.inf, 0.0
+        cases = [a, a.T] if a.ndim == 2 else [a]
+        for bounds in cases:
+            fast_gen = RngStream(29).generator
+            fast = std_lower_truncated(bounds, ndtr(-bounds), fast_gen)
+            assert fast.shape == bounds.shape
+            masked_bounds = np.append(bounds.ravel(), 8.0)
+            masked = std_lower_truncated(masked_bounds, ndtr(-masked_bounds), RngStream(29).generator)
+            assert fast.ravel().tobytes() == masked[:-1].tobytes()
+            # exactly one uniform per bound
+            spent = RngStream(29).generator
+            spent.uniform(size=bounds.size)
+            assert repr(fast_gen.bit_generator.state) == repr(spent.bit_generator.state)
+
 
 class TestBranchProbability:
     def test_equal_masses(self):
@@ -239,6 +265,32 @@ class TestBranchProbability:
     @settings(max_examples=300, deadline=None)
     def test_exact_complement(self, a, b):
         assert branch_prob_negative(a, b) + branch_prob_negative(b, a) == 1.0
+
+    def test_clipped_exponent_keeps_the_unclipped_bytes(self):
+        """The exponent is clipped at -40, past which 1 + exp(-|d|) is 1.0
+        already: the bytes are those of the unclipped formula on random
+        gaps up to 1e308, gaps around the clip, infinities, NaN and equal
+        -inf masses."""
+
+        def unclipped(lp, ln):
+            d = ln - lp
+            p = 1.0 / (1.0 + np.exp(-np.abs(d)))
+            out = np.where(d >= 0.0, p, 1.0 - p)
+            return np.where((lp == -np.inf) & (ln == -np.inf), 0.5, out)
+
+        gen = np.random.default_rng(30)
+        n = 4000
+        lp = gen.standard_normal(n) * 10.0 ** gen.uniform(-3.0, 308.0, n)
+        ln = gen.standard_normal(n) * 10.0 ** gen.uniform(-3.0, 308.0, n)
+        near = gen.uniform(-60.0, 60.0, n)
+        special = np.array([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, np.inf, -np.inf, np.nan])
+        pairs = np.array([(x, y) for x in special for y in special]).T
+        lp = np.concatenate([lp, np.zeros(n), pairs[0], [-np.inf]])
+        ln = np.concatenate([ln, near, pairs[1], [-np.inf]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = branch_prob_negative(lp, ln)
+            want = unclipped(lp, ln)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRngStream:
