@@ -15,8 +15,7 @@ from pathlib import Path
 
 from . import datasets as ds
 from . import diagnostics, presets
-from .harness import ConfigError, ExperimentConfig, _object, _section, build_dataset, read_trace, run_experiment
-from .kernels import RngStream
+from .harness import ConfigError, ExperimentConfig, _object, _section, build_dataset, dataset_stream, read_trace, run_experiment
 
 __all__ = ["main"]
 
@@ -66,7 +65,7 @@ def _add_config_flags(p, with_data=True):
 
 def _cmd_generate(args) -> int:
     cfg = _load_config(args)
-    dataset = build_dataset(cfg, RngStream(cfg.seed, (10_000,)))
+    dataset = build_dataset(cfg, dataset_stream(cfg.seed))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     ds.save_dataset(out, dataset)

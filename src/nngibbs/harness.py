@@ -3,8 +3,8 @@ multi-chain runs with trace persistence, and post-run merge verdicts.
 
 Configs are plain JSON (nested key/value); traces are one CSV per chain
 with a ``sweep,wall_s,<observable...>`` header so any plotting stack can
-consume them. A chain writes each record to its trace as it is taken,
-and the summary and merge verdicts are read back from the traces.
+consume them. A chain's only output is its trace, written record by
+record, and the summary and merge verdicts are read back from the traces.
 Chains run concurrently on independent RNG streams, and a re-run with
 the same seed reproduces every trace byte-for-byte except the
 wall-clock column.
@@ -54,6 +54,7 @@ __all__ = [
     "ExperimentConfig",
     "initialize_chain",
     "build_dataset",
+    "dataset_stream",
     "run_experiment",
     "read_trace",
 ]
@@ -77,6 +78,12 @@ class DatasetConfig:
     subset: int | None = None
     test_subset: int | None = None
     path: str | None = None
+
+    def __post_init__(self):
+        if self.source == "idx" and (self.images is None or self.labels is None):
+            raise ConfigError("dataset: idx source needs images and labels")
+        if self.source == "idx" and (self.test_images is None) != (self.test_labels is None):
+            raise ConfigError("dataset: an idx test split needs test_images and test_labels")
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,7 @@ class ExperimentConfig:
     merge_window: int = 50
     merge_tolerance: float = 3.0
 
-    def validate(self):
+    def __post_init__(self):
         # a window's variance takes two samples; dataset sizes may be unset, and n may be "4x_params"
         for name, low in (
             ("sweeps", 1), ("spacing", 1), ("seed", 0), ("merge_window", 2),
@@ -168,18 +175,16 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = _object(raw, "config")
         spec = _typed(NetworkSpec, _section(raw, "network"), "network")
-        cfg = _typed(
+        return _typed(
             cls,
             raw,
             "",
             network=spec,
             noise=_noise_from_dict(_section(raw, "noise"), spec),
             prior=_prior_from_dict(_section(raw, "prior"), spec),
-            dataset=_dataset_from_dict(_section(raw, "dataset")),
+            dataset=_typed(DatasetConfig, _section(raw, "dataset"), "dataset"),
             sampler=_typed(SamplerConfig, _section(raw, "sampler"), "sampler"),
         )
-        cfg.validate()
-        return cfg
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -321,16 +326,13 @@ def _prior_from_dict(raw: dict, spec: NetworkSpec) -> PriorSpec:
     return _typed(PriorSpec, raw, "prior")
 
 
-def _dataset_from_dict(raw: dict) -> DatasetConfig:
-    dc = _typed(DatasetConfig, raw, "dataset")
-    if dc.source == "idx" and (dc.images is None or dc.labels is None):
-        raise ConfigError("dataset: idx source needs images and labels")
-    if dc.source == "idx" and (dc.test_images is None) != (dc.test_labels is None):
-        raise ConfigError("dataset: an idx test split needs test_images and test_labels")
-    return dc
-
-
 # -- dataset construction ------------------------------------------------
+
+
+def dataset_stream(seed: int) -> RngStream:
+    """The stream a run's synthetic dataset is drawn from, apart from every
+    chain's ``(idx,)`` stream, so ``generate`` and ``run`` draw the same data."""
+    return RngStream(seed, (10_000,))
 
 
 def build_dataset(cfg: ExperimentConfig, rng: RngStream) -> Dataset:
@@ -457,6 +459,8 @@ class _Observer:
             self.target, self.packer = posteriors.make_classical_target(dataset, spec, self.delta, cfg.prior)
         if cfg.sampler.posterior == "intermediate":
             self.columns.append("train_residual")
+            # X[1] is clamped, so its design is the same at every record
+            self.design = spec.weighted_layers[0].design(posteriors.clamped_frame(spec, dataset).X[1])
         if cfg.sampler.kind in ("hmc", "mala"):
             self.columns.append("acceptance_rate")
         self.columns += [f"w{l}_sqnorm" for l in range(1, spec.depth + 1)]
@@ -474,14 +478,13 @@ class _Observer:
             # on the noisy-layer posterior the W[1] gradient is the prior's
             # term plus the first layer's residual times its design
             layer = spec.weighted_layers[0]
-            design = layer.design(state.X[1])
-            resid = residual(state.Z[2], layer.product(state.W[1], state.X[1], design), state.b.get(1))
+            resid = residual(state.Z[2], layer.product(state.W[1], state.X[1], self.design), state.b.get(1))
             out["train_residual"] = float(np.sum(resid * resid))
             if "score_U" in self.columns:
                 # a new C-ordered array: a Gibbs draw leaves W[1] transposed,
                 # and a mean over another memory order can move the last bit
                 grad = np.multiply(-self.cfg.prior.lambda_w[1], state.W[1], out=np.empty(state.W[1].shape))
-                grad += layer.weight_grad(resid, state.X[1], design) / self.cfg.noise.delta_z[2]
+                grad += layer.weight_grad(resid, state.X[1], self.design) / self.cfg.noise.delta_z[2]
                 out["score_U"] = float(self.delta * np.mean(grad))
         elif "score_U" in self.columns:
             sl, shape = self.packer.slices["W", 1]
@@ -499,6 +502,10 @@ class _Observer:
 
 def _chain_label(idx: int, kind: str) -> str:
     return f"chain{idx}_{kind.replace(':', '')}"
+
+
+def _trace_file(label: str) -> str:
+    return f"trace_{label}.csv"
 
 
 def read_trace(path) -> dict[str, diagnostics.TraceSeries]:
@@ -547,9 +554,7 @@ def read_trace(path) -> dict[str, diagnostics.TraceSeries]:
 
 
 def _run_single_chain(cfg: ExperimentConfig, dataset: Dataset, idx: int, kind: str, deadline: float | None, out: Path):
-    """Run one chain, writing its trace into ``out`` record by record.
-    Returns the chain's summary entry and its series of each observable
-    column, both read back from the trace."""
+    """Run one chain, writing its trace into ``out`` record by record."""
     spec = cfg.network
     chain_rng = RngStream(cfg.seed, (idx,))
     step_rng = chain_rng.child(1)
@@ -579,10 +584,8 @@ def _run_single_chain(cfg: ExperimentConfig, dataset: Dataset, idx: int, kind: s
         position, state_of = packer.pack(vars(init_state)), lambda vec: packer.state(vec, frame)
 
     columns = observer.columns
-    label = _chain_label(idx, kind)
-    path = out / f"trace_{label}.csv"
     # one flushed line per record, so a chain that stops keeps every record it took
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(out / _trace_file(_chain_label(idx, kind)), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("sweep,wall_s," + ",".join(columns) + "\n")
         start = time.monotonic()
 
@@ -592,18 +595,17 @@ def _run_single_chain(cfg: ExperimentConfig, dataset: Dataset, idx: int, kind: s
             fh.write(",".join([str(t), f"{wall:.3f}"] + [f"{values[c]:.17g}" for c in columns]) + "\n")
             fh.flush()
 
-        accepted, steps = samplers.run_chain(step, position, cfg.sweeps, record, cfg.spacing, deadline)
-    series = read_trace(path)
-    entry = {
-        "label": label,
-        "initialization": kind,
-        "file": path.name,
-        "records": len(series[columns[0]].times),
-        "final": {c: float(s.values[-1]) for c, s in series.items()},
-    }
-    if cfg.sampler.kind != "gibbs":
-        entry["acceptance_rate"] = accepted / steps
-    return entry, series
+        samplers.run_chain(step, position, cfg.sweeps, record, cfg.spacing, deadline)
+
+
+def _chain_entry(label: str, kind: str, series: dict[str, diagnostics.TraceSeries]) -> dict:
+    """A chain's summary entry, read off its trace. ``run_chain`` records its
+    last step, so the last ``acceptance_rate`` cell is the whole run's rate."""
+    final = {c: float(s.values[-1]) for c, s in series.items()}
+    entry = {"label": label, "initialization": kind, "file": _trace_file(label), "records": len(series["w1_sqnorm"].times), "final": final}
+    if "acceptance_rate" in final:
+        entry["acceptance_rate"] = final["acceptance_rate"]
+    return entry
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
@@ -616,8 +618,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     summary dict. The dataset is built before ``out_dir`` is made, so a
     bad input leaves no directory.
     """
-    cfg.validate()
-    dataset = build_dataset(cfg, RngStream(cfg.seed, (10_000,)))
+    dataset = build_dataset(cfg, dataset_stream(cfg.seed))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     deadline = None if cfg.max_seconds is None else time.monotonic() + cfg.max_seconds
@@ -627,14 +628,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
             pool.submit(_run_single_chain, cfg, dataset, idx, kind, deadline, out)
             for idx, kind in enumerate(cfg.initializations)
         ]
-        chains = [fut.result() for fut in futures]
+        for fut in futures:
+            fut.result()
 
-    summary = {"chains": [entry for entry, _series in chains], "merge": {}, "config": cfg.to_dict()}
-    informed_label = next((entry["label"] for entry, _series in chains if entry["initialization"] == "informed"), None)
+    labels = {_chain_label(idx, kind): kind for idx, kind in enumerate(cfg.initializations)}
+    traces = {label: read_trace(out / _trace_file(label)) for label in labels}
+    summary = {"chains": [_chain_entry(label, kind, traces[label]) for label, kind in labels.items()], "merge": {}, "config": cfg.to_dict()}
+    informed_label = next((label for label, kind in labels.items() if kind == "informed"), None)
     if informed_label is not None:
         # every chain records the same columns, and w1_sqnorm is always one of them
-        merge_obs = next(obs for obs in ("test_mse", "test_error", "w1_sqnorm") if obs in chains[0][1])
-        series = {entry["label"]: by_column[merge_obs] for entry, by_column in chains}
+        merge_obs = next(obs for obs in ("test_mse", "test_error", "w1_sqnorm") if obs in traces[informed_label])
+        series = {label: by_column[merge_obs] for label, by_column in traces.items()}
         verdicts = diagnostics.merge_verdicts(series, informed_label, merge_obs, cfg.merge_window, cfg.merge_tolerance)
         summary["merge"] = {label: {"observable": merge_obs, **verdict} for label, verdict in verdicts.items()}
 

@@ -298,9 +298,10 @@ class PoolMap:
 
     Every retained input pixel belongs to exactly one window; trailing
     rows/columns that do not fill a window are the discarded set and are
-    resampled around their upstream means. Every pool op reduces windows
-    through ``window_sum`` and writes them through ``expand``, on the 4-D
-    retained region ``x[..., :retained_height, :retained_width]``.
+    resampled around their upstream means. Every pool op works on the 4-D
+    retained region ``x[..., :retained_height, :retained_width]``: it
+    reduces windows through ``window_sum`` and writes them through
+    ``expand`` or, in ``spread``, through the same strided slices.
     """
 
     in_height: int
@@ -355,9 +356,14 @@ class PoolMap:
     def spread(self, d: np.ndarray, like: np.ndarray) -> np.ndarray:
         """Adjoint of ``pool_mean``: each pooled entry split evenly over its
         window; discarded pixels get zero. The result has the shape and
-        memory layout of ``like``, the pool's input."""
+        memory layout of ``like``, the pool's input. It writes ``d / k``
+        into ``window_sum``'s strided slices, with no expanded temporary."""
+        rh, rw, wh, ww = self.retained_height, self.retained_width, self.window_height, self.window_width
         out = np.zeros_like(like)
-        out[..., : self.retained_height, : self.retained_width] = self.expand(d / self.k)
+        share = d / self.k
+        for i in range(wh):
+            for j in range(ww):
+                out[..., i:rh:wh, j:rw:ww] = share
         return out
 
 

@@ -22,6 +22,7 @@ from nngibbs.harness import (
     ExperimentConfig,
     _Observer,
     build_dataset,
+    dataset_stream,
     initialize_chain,
     read_trace,
     run_experiment,
@@ -282,6 +283,33 @@ class TestConfig:
         assert cfg.to_dict()["network"]["layers"] == [conv, pool, dense]
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize(
+        "over, rebuild, message",
+        [
+            ({"initializations": []}, lambda cfg: dataclasses.replace(cfg, initializations=()), "initializations: need at least one chain"),
+            ({"merge_window": 1}, lambda cfg: dataclasses.replace(cfg, merge_window=1), "merge_window: must be >= 2, got 1"),
+            ({"max_seconds": math.inf}, lambda cfg: dataclasses.replace(cfg, max_seconds=math.inf), "max_seconds: must be > 0 and finite, got inf"),
+            (
+                {"sampler": {"kind": "hmc", "step_size": 1e-3}},
+                lambda cfg: dataclasses.replace(cfg, sampler=SamplerConfig(kind="hmc", step_size=1e-3)),
+                "sampler: hmc needs step_size and leapfrog_steps",
+            ),
+            (
+                {"dataset": {"source": "idx", "images": "img.idx"}},
+                lambda cfg: dataclasses.replace(cfg.dataset, source="idx", images="img.idx"),
+                "dataset: idx source needs images and labels",
+            ),
+        ],
+    )
+    def test_a_config_is_valid_once_built(self, over, rebuild, message):
+        """Construction validates: ``dataclasses.replace`` on a valid config
+        raises the ``ConfigError`` that ``from_dict`` raises on the same field."""
+        with pytest.raises(ConfigError) as loaded:
+            ExperimentConfig.from_dict(base_config(**over))
+        with pytest.raises(ConfigError) as replaced:
+            rebuild(ExperimentConfig.from_dict(base_config(initializations=["zero"])))
+        assert str(loaded.value) == str(replaced.value) == message
+
     def test_sign_activation_blocks_gradient_samplers(self):
         raw = base_config(sampler={"kind": "mala", "posterior": "classical", "step_size": 1e-4})
         raw["network"]["activation"] = "sign"
@@ -340,7 +368,7 @@ def _sweeps_clean(cfg, kind, sweeps):
     """Run ``sweeps`` Gibbs sweeps from a ``kind`` start with division by
     zero, invalid operations and overflow raised as errors; underflow
     stays quiet (exp of a very negative log-mass gap is exactly 0)."""
-    dataset = build_dataset(cfg, RngStream(cfg.seed, (10_000,)))
+    dataset = build_dataset(cfg, dataset_stream(cfg.seed))
     state = initialize_chain(kind, dataset, cfg.network, cfg.noise, cfg.prior, RngStream(cfg.seed, (0,)).child(0))
     rng = RngStream(cfg.seed, (0,)).child(1)
     with np.errstate(divide="raise", invalid="raise", over="raise", under="ignore"):
@@ -404,6 +432,25 @@ class TestRunExperiment:
         assert "acceptance_rate" in table
         rate = summary["chains"][0]["final"]["acceptance_rate"]
         assert 0.0 <= rate <= 1.0
+
+    def test_acceptance_rate_is_the_last_trace_cell(self, tmp_path):
+        """An HMC chain's summary rate is read off its trace: the last
+        ``acceptance_rate`` cell, recorded at the last step, 25 here, so it
+        is the whole run's accepted count over 25."""
+        raw = base_config(
+            sampler={"kind": "hmc", "posterior": "intermediate", "step_size": 1e-2, "leapfrog_steps": 3},
+            sweeps=25,
+            spacing=10,
+        )
+        summary = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+        assert summary == json.loads((tmp_path / "summary.json").read_text())
+        for chain in summary["chains"]:
+            header, *_, last = (tmp_path / chain["file"]).read_text().splitlines()
+            row = dict(zip(header.split(","), last.split(",")))
+            rate = chain["acceptance_rate"]
+            assert row["sweep"] == "25" and rate == float(row["acceptance_rate"]) == chain["final"]["acceptance_rate"]
+            assert rate == round(rate * 25) / 25
+        assert any(0 < chain["acceptance_rate"] < 1 for chain in summary["chains"])
 
     def test_mala_intermediate_run(self, tmp_path):
         raw = base_config(
@@ -614,6 +661,9 @@ class TestCli:
         assert raw["noise"]["delta_z"]["2"] == 2.0
 
     def test_generate_and_run_with_data(self, tmp_path, capsys):
+        """``generate`` and ``run`` draw a dataset from the same stream, so
+        ``run --data`` on the archive writes a plain run's trace lines, but
+        for the wall-clock column."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config(sweeps=30)), encoding="utf-8")
         data_path = tmp_path / "data.npz"
@@ -621,6 +671,12 @@ class TestCli:
         out_dir = tmp_path / "run"
         assert cli_main(["run", "--config", str(cfg_path), "--data", str(data_path), "--out", str(out_dir)]) == 0
         assert (out_dir / "summary.json").exists()
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "plain")]) == 0
+        strip = lambda path: [",".join(r.split(",")[:1] + r.split(",")[2:]) for r in path.read_text().splitlines()]
+        names = sorted(p.name for p in (tmp_path / "plain").glob("trace_*.csv"))
+        assert names == sorted(p.name for p in out_dir.glob("trace_*.csv")) and len(names) == 2
+        for name in names:
+            assert strip(out_dir / name) == strip(tmp_path / "plain" / name)
 
     def test_generate_writes_the_path_it_prints(self, tmp_path, capsys):
         # a name without the .npz suffix is written as given, not with one added

@@ -1,15 +1,18 @@
-"""The input boundary: a dataset archive or IDX pair given to ``nngibbs run``
-either runs, or ends in one ``input error:`` or ``config error:`` line with
-exit 2 and no output directory, never in a traceback.
+"""The input boundary: a dataset archive, an IDX pair or a config given to
+``nngibbs run`` either runs, or ends in one ``input error:`` or ``config
+error:`` line with exit 2 and no output directory, never in a traceback.
 
-One plain test per fault that once ended in a traceback, then a property
-test that drives ``cli.main`` on generated mutations of tiny archives and
-IDX pairs (MacIver et al. 2019, "Hypothesis", JOSS 4:1891).
+One plain test per fault that once ended in a traceback, then property
+tests that drive ``cli.main`` on generated mutations of tiny archives,
+IDX pairs and every preset's config (MacIver et al. 2019, "Hypothesis",
+JOSS 4:1891).
 """
 import contextlib
 import functools
 import io
 import json
+import math
+import operator
 import struct
 import tempfile
 import zipfile
@@ -21,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nngibbs.cli import main as cli_main
+from nngibbs.presets import get_preset, preset_names
 
 
 def _config(layers, output, dataset, initializations):
@@ -249,3 +253,56 @@ def test_idx_pair_runs_or_is_refused(image_shape, top_label, n, test_split):
             dataset["test_images"], dataset["test_labels"] = _write_idx(tmp, "test_", images, labels[::-1])
         code, _err = _run_idx(tmp, dataset)
         assert code == (0 if images[0].size == 16 and top_label < 5 else 2)
+
+
+# -- generated config mutations ---------------------------------------------
+
+# every preset on a tiny synthetic dataset, so that a run of one sweep is cheap
+PRESET_CONFIGS = {name: {**get_preset(name).to_dict(), "dataset": _SYNTHETIC} for name in preset_names()}
+# what a node of the config tree becomes; no mutation grows an array
+_MUTATIONS = ["wrong-type", 0, -1, math.nan, math.inf, -math.inf, [], True, "remove", "unknown-key"]
+
+
+def _nodes(tree, path=()):
+    """The path of every key and list item under ``tree``."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _nodes(value, path + (key,))
+
+
+def _at(tree, path):
+    return functools.reduce(operator.getitem, path, tree)
+
+
+@st.composite
+def _mutated_config(draw, base: dict) -> dict:
+    """``base`` with one or two nodes replaced by a value of the wrong type,
+    0, -1, NaN, +-inf, an empty list or ``true``, or removed, or with an
+    unknown key added to one of its objects."""
+    raw = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 2))):
+        how = draw(st.sampled_from(_MUTATIONS))
+        if how == "unknown-key":
+            objects = [()] + [path for path in _nodes(raw) if isinstance(_at(raw, path), dict)]
+            _at(raw, draw(st.sampled_from(objects)))["no_such_field"] = 1
+            continue
+        *parents, key = draw(st.sampled_from(list(_nodes(raw))))
+        parent = _at(raw, parents)
+        if how == "remove":
+            del parent[key]
+        elif how == "wrong-type":
+            parent[key] = 1 if isinstance(parent[key], str) else "x"
+        else:
+            parent[key] = how
+    return raw
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(PRESET_CONFIGS)))
+def test_mutated_config_runs_or_is_refused(data, name):
+    raw = data.draw(_mutated_config(PRESET_CONFIGS[name]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cfg.json").write_text(json.dumps(raw), encoding="utf-8")
+        _run(["run", "--config", str(tmp / "cfg.json"), "--sweeps", "1", "--out", str(tmp / "out")], tmp / "out")

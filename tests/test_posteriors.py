@@ -491,6 +491,8 @@ def _oracle_problem(stack):
         "abs-no-bias": lambda: mlp([4, 3, 2, 1], activation=Activation.ABS, bias=False),
         "probit-3": lambda: mlp([4, 3, 3], output="probit"),
         "conv-pool-probit": lambda: NetworkSpec(layers=(conv, PoolLayer(channels=2, in_height=4, in_width=4, window_height=2, window_width=2), DenseLayer(8, 3)), output="probit"),
+        # a 4-D hidden X with no pool between it and the dense layer
+        "conv-dense-no-bias": lambda: NetworkSpec(layers=(ConvLayer(channels_in=1, channels_out=2, in_height=5, in_width=5, filter_height=2, filter_width=2, has_bias=False), DenseLayer(32, 1, has_bias=False))),
     }[stack]()
     noise = NoiseSchedule.uniform(spec, 0.2)
     prior = PriorSpec.fan_in(spec)
@@ -512,7 +514,7 @@ def _gibbs_swept(stack):
     return spec, noise, prior, dataset, state
 
 
-ORACLE_STACKS = ["relu-bias", "relu-no-bias", "abs-bias", "abs-no-bias", "probit-3", "conv-pool-probit", "10-4-1"]
+ORACLE_STACKS = ["relu-bias", "relu-no-bias", "abs-bias", "abs-no-bias", "probit-3", "conv-pool-probit", "conv-dense-no-bias", "10-4-1"]
 
 
 def _same_bytes(logp, g, ref_logp, ref_g):
@@ -556,6 +558,7 @@ class TestBitwiseOracle:
         cfg = ExperimentConfig(
             network=spec, noise=noise, prior=prior, dataset=DatasetConfig(source="synthetic"),
             sampler=SamplerConfig(kind="hmc", posterior=posterior, step_size=1e-3, leapfrog_steps=1),
+            initializations=("informed",),
         )
         observer = _Observer(cfg, dataset)
         if flat:

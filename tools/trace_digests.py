@@ -30,8 +30,7 @@ from pathlib import Path
 
 import nngibbs
 from nngibbs.datasets import save_dataset
-from nngibbs.harness import build_dataset, run_experiment
-from nngibbs.kernels import RngStream
+from nngibbs.harness import build_dataset, dataset_stream, run_experiment
 from nngibbs.presets import get_preset
 
 # the MNIST presets run on a small synthetic dataset, recorded every sweep
@@ -76,7 +75,7 @@ def main() -> int:
             if from_archive:
                 # what ``nngibbs generate`` writes, then ``run --data``
                 data, name = out / "data.npz", f"{preset}/archive"
-                save_dataset(data, build_dataset(cfg, RngStream(cfg.seed, (10_000,))))
+                save_dataset(data, build_dataset(cfg, dataset_stream(cfg.seed)))
                 cfg = dataclasses.replace(cfg, dataset=dataclasses.replace(cfg.dataset, path=str(data)))
             run_experiment(cfg, out)
             for path in sorted(out.glob("trace_*.csv")):
